@@ -11,7 +11,17 @@ Three generic traversals work on any such tree:
   canonical numbering, so structural equality decides alpha-equivalence.
 
 Dataclasses that bind names implement ``_support``, ``_map_atoms`` and
-``_canon``; binder-free dataclasses get generic traversals for free.
+``_canon``; binder-free dataclasses get generic traversals for free.  The
+generic traversals read a dataclass's field names from a table keyed by its
+type (``field_names``), filled on the first visit, instead of asking the
+``dataclasses`` module on every node.
+
+Canonicalisation threads one ``_CanonState`` (binder counter and free-atom
+map) through a left-to-right traversal.  ``_CanonState.fork`` copies it, so a
+caller that canonicalises many values sharing a prefix (the environment and
+source of one query's transitions) can canonicalise the prefix once and fork
+the state for each value: the fork continues exactly the numbering a
+traversal of the whole value would give.
 
 Atom ids live in disjoint bands.  User atoms are non-negative and come from
 a global counter.  The engine itself never touches that counter: it mints
@@ -119,6 +129,20 @@ def swap(a: Name, b: Name) -> Permutation:
 # ---------------------------------------------------------------------------
 # Generic traversals
 
+_FIELDS = {}  # type -> tuple of field names, or None for a non-dataclass
+
+
+def field_names(cls):
+    """The field names of dataclass type ``cls``, or None for any other type;
+    computed once per type."""
+    try:
+        return _FIELDS[cls]
+    except KeyError:
+        names = (tuple(f.name for f in dataclasses.fields(cls))
+                 if dataclasses.is_dataclass(cls) else None)
+        _FIELDS[cls] = names
+        return names
+
 
 def support(x) -> frozenset:
     """Free names of a nominal value."""
@@ -132,12 +156,11 @@ def support(x) -> frozenset:
         out = sup()
     elif isinstance(x, (tuple, list, frozenset, set)):
         out = frozenset().union(*(support(e) for e in x)) if x else frozenset()
-    elif dataclasses.is_dataclass(x):
-        out = frozenset().union(
-            *(support(getattr(x, f.name)) for f in dataclasses.fields(x))
-        ) if dataclasses.fields(x) else frozenset()
     else:
-        return frozenset()
+        names = field_names(type(x))
+        if names is None:
+            return frozenset()
+        out = frozenset().union(*(support(getattr(x, f)) for f in names))
     try:
         object.__setattr__(x, "_supp_cache", out)
     except (AttributeError, TypeError):
@@ -165,8 +188,9 @@ def map_atoms(f, x):
         return tuple(map_atoms(f, e) for e in x)
     if isinstance(x, frozenset):
         return frozenset(map_atoms(f, e) for e in x)
-    if dataclasses.is_dataclass(x):
-        return type(x)(*(map_atoms(f, getattr(x, g.name)) for g in dataclasses.fields(x)))
+    names = field_names(type(x))
+    if names is not None:
+        return type(x)(*(map_atoms(f, getattr(x, g)) for g in names))
     return x
 
 
@@ -198,9 +222,9 @@ def sort_key(x):
         return (4, len(x), tuple(sort_key(e) for e in x))
     if isinstance(x, frozenset):
         return (5, len(x), tuple(sorted(sort_key(e) for e in x)))
-    if dataclasses.is_dataclass(x):
-        return (6, type(x).__name__,
-                tuple(sort_key(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    names = field_names(type(x))
+    if names is not None:
+        return (6, type(x).__name__, tuple(sort_key(getattr(x, f)) for f in names))
     return (7, repr(x))
 
 
@@ -211,6 +235,13 @@ class _CanonState:
         self.binder_n = 0
         self.free_map = {}
         self.pinned = pinned
+
+    def fork(self) -> "_CanonState":
+        """A copy that continues this numbering and never writes back."""
+        st = _CanonState(self.pinned)
+        st.binder_n = self.binder_n
+        st.free_map = dict(self.free_map)
+        return st
 
     def new_binder(self, hint: str) -> Name:
         self.binder_n += 1
@@ -239,8 +270,9 @@ def _canon(x, env: dict, st: _CanonState):
         return tuple(_canon(e, env, st) for e in x)
     if isinstance(x, frozenset):
         return frozenset(_canon(e, env, st) for e in sorted(x, key=sort_key))
-    if dataclasses.is_dataclass(x):
-        return type(x)(*(_canon(getattr(x, f.name), env, st) for f in dataclasses.fields(x)))
+    names = field_names(type(x))
+    if names is not None:
+        return type(x)(*(_canon(getattr(x, f), env, st) for f in names))
     return x
 
 

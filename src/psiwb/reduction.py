@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nominal import canonical, mint, mint_many, names_of, rename, sort_key, support
+from .nominal import (Name, canonical, field_names, mint, mint_many, names_of,
+                      rename, sort_key, support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, NIL, Output, Par,
                       Process, Res, assertion_guarded, check_well_formed, par,
@@ -419,12 +420,10 @@ def _cnorm(inst, p):
 
 
 def _first_occurrence_order(value, binders):
-    from .nominal import Name
     todo = set(binders)
     order = []
 
     def walk(v):
-        import dataclasses
         if not todo:
             return
         if isinstance(v, Name):
@@ -438,9 +437,9 @@ def _first_occurrence_order(value, binders):
         elif isinstance(v, frozenset):
             for e in sorted(v, key=sort_key):
                 walk(e)
-        elif dataclasses.is_dataclass(v):
-            for f in dataclasses.fields(v):
-                walk(getattr(v, f.name))
+        else:
+            for f in field_names(type(v)) or ():
+                walk(getattr(v, f))
 
     walk(value)
     order.extend(b for b in binders if b not in set(order))

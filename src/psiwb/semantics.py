@@ -22,6 +22,15 @@ the receiving premise is instantiated with the sender's actual message.
 
 All results are alpha-canonicalised and deduplicated, which also makes the
 enumeration reproducible: scratch atoms never leak identity.
+
+Every result of one query shares its environment and source, which come
+first in the canonical traversal.  So ``transitions`` and
+``legacy_transitions`` canonicalise ``(psi, proc)`` once and fork the
+canonicalisation state for each raw (label, provenance, target) triple; the
+fork replays exactly the numbering of canonicalising the whole transition,
+so every result equals ``canonical(Transition(psi, proc, ...))``.
+``erase_provenance`` does the same for each group of its input that shares
+an environment and source.
 """
 
 from __future__ import annotations
@@ -29,9 +38,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .nominal import (Name, _canon, _CanonState, canon_binders, canonical,
-                      map_atoms as _map, mint, mint_many, names_of, rename,
-                      support)
+from .nominal import (_canon, _CanonState, canon_binders, map_atoms as _map,
+                      mint, mint_many, names_of, rename, sort_key, support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, Output, Par, Process,
                       Res, check_well_formed, opened_frame, par, res,
@@ -56,9 +64,14 @@ class OutLabel:
                         _map(f, self.obj))
 
     def _canon(self, env, st):
+        return self._canon_scope(env, st)[0]
+
+    def _canon_scope(self, env, st):
+        """The canonical label and the environment, extended with the
+        extruded binders, under which its object and target are read."""
         subj = _canon(self.subject, env, st)
         ext, env2 = canon_binders(self.extruded, env, st)
-        return OutLabel(subj, ext, _canon(self.obj, env2, st))
+        return OutLabel(subj, ext, _canon(self.obj, env2, st)), env2
 
 
 @dataclass(frozen=True)
@@ -115,6 +128,26 @@ class Prov:
         outer, env2 = canon_binders(self.outer, env, st)
         inner, env3 = canon_binders(self.inner, env2, st)
         return Prov(outer, inner, _canon(self.term, env3, st))
+
+
+def _canon_step(label, prov, target, env, st):
+    """Canonicalise (label, provenance, target) in that order under ``st``.
+    An OutLabel's extruded binders scope over its object and the target, not
+    over the provenance.  ``prov`` is None where there is no provenance."""
+    if isinstance(label, OutLabel):
+        label, env2 = label._canon_scope(env, st)
+    else:
+        label, env2 = _canon(label, env, st), env
+    if prov is not None:
+        prov = _canon(prov, env, st)
+    return label, prov, _canon(target, env2, st)
+
+
+def _canon_head(psi, proc):
+    """The canonical environment and source of a query, and the state to
+    fork for each of its results."""
+    st = _CanonState(frozenset())
+    return _canon(psi, {}, st), _canon(proc, {}, st), st
 
 
 def prov_pushdown(pi):
@@ -189,15 +222,8 @@ class Transition:
     def _canon(self, env, st):
         env_c = _canon(self.env, env, st)
         src_c = _canon(self.source, env, st)
-        if isinstance(self.label, OutLabel):
-            subj_c = _canon(self.label.subject, env, st)
-            ext, env2 = canon_binders(self.label.extruded, env, st)
-            lab_c = OutLabel(subj_c, ext, _canon(self.label.obj, env2, st))
-        else:
-            lab_c = _canon(self.label, env, st)
-            env2 = env
-        prov_c = _canon(self.prov, env, st)
-        return Transition(env_c, src_c, lab_c, prov_c, _canon(self.target, env2, st))
+        return Transition(env_c, src_c,
+                          *_canon_step(self.label, self.prov, self.target, env, st))
 
 
 @dataclass(frozen=True)
@@ -220,14 +246,8 @@ class ErasedTransition:
     def _canon(self, env, st):
         env_c = _canon(self.env, env, st)
         src_c = _canon(self.source, env, st)
-        if isinstance(self.label, OutLabel):
-            subj_c = _canon(self.label.subject, env, st)
-            ext, env2 = canon_binders(self.label.extruded, env, st)
-            lab_c = OutLabel(subj_c, ext, _canon(self.label.obj, env2, st))
-        else:
-            lab_c = _canon(self.label, env, st)
-            env2 = env
-        return ErasedTransition(env_c, src_c, lab_c, _canon(self.target, env2, st))
+        lab_c, _, tgt_c = _canon_step(self.label, None, self.target, env, st)
+        return ErasedTransition(env_c, src_c, lab_c, tgt_c)
 
 
 @dataclass(frozen=True)
@@ -244,21 +264,30 @@ class Action:
         return Action(_map(f, self.label), _map(f, self.target))
 
     def _canon(self, env, st):
-        if isinstance(self.label, OutLabel):
-            subj_c = _canon(self.label.subject, env, st)
-            ext, env2 = canon_binders(self.label.extruded, env, st)
-            lab_c = OutLabel(subj_c, ext, _canon(self.label.obj, env2, st))
-        else:
-            lab_c = _canon(self.label, env, st)
-            env2 = env
-        return Action(lab_c, _canon(self.target, env2, st))
+        lab_c, _, tgt_c = _canon_step(self.label, None, self.target, env, st)
+        return Action(lab_c, tgt_c)
 
 
 def erase_provenance(transitions) -> frozenset:
     """Project provenances away, deduplicating up to alpha."""
-    return frozenset(
-        canonical(ErasedTransition(t.env, t.source, t.label, t.target))
-        for t in transitions)
+    groups = {}
+    for t in transitions:
+        groups.setdefault((t.env, t.source), []).append((t.label, t.target))
+    out = set()
+    for (psi, proc), steps in groups.items():
+        out |= _erased(psi, proc, steps)
+    return frozenset(out)
+
+
+def _erased(psi, proc, steps):
+    """Canonical erased transitions of ``proc`` under ``psi`` from raw
+    (label, target) pairs."""
+    env_c, src_c, st = _canon_head(psi, proc)
+    out = set()
+    for lab, tgt in steps:
+        lab_c, _, tgt_c = _canon_step(lab, None, tgt, {}, st.fork())
+        out.add(ErasedTransition(env_c, src_c, lab_c, tgt_c))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +305,8 @@ def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL,
     ctx0 = names_of(psi, proc) | frozenset(avoid)
     msgs = inst.message_basis(ctx0)
     raw = _step(inst, psi, proc, fuel.rep_depth, ctx0 | names_of(msgs), msgs)
-    return frozenset(canonical(Transition(psi, proc, lab, pi, tgt))
+    env_c, src_c, st = _canon_head(psi, proc)
+    return frozenset(Transition(env_c, src_c, *_canon_step(lab, pi, tgt, {}, st.fork()))
                      for lab, pi, tgt in raw)
 
 
@@ -287,13 +317,13 @@ def _step(inst, env, p, budget, avoid, msgs):
 
     if isinstance(p, Output):
         out = []
-        for k in sorted(inst.out_channels(env, p.channel, avoid), key=_skey):
+        for k in sorted(inst.out_channels(env, p.channel, avoid), key=sort_key):
             out.append((OutLabel(k, (), p.message), Prov((), (), p.channel), p.cont))
         return out
 
     if isinstance(p, Input):
         out = []
-        subjects = sorted(inst.in_channels(env, p.channel, avoid), key=_skey)
+        subjects = sorted(inst.in_channels(env, p.channel, avoid), key=sort_key)
         for k in subjects:
             for ls in itertools.product(msgs, repeat=len(p.variables)):
                 sigma = Subst.of(p.variables, ls)
@@ -453,11 +483,6 @@ def _inputs_for(inst, env, p, subject, message, budget, avoid, msgs):
     raise TypeError(f"not a process: {p!r}")
 
 
-def _skey(t):
-    from .nominal import sort_key
-    return sort_key(t)
-
-
 # ---------------------------------------------------------------------------
 # The legacy engine (In-Old / Out-Old / Com-Old)
 
@@ -473,14 +498,13 @@ def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
     msgs = inst.message_basis(ctx0)
     raw = _legacy_step(inst, psi, proc, fuel.rep_depth, ctx0 | names_of(msgs),
                        msgs, reorient_in)
-    return frozenset(canonical(ErasedTransition(psi, proc, lab, tgt))
-                     for lab, tgt in raw)
+    return frozenset(_erased(psi, proc, raw))
 
 
 def _legacy_in_subjects(inst, env, channel, avoid, reorient_in):
     if reorient_in:
-        return sorted(inst.in_channels(env, channel, avoid), key=_skey)
-    return sorted(inst.out_channels(env, channel, avoid), key=_skey)
+        return sorted(inst.in_channels(env, channel, avoid), key=sort_key)
+    return sorted(inst.out_channels(env, channel, avoid), key=sort_key)
 
 
 def _legacy_step(inst, env, p, budget, avoid, msgs, reorient_in):
@@ -489,7 +513,7 @@ def _legacy_step(inst, env, p, budget, avoid, msgs, reorient_in):
 
     if isinstance(p, Output):
         return [(OutLabel(k, (), p.message), p.cont)
-                for k in sorted(inst.out_channels(env, p.channel, avoid), key=_skey)]
+                for k in sorted(inst.out_channels(env, p.channel, avoid), key=sort_key)]
 
     if isinstance(p, Input):
         out = []

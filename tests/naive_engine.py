@@ -73,10 +73,14 @@ def _derive(inst, env, p, budget, avoid, msgs):
         l, r = p.left, p.right
         b_r, psi_r, avoid = opened_frame(inst, r, avoid)
         b_l, psi_l, avoid = opened_frame(inst, l, avoid)
+        # freshness side condition: the sibling's frame binders must not
+        # occur in the conclusion's label
         lts = _derive(inst, inst.compose(psi_r, env), l, budget, avoid, msgs)
-        out = [(lab, (o + b_r, i, m), Par(tgt, r)) for lab, (o, i, m), tgt in lts]
+        out = [(lab, (o + b_r, i, m), Par(tgt, r)) for lab, (o, i, m), tgt in lts
+               if not support(lab) & frozenset(b_r)]
         rts = _derive(inst, inst.compose(psi_l, env), r, budget, avoid, msgs)
-        out += [(lab, (b_l + o, i, m), Par(l, tgt)) for lab, (o, i, m), tgt in rts]
+        out += [(lab, (b_l + o, i, m), Par(l, tgt)) for lab, (o, i, m), tgt in rts
+                if not support(lab) & frozenset(b_l)]
         out += _naive_com(inst, env, l, r, b_l, b_r, psi_l, psi_r, budget,
                           avoid, msgs, False)
         out += _naive_com(inst, env, r, l, b_r, b_l, psi_r, psi_l, budget,

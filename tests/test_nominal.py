@@ -1,9 +1,9 @@
 import hypothesis.strategies as st
 from hypothesis import given
 
-from psiwb.nominal import (Name, Permutation, alpha_eq, apply_perm, canonical,
-                           fresh_name, is_fresh, map_atoms, mint, support,
-                           swap)
+from psiwb.nominal import (MINT_BASE, Name, Permutation, _CanonState, _canon,
+                           alpha_eq, apply_perm, canonical, fresh_name,
+                           is_fresh, map_atoms, mint, support, swap)
 from psiwb.params import EtherInstance
 from psiwb.process import NIL, Assert, Input, Output, Par, Res
 
@@ -167,3 +167,17 @@ def test_alpha_eq_is_equivalence(p1, p2, p3):
 @given(st.sets(names, max_size=5))
 def test_fresh_name_never_in_avoid(avoid):
     assert fresh_name(avoid) not in avoid
+
+
+def test_forked_canon_state_does_not_write_through():
+    s1, s2 = Name(MINT_BASE + 1), Name(MINT_BASE + 2)
+    state = _CanonState(frozenset())
+    first = _canon(s1, {}, state)
+    state.new_binder("b")
+    child = state.fork()
+    assert (child.binder_n, child.free_map) == (state.binder_n, state.free_map)
+    assert _canon(s1, {}, child) == first
+    child.new_binder("c")
+    _canon(s2, {}, child)
+    assert state.binder_n == 1 and state.free_map == {s1: first}
+    assert child.binder_n == 2 and len(child.free_map) == 2

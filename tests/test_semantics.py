@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from psiwb.nominal import (alpha_eq, apply_perm, canonical, fresh_name,
-                           names_of, support, swap)
+from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, canonical,
+                           fresh_name, names_of, support, swap)
 from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
                           TriangleInstance, TaggedInstance, entails)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
@@ -238,13 +238,23 @@ def test_transitions_deterministic_across_calls():
         assert transitions(ether, env, p) == transitions(ether, env, p)
 
 
+# the channel enumerators offer the sibling's bound c as an output subject,
+# which Par's freshness side condition must drop
+SIBLING_BINDER_CASES = {
+    "triangle": [Par(Res(c, Assert(frozenset({(a, c)}))), Output(a, a, NIL))],
+    "ether": [Par(Res(c, Assert(frozenset({a, c}))), Output(a, a, NIL))],
+}
+
+
 @pytest.mark.parametrize("inst", [pi, ether, tri, pre], ids=lambda i: i.name)
 def test_agreement_with_naive_oracle(inst):
     # soundness spot-check: an independent naive proof search derives the
     # same provenance-erased transitions on small terms over two names
     rng = random.Random(6)
-    for p in corpus(inst, rng, 25, size=6, names=(a, b)):
-        env = inst.random_assertion(rng, (a, b))
+    cases = [(inst.random_assertion(rng, (a, b)), p)
+             for p in corpus(inst, rng, 25, size=6, names=(a, b))]
+    cases += [(inst.unit, p) for p in SIBLING_BINDER_CASES.get(inst.name, ())]
+    for env, p in cases:
         got = erase_provenance(transitions(inst, env, p, fuel=2))
         want = naive_transitions(inst, env, p, fuel=2)
         assert got == want
@@ -257,3 +267,48 @@ def test_conservativity_on_pi_small():
             new = erase_provenance(transitions(pi, pi.unit, p, fuel=f))
             old = legacy_transitions(pi, pi.unit, p, fuel=f)
             assert new == old
+
+
+# -- the shared canonical head ----------------------------------------------------
+
+@pytest.mark.parametrize("inst", [pi, ether], ids=lambda i: i.name)
+def test_results_are_canonical_fixed_points(inst):
+    rng = random.Random(42)
+    for p in corpus(inst, rng, 40):
+        env = inst.random_assertion(rng, (a, b, c))
+        for t in transitions(inst, env, p) | legacy_transitions(inst, env, p):
+            assert canonical(t) == t
+
+
+def test_erase_provenance_matches_whole_transition_canonical():
+    # hand-built, non-canonical transitions from two sources, interleaved:
+    # u and v are alpha-variant extruded binders, the free scratch atom s
+    # occurs in the source and in some targets, and q2 is an alpha-variant
+    # of the source q1
+    u, v, s = (Name(MINT_BASE + k, h) for k, h in ((3, "u"), (7, "v"), (5, "s")))
+    p = Par(Output(a, s, NIL), Input(a, (y,), y, NIL))
+    q1 = Res(x, Output(a, x, NIL))
+    q2 = Res(z, Output(a, z, NIL))
+    ts = [
+        Transition(pi.unit, p, OutLabel(a, (), s), Prov((), (), a),
+                   Par(NIL, Input(a, (y,), y, NIL))),
+        Transition(pi.unit, q1, OutLabel(a, (u,), u), Prov((u,), (), a), NIL),
+        Transition(pi.unit, p, TAU, BOT, Par(NIL, NIL)),
+        Transition(pi.unit, q2, OutLabel(a, (v,), v), Prov((v,), (), a), NIL),
+        Transition(pi.unit, p, InLabel(a, s), Prov((), (), a),
+                   Par(Output(a, s, NIL), NIL)),
+        Transition(pi.unit, q1, OutLabel(a, (v,), v), Prov((), (v,), a), NIL),
+    ]
+    want = frozenset(canonical(ErasedTransition(t.env, t.source, t.label, t.target))
+                     for t in ts)
+    assert len(want) == 4
+    assert erase_provenance(ts) == want
+
+
+def test_extruded_binders_scope_over_target_not_provenance():
+    u = Name(MINT_BASE + 3, "u")
+    t = canonical(Transition(pi.unit, NIL, OutLabel(a, (u,), u), Prov((), (), u),
+                             Output(a, u, NIL)))
+    (bound,) = t.label.extruded
+    assert t.label.obj == t.target.message == bound
+    assert t.prov.term != bound
