@@ -129,24 +129,25 @@ def par_components(p: Process):
 
 
 def assertion_guarded(p: Process) -> bool:
-    """True when every assertion occurs under an input or output prefix."""
-    if isinstance(p, Assert):
-        return False
-    if isinstance(p, (Nil, Output, Input)):
-        return True
-    if isinstance(p, Case):
-        return all(assertion_guarded(q) for _, q in p.branches)
-    if isinstance(p, Par):
-        return assertion_guarded(p.left) and assertion_guarded(p.right)
-    if isinstance(p, Res):
-        return assertion_guarded(p.body)
-    if isinstance(p, Bang):
-        return assertion_guarded(p.body)
-    raise TypeError(f"not a process: {p!r}")
-
-
-def prefix_guarded(p: Process) -> bool:
-    return isinstance(p, (Output, Input))
+    """True when every assertion occurs under an input or output prefix.
+    Walks left to right with an explicit stack, so neither depth nor width
+    meets the recursion limit."""
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Assert):
+            return False
+        if isinstance(q, (Nil, Output, Input)):
+            continue
+        if isinstance(q, Case):
+            todo.extend(r for _, r in reversed(q.branches))
+        elif isinstance(q, Par):
+            todo += (q.right, q.left)
+        elif isinstance(q, (Res, Bang)):
+            todo.append(q.body)
+        else:
+            raise TypeError(f"not a process: {q!r}")
+    return True
 
 
 class IllFormed(ValueError):
@@ -157,36 +158,43 @@ class IllFormed(ValueError):
 
 
 def well_formed_violations(p: Process, path=()):
-    """All violations of the syntactic invariants, with subterm paths."""
+    """All violations of the syntactic invariants, with subterm paths, in
+    pre-order (a node's own diagnostics before those of its subterms, left
+    before right).  Walks with an explicit stack, so neither depth nor width
+    meets the recursion limit."""
     out = []
-    if isinstance(p, (Nil, Assert)):
-        pass
-    elif isinstance(p, Output):
-        out += well_formed_violations(p.cont, path + ("cont",))
-    elif isinstance(p, Input):
-        if len(set(p.variables)) != len(p.variables):
-            out.append((path, "input pattern variables must be pairwise distinct"))
-        extra = frozenset(p.variables) - support(p.pattern)
-        if extra:
-            out.append((path, "pattern variables not in the pattern's support: "
-                        + ", ".join(sorted(n.hint or str(n.id) for n in extra))))
-        out += well_formed_violations(p.cont, path + ("cont",))
-    elif isinstance(p, Case):
-        for i, (_, q) in enumerate(p.branches):
-            if not assertion_guarded(q):
-                out.append((path + (f"branch{i}",), "case branch must be assertion-guarded"))
-            out += well_formed_violations(q, path + (f"branch{i}",))
-    elif isinstance(p, Par):
-        out += well_formed_violations(p.left, path + ("left",))
-        out += well_formed_violations(p.right, path + ("right",))
-    elif isinstance(p, Res):
-        out += well_formed_violations(p.body, path + ("body",))
-    elif isinstance(p, Bang):
-        if not assertion_guarded(p.body):
-            out.append((path, "replicated process must be assertion-guarded"))
-        out += well_formed_violations(p.body, path + ("body",))
-    else:
-        out.append((path, f"not a process: {p!r}"))
+    # (subterm, its path, whether it is a case branch)
+    todo = [(p, path, False)]
+    while todo:
+        q, path, branch = todo.pop()
+        if branch and not assertion_guarded(q):
+            out.append((path, "case branch must be assertion-guarded"))
+        if isinstance(q, (Nil, Assert)):
+            pass
+        elif isinstance(q, Output):
+            todo.append((q.cont, path + ("cont",), False))
+        elif isinstance(q, Input):
+            if len(set(q.variables)) != len(q.variables):
+                out.append((path, "input pattern variables must be pairwise distinct"))
+            extra = frozenset(q.variables) - support(q.pattern)
+            if extra:
+                out.append((path, "pattern variables not in the pattern's support: "
+                            + ", ".join(sorted(n.hint or str(n.id) for n in extra))))
+            todo.append((q.cont, path + ("cont",), False))
+        elif isinstance(q, Case):
+            todo.extend((r, path + (f"branch{i}",), True)
+                        for i, (_, r) in reversed(tuple(enumerate(q.branches))))
+        elif isinstance(q, Par):
+            todo += ((q.right, path + ("right",), False),
+                     (q.left, path + ("left",), False))
+        elif isinstance(q, Res):
+            todo.append((q.body, path + ("body",), False))
+        elif isinstance(q, Bang):
+            if not assertion_guarded(q.body):
+                out.append((path, "replicated process must be assertion-guarded"))
+            todo.append((q.body, path + ("body",), False))
+        else:
+            out.append((path, f"not a process: {q!r}"))
     return out
 
 
@@ -218,55 +226,57 @@ class Frame:
         return Frame(bs, _canon(self.assertion, env2, st))
 
 
+class OpenedFrame:
+    """The frame of a process with every binder opened to a scratch atom,
+    together with the opened frames of the process's parts.
+
+    ``binders`` (in syntactic order) and ``assertion`` are the frame.  For
+    ``Par(P, Q)``, ``parts`` holds the opened frames of P and Q, whose
+    binders, in that order, make up ``binders``.  For ``Res(x, P)``, ``name``
+    is the atom x was opened to, ``body`` is P with x renamed to it, and
+    ``parts`` holds the opened frame of ``body``.  Any other process has the
+    unit frame and no parts.  So one opening covers the whole Par/Res spine
+    of a process: a walk down that spine reads the sibling frames and the
+    renamed restriction bodies off the tree instead of opening them again.
+    """
+
+    __slots__ = ("binders", "assertion", "parts", "name", "body")
+
+    def __init__(self, binders, assertion, parts=(), name=None, body=None):
+        self.binders = binders
+        self.assertion = assertion
+        self.parts = parts
+        self.name = name
+        self.body = body
+
+
+def open_frame(inst: CalculusInstance, p: Process, avoid: frozenset):
+    """The opened frame of ``p`` and ``avoid`` extended with the atoms it
+    opened.  Each binder is minted deterministically, fresh for ``avoid``
+    and for every binder opened before it, in syntactic order."""
+    if isinstance(p, Assert):
+        return OpenedFrame((), p.assertion), avoid
+    if isinstance(p, Par):
+        left, avoid = open_frame(inst, p.left, avoid)
+        right, avoid = open_frame(inst, p.right, avoid)
+        return OpenedFrame(left.binders + right.binders,
+                           inst.compose(left.assertion, right.assertion),
+                           (left, right)), avoid
+    if isinstance(p, Res):
+        fresh = mint(avoid, p.name.hint or "b")
+        body = rename({p.name: fresh}, p.body)
+        inner, avoid = open_frame(inst, body, avoid | {fresh})
+        return OpenedFrame((fresh,) + inner.binders, inner.assertion, (inner,),
+                           fresh, body), avoid
+    return OpenedFrame((), inst.unit), avoid
+
+
 def opened_frame(inst: CalculusInstance, p: Process, avoid):
     """The frame of ``p`` with every binder opened to a deterministic mint
     atom.  Returns (binders, assertion, extended avoid).  The binder order
     is the syntactic order, matching the provenance invariant."""
-    avoid = frozenset(avoid)
-    if isinstance(p, Assert):
-        return (), p.assertion, avoid
-    if isinstance(p, Par):
-        bl, al, avoid = opened_frame(inst, p.left, avoid)
-        br, ar, avoid = opened_frame(inst, p.right, avoid)
-        return bl + br, inst.compose(al, ar), avoid
-    if isinstance(p, Res):
-        fresh = mint(avoid, p.name.hint or "b")
-        body = rename({p.name: fresh}, p.body)
-        bs, a, avoid = opened_frame(inst, body, avoid | {fresh})
-        return (fresh,) + bs, a, avoid
-    return (), inst.unit, avoid
-
-
-def frame_of(inst: CalculusInstance, p: Process) -> Frame:
-    """The frame per the four defining equations, freshening binders only
-    when composition would capture."""
-    if isinstance(p, Assert):
-        return Frame((), p.assertion)
-    if isinstance(p, Par):
-        fl = frame_of(inst, p.left)
-        fr = frame_of(inst, p.right)
-        # binders of the left component must be fresh for the right frame
-        # and vice versa before the assertions are composed
-        clash_l = (frozenset(fl.binders) & (frozenset(fr.binders) | support(fr)))
-        if clash_l:
-            fl = _freshen_frame(fl, names_of(fl, fr))
-        clash_r = frozenset(fr.binders) & support(fl)
-        if clash_r:
-            fr = _freshen_frame(fr, names_of(fl, fr))
-        return Frame(fl.binders + fr.binders,
-                     inst.compose(fl.assertion, fr.assertion))
-    if isinstance(p, Res):
-        fb = frame_of(inst, p.body)
-        if p.name in fb.binders:
-            fb = _freshen_frame(fb, support(fb) | frozenset(fb.binders) | {p.name})
-        return Frame((p.name,) + fb.binders, fb.assertion)
-    return Frame((), inst.unit)
-
-
-def _freshen_frame(f: Frame, avoid):
-    fresh, _ = mint_many(avoid | support(f), len(f.binders), "b")
-    m = dict(zip(f.binders, fresh))
-    return Frame(fresh, rename(m, f.assertion))
+    f, avoid = open_frame(inst, p, frozenset(avoid))
+    return f.binders, f.assertion, avoid
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,14 @@ Rule-by-rule summary of the main engine:
 * Par shifts the sibling frame into the environment and bookkeeps the
   sibling's binders into the provenance (appended on the left premise,
   prepended on the right one, so provenance binders track frame binders in
-  order).
+  order).  Frames are opened once per query and handed down: the opened
+  frame of a process (``process.open_frame``) holds those of its Par
+  children and restriction bodies, so a Par reads its children's frames off
+  the tree, and a Res that an enclosing opening covers reuses that opening's
+  binder and renamed body instead of minting again.  The Com partner search
+  is handed the receiver's tree.  Only what no enclosing opening covers is
+  opened where it is met: the query's root, a Case branch and each
+  replication unfolding.
 * Com fires when the label subject of each premise equals the other
   premise's provenance term, with frame binders opened consistently.
 * Case and Rep demote frame binders to the provenance's inner sequence;
@@ -39,11 +46,10 @@ import itertools
 from dataclasses import dataclass
 
 from .nominal import (_canon, _CanonState, canon_binders, map_atoms as _map,
-                      mint, mint_many, names_of, rename, sort_key, support)
+                      mint_many, names_of, rename, sort_key, support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, Output, Par, Process,
-                      Res, check_well_formed, opened_frame, par, res,
-                      subst_process)
+                      Res, check_well_formed, open_frame, res, subst_process)
 
 # ---------------------------------------------------------------------------
 # Labels and provenances
@@ -90,14 +96,6 @@ TAU = TauLabel()
 
 def bn(label):
     return label.extruded if isinstance(label, OutLabel) else ()
-
-
-def subj(label):
-    return None if isinstance(label, TauLabel) else label.subject
-
-
-def obj(label):
-    return None if isinstance(label, TauLabel) else label.obj
 
 
 @dataclass(frozen=True)
@@ -304,14 +302,17 @@ def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL,
     fuel = as_fuel(fuel)
     ctx0 = names_of(psi, proc) | frozenset(avoid)
     msgs = inst.message_basis(ctx0)
-    raw = _step(inst, psi, proc, fuel.rep_depth, ctx0 | names_of(msgs), msgs)
+    frame, avoid0 = open_frame(inst, proc, ctx0 | names_of(msgs))
+    raw = _step(inst, psi, proc, frame, fuel.rep_depth, avoid0, msgs)
     env_c, src_c, st = _canon_head(psi, proc)
     return frozenset(Transition(env_c, src_c, *_canon_step(lab, pi, tgt, {}, st.fork()))
                      for lab, pi, tgt in raw)
 
 
-def _step(inst, env, p, budget, avoid, msgs):
-    """Raw (label, provenance, target) triples for one process."""
+def _step(inst, env, p, frame, budget, avoid, msgs):
+    """Raw (label, provenance, target) triples for one process.  ``frame``
+    is the opened frame of ``p`` (``open_frame``); ``avoid`` already holds
+    every atom it opened."""
     if isinstance(p, (Nil, Assert)):
         return []
 
@@ -336,15 +337,15 @@ def _step(inst, env, p, budget, avoid, msgs):
         out = []
         for phi, q in p.branches:
             if inst.entails(env, phi):
-                for lab, pi, tgt in _step(inst, env, q, budget, avoid, msgs):
+                q_frame, q_avoid = open_frame(inst, q, avoid)
+                for lab, pi, tgt in _step(inst, env, q, q_frame, budget, q_avoid, msgs):
                     out.append((lab, prov_pushdown(pi), tgt))
         return out
 
     if isinstance(p, Res):
-        fresh = mint(avoid, p.name.hint or "b")
-        body = rename({p.name: fresh}, p.body)
+        fresh, (body_frame,) = frame.name, frame.parts
         out = []
-        for lab, pi, tgt in _step(inst, env, body, budget, avoid | {fresh}, msgs):
+        for lab, pi, tgt in _step(inst, env, frame.body, body_frame, budget, avoid, msgs):
             if fresh not in support(lab):
                 out.append((lab, prov_scope(fresh, pi), Res(fresh, tgt)))
             elif (isinstance(lab, OutLabel)
@@ -358,23 +359,25 @@ def _step(inst, env, p, budget, avoid, msgs):
     if isinstance(p, Bang):
         if budget <= 0:
             return []
+        unfolded = Par(p.body, p)
+        u_frame, u_avoid = open_frame(inst, unfolded, avoid)
         out = []
-        for lab, pi, tgt in _step(inst, env, Par(p.body, p), budget - 1, avoid, msgs):
+        for lab, pi, tgt in _step(inst, env, unfolded, u_frame, budget - 1, u_avoid, msgs):
             out.append((lab, prov_pushdown(pi), tgt))
         return out
 
     if isinstance(p, Par):
         left, right = p.left, p.right
-        b_r, psi_r, avoid = opened_frame(inst, right, avoid)
-        b_l, psi_l, avoid = opened_frame(inst, left, avoid)
-        env_l = inst.compose(psi_r, env)
-        env_r = inst.compose(psi_l, env)
-        left_trans = _step(inst, env_l, left, budget, avoid, msgs)
-        right_trans = _step(inst, env_r, right, budget, avoid, msgs)
+        f_l, f_r = frame.parts
+        env_l = inst.compose(f_r.assertion, env)
+        env_r = inst.compose(f_l.assertion, env)
+        left_trans = _step(inst, env_l, left, f_l, budget, avoid, msgs)
+        right_trans = _step(inst, env_r, right, f_r, budget, avoid, msgs)
 
         # the opened sibling binders must be fresh for the conclusion label:
         # premise transitions mentioning them feed Com only
         out = []
+        b_l, b_r = f_l.binders, f_r.binders
         b_r_set, b_l_set = frozenset(b_r), frozenset(b_l)
         for lab, pi, tgt in left_trans:
             if support(lab) & b_r_set:
@@ -385,28 +388,30 @@ def _step(inst, env, p, budget, avoid, msgs):
                 continue
             out.append((lab, prov_scope_names(b_l, pi), Par(left, tgt)))
 
-        out.extend(_coms(inst, env, left, right, left_trans, b_l, b_r,
-                         env_r, budget, avoid, msgs, swapped=False))
-        out.extend(_coms(inst, env, right, left, right_trans, b_r, b_l,
-                         env_l, budget, avoid, msgs, swapped=True))
+        out.extend(_coms(inst, right, left_trans, f_l, f_r, env_r, budget,
+                         avoid, msgs, swapped=False))
+        out.extend(_coms(inst, left, right_trans, f_r, f_l, env_l, budget,
+                         avoid, msgs, swapped=True))
         return out
 
     raise TypeError(f"not a process: {p!r}")
 
 
-def _coms(inst, env, sender, receiver, sender_trans, b_s, b_r, env_recv,
-          budget, avoid, msgs, swapped):
-    """Com instances with ``sender`` outputting and ``receiver`` inputting."""
+def _coms(inst, receiver, sender_trans, f_send, f_recv, env_recv, budget,
+          avoid, msgs, swapped):
+    """Com instances with the sender's premises ``sender_trans`` outputting
+    and ``receiver`` inputting; ``f_send`` and ``f_recv`` are their opened
+    frames."""
     out = []
     for lab, pi, s_tgt in sender_trans:
         if not isinstance(lab, OutLabel):
             continue
-        k_open, avoid2 = _open_prov(pi, b_s, avoid | names_of(lab, s_tgt))
+        k_open, avoid2 = _open_prov(pi, f_send.binders, avoid | names_of(lab, s_tgt))
         if k_open is None:
             continue
-        for lab2, pi2, r_tgt in _inputs_for(inst, env_recv, receiver,
+        for lab2, pi2, r_tgt in _inputs_for(inst, env_recv, receiver, f_recv,
                                             k_open, lab.obj, budget, avoid2, msgs):
-            m_open, _ = _open_prov(pi2, b_r, avoid2 | names_of(lab2, r_tgt))
+            m_open, _ = _open_prov(pi2, f_recv.binders, avoid2 | names_of(lab2, r_tgt))
             if m_open is None or m_open != lab.subject:
                 continue
             pair = Par(r_tgt, s_tgt) if swapped else Par(s_tgt, r_tgt)
@@ -425,9 +430,10 @@ def _open_prov(pi, frame_binders, avoid):
     return rename(m, pi.term), avoid
 
 
-def _inputs_for(inst, env, p, subject, message, budget, avoid, msgs):
+def _inputs_for(inst, env, p, frame, subject, message, budget, avoid, msgs):
     """Input transitions of ``p`` receiving exactly ``message`` from the
-    sending prefix ``subject``."""
+    sending prefix ``subject``.  ``frame`` is the opened frame of ``p``, as
+    in ``_step``."""
     if isinstance(p, (Nil, Assert, Output)):
         return []
 
@@ -445,39 +451,38 @@ def _inputs_for(inst, env, p, subject, message, budget, avoid, msgs):
         out = []
         for phi, q in p.branches:
             if inst.entails(env, phi):
-                for lab, pi, tgt in _inputs_for(inst, env, q, subject, message,
-                                                budget, avoid, msgs):
+                q_frame, q_avoid = open_frame(inst, q, avoid)
+                for lab, pi, tgt in _inputs_for(inst, env, q, q_frame, subject,
+                                                message, budget, q_avoid, msgs):
                     out.append((lab, prov_pushdown(pi), tgt))
         return out
 
     if isinstance(p, Res):
-        fresh = mint(avoid, p.name.hint or "b")
-        body = rename({p.name: fresh}, p.body)
-        out = []
-        for lab, pi, tgt in _inputs_for(inst, env, body, subject, message,
-                                        budget, avoid | {fresh}, msgs):
-            out.append((lab, prov_scope(fresh, pi), Res(fresh, tgt)))
-        return out
+        fresh, (body_frame,) = frame.name, frame.parts
+        return [(lab, prov_scope(fresh, pi), Res(fresh, tgt))
+                for lab, pi, tgt in _inputs_for(inst, env, frame.body, body_frame,
+                                                subject, message, budget, avoid, msgs)]
 
     if isinstance(p, Bang):
         if budget <= 0:
             return []
+        unfolded = Par(p.body, p)
+        u_frame, u_avoid = open_frame(inst, unfolded, avoid)
         return [(lab, prov_pushdown(pi), tgt)
-                for lab, pi, tgt in _inputs_for(inst, env, Par(p.body, p),
+                for lab, pi, tgt in _inputs_for(inst, env, unfolded, u_frame,
                                                 subject, message, budget - 1,
-                                                avoid, msgs)]
+                                                u_avoid, msgs)]
 
     if isinstance(p, Par):
         left, right = p.left, p.right
-        b_r, psi_r, avoid = opened_frame(inst, right, avoid)
-        b_l, psi_l, avoid = opened_frame(inst, left, avoid)
+        f_l, f_r = frame.parts
         out = []
-        for lab, pi, tgt in _inputs_for(inst, inst.compose(psi_r, env), left,
-                                        subject, message, budget, avoid, msgs):
-            out.append((lab, prov_append(pi, b_r), Par(tgt, right)))
-        for lab, pi, tgt in _inputs_for(inst, inst.compose(psi_l, env), right,
-                                        subject, message, budget, avoid, msgs):
-            out.append((lab, prov_scope_names(b_l, pi), Par(left, tgt)))
+        for lab, pi, tgt in _inputs_for(inst, inst.compose(f_r.assertion, env), left,
+                                        f_l, subject, message, budget, avoid, msgs):
+            out.append((lab, prov_append(pi, f_r.binders), Par(tgt, right)))
+        for lab, pi, tgt in _inputs_for(inst, inst.compose(f_l.assertion, env), right,
+                                        f_r, subject, message, budget, avoid, msgs):
+            out.append((lab, prov_scope_names(f_l.binders, pi), Par(left, tgt)))
         return out
 
     raise TypeError(f"not a process: {p!r}")
@@ -496,8 +501,9 @@ def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
     fuel = as_fuel(fuel)
     ctx0 = names_of(psi, proc) | frozenset(avoid)
     msgs = inst.message_basis(ctx0)
-    raw = _legacy_step(inst, psi, proc, fuel.rep_depth, ctx0 | names_of(msgs),
-                       msgs, reorient_in)
+    frame, avoid0 = open_frame(inst, proc, ctx0 | names_of(msgs))
+    raw = _legacy_step(inst, psi, proc, frame, fuel.rep_depth, avoid0, msgs,
+                       reorient_in)
     return frozenset(_erased(psi, proc, raw))
 
 
@@ -507,7 +513,9 @@ def _legacy_in_subjects(inst, env, channel, avoid, reorient_in):
     return sorted(inst.out_channels(env, channel, avoid), key=sort_key)
 
 
-def _legacy_step(inst, env, p, budget, avoid, msgs, reorient_in):
+def _legacy_step(inst, env, p, frame, budget, avoid, msgs, reorient_in):
+    """Raw (label, target) pairs; ``frame`` is the opened frame of ``p``, as
+    in ``_step``."""
     if isinstance(p, (Nil, Assert)):
         return []
 
@@ -528,15 +536,16 @@ def _legacy_step(inst, env, p, budget, avoid, msgs, reorient_in):
         out = []
         for phi, q in p.branches:
             if inst.entails(env, phi):
-                out.extend(_legacy_step(inst, env, q, budget, avoid, msgs, reorient_in))
+                q_frame, q_avoid = open_frame(inst, q, avoid)
+                out.extend(_legacy_step(inst, env, q, q_frame, budget, q_avoid,
+                                        msgs, reorient_in))
         return out
 
     if isinstance(p, Res):
-        fresh = mint(avoid, p.name.hint or "b")
-        body = rename({p.name: fresh}, p.body)
+        fresh, (body_frame,) = frame.name, frame.parts
         out = []
-        for lab, tgt in _legacy_step(inst, env, body, budget, avoid | {fresh},
-                                     msgs, reorient_in):
+        for lab, tgt in _legacy_step(inst, env, frame.body, body_frame, budget,
+                                     avoid, msgs, reorient_in):
             if fresh not in support(lab):
                 out.append((lab, Res(fresh, tgt)))
             elif (isinstance(lab, OutLabel)
@@ -548,44 +557,48 @@ def _legacy_step(inst, env, p, budget, avoid, msgs, reorient_in):
     if isinstance(p, Bang):
         if budget <= 0:
             return []
-        return _legacy_step(inst, env, Par(p.body, p), budget - 1, avoid, msgs,
-                            reorient_in)
+        unfolded = Par(p.body, p)
+        u_frame, u_avoid = open_frame(inst, unfolded, avoid)
+        return _legacy_step(inst, env, unfolded, u_frame, budget - 1, u_avoid,
+                            msgs, reorient_in)
 
     if isinstance(p, Par):
         left, right = p.left, p.right
-        b_r, psi_r, avoid = opened_frame(inst, right, avoid)
-        b_l, psi_l, avoid = opened_frame(inst, left, avoid)
+        f_l, f_r = frame.parts
+        psi_l, psi_r = f_l.assertion, f_r.assertion
         env_l = inst.compose(psi_r, env)
         env_r = inst.compose(psi_l, env)
-        left_trans = _legacy_step(inst, env_l, left, budget, avoid, msgs, reorient_in)
-        right_trans = _legacy_step(inst, env_r, right, budget, avoid, msgs, reorient_in)
+        left_trans = _legacy_step(inst, env_l, left, f_l, budget, avoid, msgs,
+                                  reorient_in)
+        right_trans = _legacy_step(inst, env_r, right, f_r, budget, avoid, msgs,
+                                   reorient_in)
 
         out = []
-        b_r_set, b_l_set = frozenset(b_r), frozenset(b_l)
+        b_r_set, b_l_set = frozenset(f_r.binders), frozenset(f_l.binders)
         out.extend((lab, Par(tgt, right)) for lab, tgt in left_trans
                    if not support(lab) & b_r_set)
         out.extend((lab, Par(left, tgt)) for lab, tgt in right_trans
                    if not support(lab) & b_l_set)
 
         three_way = inst.compose(env, inst.compose(psi_l, psi_r))
-        out.extend(_legacy_coms(inst, three_way, right, left_trans, env_r,
+        out.extend(_legacy_coms(inst, three_way, right, f_r, left_trans, env_r,
                                 budget, avoid, msgs, reorient_in, swapped=False))
-        out.extend(_legacy_coms(inst, three_way, left, right_trans, env_l,
+        out.extend(_legacy_coms(inst, three_way, left, f_l, right_trans, env_l,
                                 budget, avoid, msgs, reorient_in, swapped=True))
         return out
 
     raise TypeError(f"not a process: {p!r}")
 
 
-def _legacy_coms(inst, three_way, receiver, sender_trans, env_recv, budget,
-                 avoid, msgs, reorient_in, swapped):
+def _legacy_coms(inst, three_way, receiver, f_recv, sender_trans, env_recv,
+                 budget, avoid, msgs, reorient_in, swapped):
     out = []
     for lab, s_tgt in sender_trans:
         if not isinstance(lab, OutLabel):
             continue
         av = avoid | names_of(lab, s_tgt)
-        for lab2, r_tgt in _legacy_inputs_for(inst, env_recv, receiver, lab.obj,
-                                              budget, av, msgs, reorient_in):
+        for lab2, r_tgt in _legacy_inputs_for(inst, env_recv, receiver, f_recv,
+                                              lab.obj, budget, av, msgs, reorient_in):
             if not inst.entails(three_way, inst.conn(lab.subject, lab2.subject)):
                 continue
             pair = Par(r_tgt, s_tgt) if swapped else Par(s_tgt, r_tgt)
@@ -593,7 +606,8 @@ def _legacy_coms(inst, three_way, receiver, sender_trans, env_recv, budget,
     return out
 
 
-def _legacy_inputs_for(inst, env, p, message, budget, avoid, msgs, reorient_in):
+def _legacy_inputs_for(inst, env, p, frame, message, budget, avoid, msgs,
+                       reorient_in):
     if isinstance(p, (Nil, Assert, Output)):
         return []
 
@@ -609,34 +623,37 @@ def _legacy_inputs_for(inst, env, p, message, budget, avoid, msgs, reorient_in):
         out = []
         for phi, q in p.branches:
             if inst.entails(env, phi):
-                out.extend(_legacy_inputs_for(inst, env, q, message, budget,
-                                              avoid, msgs, reorient_in))
+                q_frame, q_avoid = open_frame(inst, q, avoid)
+                out.extend(_legacy_inputs_for(inst, env, q, q_frame, message, budget,
+                                              q_avoid, msgs, reorient_in))
         return out
 
     if isinstance(p, Res):
-        fresh = mint(avoid, p.name.hint or "b")
-        body = rename({p.name: fresh}, p.body)
+        fresh, (body_frame,) = frame.name, frame.parts
         return [(lab, Res(fresh, tgt))
-                for lab, tgt in _legacy_inputs_for(inst, env, body, message,
-                                                   budget, avoid | {fresh},
-                                                   msgs, reorient_in)]
+                for lab, tgt in _legacy_inputs_for(inst, env, frame.body, body_frame,
+                                                   message, budget, avoid, msgs,
+                                                   reorient_in)]
 
     if isinstance(p, Bang):
         if budget <= 0:
             return []
-        return _legacy_inputs_for(inst, env, Par(p.body, p), message,
-                                  budget - 1, avoid, msgs, reorient_in)
+        unfolded = Par(p.body, p)
+        u_frame, u_avoid = open_frame(inst, unfolded, avoid)
+        return _legacy_inputs_for(inst, env, unfolded, u_frame, message,
+                                  budget - 1, u_avoid, msgs, reorient_in)
 
     if isinstance(p, Par):
         left, right = p.left, p.right
-        b_r, psi_r, avoid = opened_frame(inst, right, avoid)
-        b_l, psi_l, avoid = opened_frame(inst, left, avoid)
+        f_l, f_r = frame.parts
         out = []
-        for lab, tgt in _legacy_inputs_for(inst, inst.compose(psi_r, env), left,
-                                           message, budget, avoid, msgs, reorient_in):
+        for lab, tgt in _legacy_inputs_for(inst, inst.compose(f_r.assertion, env),
+                                           left, f_l, message, budget, avoid, msgs,
+                                           reorient_in):
             out.append((lab, Par(tgt, right)))
-        for lab, tgt in _legacy_inputs_for(inst, inst.compose(psi_l, env), right,
-                                           message, budget, avoid, msgs, reorient_in):
+        for lab, tgt in _legacy_inputs_for(inst, inst.compose(f_l.assertion, env),
+                                           right, f_r, message, budget, avoid, msgs,
+                                           reorient_in):
             out.append((lab, Par(left, tgt)))
         return out
 

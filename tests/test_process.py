@@ -1,17 +1,19 @@
 import pytest
 
-from psiwb.nominal import alpha_eq, apply_perm, canonical, fresh_name, swap
+from psiwb.nominal import (alpha_eq, apply_perm, canonical, fresh_name, names_of,
+                           swap)
 from psiwb.params import (EtherInstance, PiEq, PiInstance, Prec,
                           PreorderInstance, TriangleInstance)
 from psiwb.process import (NIL, Assert, Bang, Case, Frame, IllFormed, Input,
                            Output, Par, Res, SumUnavailable, assertion_guarded,
                            check_well_formed, collect_assertions, desugar_sum,
-                           frame_of, normal_form, par, reassemble,
+                           normal_form, opened_frame, par, reassemble,
                            well_formed_violations)
 
 a, b, x, y, z = (fresh_name((), h) for h in "abxyz")
 ether = EtherInstance()
 pi = PiInstance()
+tri = TriangleInstance()
 
 
 def psi(*names):
@@ -52,10 +54,54 @@ def test_diagnostic_paths_point_at_subterms():
     assert path == ("right",)
 
 
+def prefix_chain(depth, end=NIL):
+    for _ in range(depth):
+        end = Output(a, x, end)
+    return end
+
+
+def test_well_formedness_walks_wide_and_deep_terms():
+    wide = par(*(Output(a, x, NIL) for _ in range(1000)))
+    deep = prefix_chain(5000)
+    for p in (wide, deep, Bang(deep), Case(((PiEq(a, a), deep),))):
+        check_well_formed(p)
+        assert assertion_guarded(p)
+    assert not assertion_guarded(Par(wide, Assert(psi(x))))
+    assert assertion_guarded(prefix_chain(1, Par(deep, Assert(psi(x)))))
+
+
+def test_deep_diagnostic_keeps_its_full_path():
+    # y does not occur in the pattern x
+    deep = prefix_chain(2000, Input(a, (y,), x, NIL))
+    (path, msg), = well_formed_violations(deep)
+    assert path == ("cont",) * 2000
+    assert "support" in msg
+
+
+def test_diagnostics_keep_pre_order():
+    bad_input = Input(a, (y, y), x, NIL)
+    p = Par(Case(((PiEq(a, a), Assert(psi(x))), (PiEq(a, a), bad_input))),
+            Bang(Par(Assert(psi(x)), bad_input)))
+    assert [(path, msg.split(":")[0]) for path, msg in well_formed_violations(p)] == [
+        (("left", "branch0"), "case branch must be assertion-guarded"),
+        (("left", "branch1"), "input pattern variables must be pairwise distinct"),
+        (("left", "branch1"), "pattern variables not in the pattern's support"),
+        (("right",), "replicated process must be assertion-guarded"),
+        (("right", "body", "right"), "input pattern variables must be pairwise distinct"),
+        (("right", "body", "right"), "pattern variables not in the pattern's support"),
+    ]
+
+
 # -- frames -------------------------------------------------------------------
 
+def frame(inst, p):
+    """The frame of ``p``, opened against its own names, as a Frame value."""
+    bs, assertion, _ = opened_frame(inst, p, names_of(p))
+    return Frame(bs, assertion)
+
+
 def test_frame_of_prefix_is_unit():
-    f = frame_of(ether, Output(a, x, NIL))
+    f = frame(ether, Output(a, x, NIL))
     assert f == Frame((), ether.unit)
 
 
@@ -63,29 +109,40 @@ def test_frame_of_par_with_restriction():
     # hand-evaluation of the defining equations:
     # F((|P1|) | (nu x)(|P2|)) = <x, P1 (x) P2> when x fresh in P1
     p = Par(Assert(psi(a)), Res(x, Assert(psi(x))))
-    f = frame_of(ether, p)
+    f = frame(ether, p)
     assert len(f.binders) == 1
     assert alpha_eq(f, Frame((x,), psi(a, x)))
 
 
 def test_frame_binder_order_preserved():
     p = Res(x, Res(y, Assert(psi(x, y))))
-    f = frame_of(ether, p)
-    assert f.binders == (x, y)
-    assert f.assertion == psi(x, y)
+    f = frame(ether, p)
+    assert len(set(f.binders)) == 2
+    assert f.assertion == psi(*f.binders)
+    assert alpha_eq(f, Frame((x, y), psi(x, y)))
+    # an ether assertion is symmetric in its names; a triangle pair is not,
+    # so it pins the outer binder first
+    g = frame(tri, Res(x, Res(y, Assert(frozenset({(x, y)})))))
+    assert g.assertion == frozenset({g.binders})
+    assert alpha_eq(g, Frame((x, y), frozenset({(x, y)})))
+    assert not alpha_eq(g, Frame((y, x), frozenset({(x, y)})))
 
 
 def test_frame_par_binder_order_left_then_right():
     p = Par(Res(x, Assert(psi(x))), Res(y, Assert(psi(y))))
-    f = frame_of(ether, p)
+    f = frame(ether, p)
     assert len(f.binders) == 2
     assert alpha_eq(f, Frame((x, y), psi(x, y)))
+    g = frame(tri, Par(Res(x, Assert(frozenset({(x, a)}))),
+                       Res(y, Assert(frozenset({(y, b)})))))
+    bx, by = g.binders
+    assert g.assertion == frozenset({(bx, a), (by, b)})
 
 
 def test_frame_freshens_on_clash():
     # both components bind the same atom: composition must not conflate them
     p = Par(Res(x, Assert(psi(x))), Res(x, Assert(psi(x))))
-    f = frame_of(ether, p)
+    f = frame(ether, p)
     assert len(f.binders) == 2 and len(set(f.binders)) == 2
     assert len(f.assertion) == 2
 
@@ -93,10 +150,10 @@ def test_frame_freshens_on_clash():
 def test_frame_equivariant_and_alpha_invariant():
     p = Par(Assert(psi(a)), Res(x, Assert(psi(x))))
     q = Par(Assert(psi(a)), Res(y, Assert(psi(y))))  # alpha-variant
-    assert alpha_eq(frame_of(ether, p), frame_of(ether, q))
+    assert alpha_eq(frame(ether, p), frame(ether, q))
     perm = swap(a, b)
-    assert alpha_eq(frame_of(ether, apply_perm(perm, p)),
-                    apply_perm(perm, frame_of(ether, p)))
+    assert alpha_eq(frame(ether, apply_perm(perm, p)),
+                    apply_perm(perm, frame(ether, p)))
 
 
 # -- normal forms -------------------------------------------------------------

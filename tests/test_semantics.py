@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -8,7 +9,7 @@ from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, canonical,
 from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
                           TriangleInstance, TaggedInstance, entails)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
-                           opened_frame)
+                           opened_frame, par)
 from psiwb.semantics import (BOT, Bot, ErasedTransition, Fuel, InLabel,
                              OutLabel, Prov, TAU, TauLabel, Transition,
                              erase_provenance, legacy_transitions,
@@ -238,11 +239,31 @@ def test_transitions_deterministic_across_calls():
         assert transitions(ether, env, p) == transitions(ether, env, p)
 
 
+def spine(parts, right=False):
+    """The parallel composition of ``parts``, nested to the left or right."""
+    if not right:
+        return par(*parts)
+    return functools.reduce(lambda acc, q: Par(q, acc), reversed(parts[:-1]),
+                            parts[-1])
+
+
+def ether_copies(n, right=False):
+    """n copies of the ether example P | Q as one spine of 2n components."""
+    return spine([ether_P(), ether_Q()] * n, right)
+
+
 # the channel enumerators offer the sibling's bound c as an output subject,
-# which Par's freshness side condition must drop
+# which Par's freshness side condition must drop.  The ether spines hand
+# opened frames down several Par levels, one of them through a component
+# whose frame nests a restriction inside another.
 SIBLING_BINDER_CASES = {
     "triangle": [Par(Res(c, Assert(frozenset({(a, c)}))), Output(a, a, NIL))],
-    "ether": [Par(Res(c, Assert(frozenset({a, c}))), Output(a, a, NIL))],
+    "ether": [Par(Res(c, Assert(frozenset({a, c}))), Output(a, a, NIL)),
+              ether_copies(2), ether_copies(2, right=True),
+              ether_copies(3), ether_copies(3, right=True),
+              Par(Res(x, Par(Res(y, Assert(frozenset({x, y}))),
+                             Output(x, y, NIL))),
+                  Res(z, Par(Input(z, (b,), b, NIL), Assert(frozenset({z})))))],
 }
 
 
@@ -267,6 +288,67 @@ def test_conservativity_on_pi_small():
             new = erase_provenance(transitions(pi, pi.unit, p, fuel=f))
             old = legacy_transitions(pi, pi.unit, p, fuel=f)
             assert new == old
+
+
+def pi_handshakes():
+    """Components of pi spines: a private handshake, a sender extruding a
+    private channel, a receiver using what it gets, a replicated sender."""
+    private = Res(c, Par(Output(c, a, NIL), Input(c, (y,), y, NIL)))
+    extrude = Res(c, Output(a, c, Output(c, b, NIL)))
+    receive = Input(a, (z,), z, Input(z, (y,), y, NIL))
+    bang = Bang(Res(c, Output(a, c, NIL)))
+    return private, extrude, receive, bang
+
+
+@pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+def test_conservativity_on_pi_spines(right):
+    # both engines hand opened frames down these spines, and the replicated
+    # sender is reopened at each unfolding
+    private, extrude, receive, bang = pi_handshakes()
+    for p in (spine([private, extrude, receive], right),
+              spine([extrude, private, receive, private], right),
+              spine([bang, receive, private], right)):
+        for f in (0, 1, 2):
+            new = erase_provenance(transitions(pi, pi.unit, p, fuel=f))
+            assert taus(transitions(pi, pi.unit, p, fuel=f))
+            assert new == legacy_transitions(pi, pi.unit, p, fuel=f)
+
+
+def test_unfolded_copy_is_opened_fresh_for_sibling_frames():
+    # each replication unfolding is opened against everything in scope: were
+    # the copy's private y opened to the sibling's opened c, the ether would
+    # connect y to a and the copy would send on a
+    p = Par(Res(c, Assert(frozenset({c, a}))),
+            Bang(Res(x, Res(y, Output(y, a, NIL)))))
+    for f in (0, 1, 2):
+        assert transitions(ether, ether.unit, p, fuel=f) == frozenset()
+        assert legacy_transitions(ether, ether.unit, p, fuel=f) == frozenset()
+
+
+def test_frames_opened_once_per_query(monkeypatch):
+    # one opening at the root covers every restriction on the Par spine, and
+    # the Com partner search reuses it: the 8 restrictions of 4 ether-example
+    # copies need 8 atoms, plus the message basis's one
+    from psiwb import (corpus as corpus_mod, nominal, params, process, reduction,
+                       semantics)
+    minted = []
+    original = nominal.mint
+
+    def counting_mint(*args, **kwargs):
+        minted.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (nominal, params, process, semantics, reduction, corpus_mod):
+        for name, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, name, counting_mint)
+    p = ether_copies(4)
+    restrictions = 8
+    for engine in (transitions, legacy_transitions):
+        minted.clear()
+        ts = engine(ether, ether.unit, p)
+        assert len(taus(ts)) == 16
+        assert len(minted) <= 2 * restrictions
 
 
 # -- the shared canonical head ----------------------------------------------------
