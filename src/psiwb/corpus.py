@@ -68,20 +68,6 @@ def random_process(inst: CalculusInstance, rng: random.Random, size: int,
     return p
 
 
-def corpus_generate(seed: int, inst: CalculusInstance, count: int,
-                    max_size: int = 6, names=None, allow_bang: bool = True,
-                    extra=()):
-    """A reproducible corpus: same seed, same list.  ``extra`` prepends
-    hand-picked regression shapes (e.g. the non-transitive scenarios)."""
-    rng = random.Random(seed)
-    names = tuple(names) if names else tuple(fresh_name((), h) for h in "abc")
-    out = list(extra)
-    while len(out) < count + len(extra):
-        size = rng.randint(1, max_size)
-        out.append(random_process(inst, rng, size, names, allow_bang))
-    return out
-
-
 def triangle_counterexample_shapes(a, b, c):
     """The two non-transitive scenarios as explicit corpus members."""
     from .process import par

@@ -198,9 +198,6 @@ class CalculusInstance:
         """An always-entailed condition, or None if the instance has none."""
         return None
 
-    def is_always_entailed(self, phi) -> bool:
-        return False
-
     # -- corpus hooks -----------------------------------------------------
     def random_assertion(self, rng, names):
         raise NotImplementedError
@@ -283,9 +280,6 @@ class PiInstance(_NameTermMixin, CalculusInstance):
     def top_condition(self, names=()):
         n = _sorted_names(names)[0] if names else GLOBAL_TOP_NAME
         return PiEq(n, n)
-
-    def is_always_entailed(self, phi):
-        return isinstance(phi, PiEq) and phi.left == phi.right
 
     def random_assertion(self, rng, names):
         return self._UNIT
@@ -468,13 +462,6 @@ class PreorderInstance(_NameTermMixin, CalculusInstance):
         n = _sorted_names(names)[0] if names else GLOBAL_TOP_NAME
         return Prec(n, n)
 
-    def is_always_entailed(self, phi):
-        if isinstance(phi, Prec):
-            return phi.low == phi.high
-        if isinstance(phi, Join):
-            return phi.left == phi.right
-        return False
-
     def random_assertion(self, rng, names):
         ns = list(names)
         arcs = set()
@@ -634,9 +621,6 @@ class TaggedInstance(CalculusInstance):
     def top_condition(self, names=()):
         return self.base.top_condition(names)
 
-    def is_always_entailed(self, phi):
-        return self.base.is_always_entailed(phi)
-
     def random_assertion(self, rng, names):
         ns = list(names)
         disabled = frozenset(rng.sample(ns, rng.randint(0, 1)))
@@ -666,33 +650,8 @@ def static_equiv(inst: CalculusInstance, psi1, psi2) -> bool:
                for phi in inst.condition_basis(psi1, psi2))
 
 
-def apply_subst(inst: CalculusInstance, value, sigma: Subst):
-    """Simultaneous capture-avoiding substitution on any engine value."""
-    from . import process as _process
-
-    if isinstance(value, _process.Process):
-        return _process.subst_process(inst, value, sigma)
-    kind = classify(inst, value)
-    if kind == "assertion":
-        return inst.subst_assertion(value, sigma)
-    if kind == "condition":
-        return inst.subst_condition(value, sigma)
-    return inst.subst_term(value, sigma)
-
-
-_CONDITION_TYPES = (PiEq, EtherConn, TriConn, Prec, Join, TagCond, TaggedConn)
-
-
-def classify(inst: CalculusInstance, value) -> str:
-    if isinstance(value, _CONDITION_TYPES):
-        return "condition"
-    if isinstance(value, (PiUnit, TaggedAssertion)) or isinstance(value, frozenset):
-        return "assertion"
-    return "term"
-
-
 # ---------------------------------------------------------------------------
-# Instance registry (CLI selection by name)
+# Instance registry
 
 _REGISTRY = {
     "pi": PiInstance,

@@ -352,32 +352,45 @@ class NormalForm:
                           _canon(self.rest, env2, st))
 
 
+def hoist(p: Process, avoid):
+    """Hoist the restrictions on the Par/Res spine of ``p`` outward.
+
+    Returns the hoisted binders (outermost first), the unguarded assertions,
+    the other components, all in pre-order, left before right, and ``avoid``
+    extended with the binders.  A binder already in ``avoid`` is renamed in
+    its body to a deterministic mint atom fresh for ``avoid``; the others
+    keep their names.  Walks with an explicit stack, so neither depth nor
+    width meets the recursion limit."""
+    avoid = set(avoid)
+    binders, asserts, comps = [], [], []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Nil):
+            continue
+        if isinstance(q, Assert):
+            asserts.append(q.assertion)
+        elif isinstance(q, Par):
+            todo += (q.right, q.left)
+        elif isinstance(q, Res):
+            name, body = q.name, q.body
+            if name in avoid:
+                name = mint(avoid, name.hint or "b")
+                body = rename({q.name: name}, body)
+            avoid.add(name)
+            binders.append(name)
+            todo.append(body)
+        else:
+            comps.append(q)
+    return tuple(binders), tuple(asserts), comps, frozenset(avoid)
+
+
 def normal_form(inst: CalculusInstance, p: Process) -> NormalForm:
     """Hoist top-level restrictions outward and split unguarded assertions
     from the guarded rest.  Binders keep their names unless hoisting would
     capture, in which case they are freshened."""
     check_well_formed(p)
-
-    def go(q, avoid):
-        if isinstance(q, Nil):
-            return (), (), [], avoid
-        if isinstance(q, Assert):
-            return (), (q.assertion,), [], avoid
-        if isinstance(q, Par):
-            b1, a1, r1, avoid = go(q.left, avoid)
-            b2, a2, r2, avoid = go(q.right, avoid)
-            return b1 + b2, a1 + a2, r1 + r2, avoid
-        if isinstance(q, Res):
-            name, body = q.name, q.body
-            if name in avoid:
-                fresh = mint(avoid, name.hint or "b")
-                body = rename({name: fresh}, body)
-                name = fresh
-            bs, asserts, rest, avoid = go(body, avoid | {name})
-            return (name,) + bs, asserts, rest, avoid
-        return (), (), [q], avoid
-
-    binders, asserts, rest, _ = go(p, support(p))
+    binders, asserts, rest, _ = hoist(p, support(p))
     return NormalForm(binders, asserts, par(*rest))
 
 

@@ -2,23 +2,23 @@
 
 A reduction plugs one output and one input prefix into a context built from
 guarded processes, holes, parallel composition and case (one context branch
-per case).  Restrictions are handled by hoisting them to the top first, and
-replication by materialising copies on demand; both only use rewrites that
-are structural-congruence laws, and the number of copies mirrors the
-labelled engine's per-path replication budget so that harmony is exact at
-every fuel level.
+per case).  Restrictions are handled by hoisting them to the top first,
+with the one hoisting routine ``process.hoist`` (which ``normal_form`` and
+the congruence key use too), and replication by materialising copies on
+demand; both only use rewrites that are structural-congruence laws, and
+the number of copies mirrors the labelled engine's per-path replication
+budget so that harmony is exact at every fuel level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nominal import (Name, canonical, field_names, mint, mint_many, names_of,
-                      rename, sort_key, support)
+from .nominal import Name, canonical, field_names, sort_key, support
 from .params import CalculusInstance, Subst
-from .process import (Assert, Bang, Case, Input, Nil, NIL, Output, Par,
-                      Process, Res, assertion_guarded, check_well_formed, par,
-                      res, subst_process)
+from .process import (Assert, Bang, Case, Input, NIL, Output, Par, Process,
+                      assertion_guarded, check_well_formed, hoist, par, res,
+                      subst_process)
 from .semantics import DEFAULT_FUEL, TauLabel, as_fuel, transitions
 
 
@@ -170,34 +170,7 @@ class _OtherN:
 
 
 def _expand(inst, p, fuel, avoid):
-    binders = []
-    asserts = []
-    comps = []
-
-    def hoist(q):
-        nonlocal avoid
-        if isinstance(q, Nil):
-            return
-        if isinstance(q, Assert):
-            asserts.append(q.assertion)
-            return
-        if isinstance(q, Par):
-            hoist(q.left)
-            hoist(q.right)
-            return
-        if isinstance(q, Res):
-            name, body = q.name, q.body
-            if name in avoid:
-                fresh = mint(avoid, name.hint or "b")
-                body = rename({name: fresh}, body)
-                name = fresh
-            avoid = avoid | {name}
-            binders.append(name)
-            hoist(body)
-            return
-        comps.append(q)
-
-    hoist(p)
+    binders, asserts, comps, avoid = hoist(p, avoid)
     children = []
     for q in comps:
         if isinstance(q, (Output, Input)):
@@ -216,7 +189,7 @@ def _expand(inst, p, fuel, avoid):
             children.append(_BangN(q, tuple(copies)))
         else:
             children.append(_OtherN(q))
-    return _ParN(p, tuple(binders), tuple(asserts), tuple(children)), avoid
+    return _ParN(p, binders, asserts, tuple(children)), avoid
 
 
 def _positions(node, path=(), guards=(), cost=0):
@@ -381,34 +354,7 @@ def congruence_key(inst: CalculusInstance, p: Process):
 
 
 def _cnorm(inst, p):
-    binders = []
-    asserts = []
-    comps = []
-    avoid = set(support(p))
-
-    def hoist(q):
-        if isinstance(q, Nil):
-            return
-        if isinstance(q, Assert):
-            asserts.append(q.assertion)
-            return
-        if isinstance(q, Par):
-            hoist(q.left)
-            hoist(q.right)
-            return
-        if isinstance(q, Res):
-            name, body = q.name, q.body
-            if name in avoid:
-                fresh = mint(avoid, name.hint or "b")
-                body = rename({name: fresh}, body)
-                name = fresh
-            avoid.add(name)
-            binders.append(name)
-            hoist(body)
-            return
-        comps.append(q)
-
-    hoist(p)
+    binders, asserts, comps, _ = hoist(p, support(p))
     parts = [Assert(a) for a in asserts] + comps
     parts.sort(key=lambda q: (sort_key(canonical(q)), sort_key(q)))
     body = par(*parts)

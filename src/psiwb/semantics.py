@@ -1,7 +1,8 @@
-"""The provenance-annotated labelled transition system, plus the legacy
-three-judgement engine used for conservativity experiments.
+"""The provenance-annotated labelled transition system.  One engine derives
+transitions under two rule sets: the provenance rules, and the legacy
+In-Old / Out-Old / Com-Old rules used for conservativity experiments.
 
-Rule-by-rule summary of the main engine:
+Rule-by-rule summary of the provenance rules:
 
 * In/Out fire at prefixes; the label subject is the *partner* prefix drawn
   from the instance's channel enumerators, the provenance is the own prefix.
@@ -20,6 +21,15 @@ Rule-by-rule summary of the main engine:
   premise's provenance term, with frame binders opened consistently.
 * Case and Rep demote frame binders to the provenance's inner sequence;
   Scope and Open wrap the provenance.
+
+The legacy rules (``legacy_transitions``) share every rule but three: In-Old
+draws its label subjects from ``out_channels`` in the printed orientation
+(``in_channels`` when reoriented); Com-Old ignores provenances and instead
+requires the environment composed with both frames to entail that the
+sender's label subject connects to the receiver's; and their results drop
+the provenance, which the engine computes all the same.  The private
+``_Rules`` value that carries these differences is threaded through the
+derivation.
 
 Freshness side conditions are discharged constructively: every binder is
 opened to a deterministic scratch atom (minted against an avoid set that
@@ -292,24 +302,59 @@ def _erased(psi, proc, steps):
 # The engine
 
 
+@dataclass(frozen=True)
+class _Rules:
+    """A rule set: the name of the channel enumerator that gives an input
+    prefix its label subjects, and whether Com is Com-Old (see the module
+    docstring)."""
+
+    in_subjects: str
+    legacy: bool
+
+
+_PROVENANCE = _Rules("in_channels", legacy=False)
+_LEGACY_PRINTED = _Rules("out_channels", legacy=True)
+_LEGACY_REORIENTED = _Rules("in_channels", legacy=True)
+
+
 def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL,
                 avoid=()) -> frozenset:
     """Every transition derivable from the rules, with at most
     ``fuel.rep_depth`` replication unfoldings per derivation path.
     ``avoid`` adds extra names the freshening must steer clear of (e.g. a
     comparison partner)."""
-    check_well_formed(proc)
-    fuel = as_fuel(fuel)
-    ctx0 = names_of(psi, proc) | frozenset(avoid)
-    msgs = inst.message_basis(ctx0)
-    frame, avoid0 = open_frame(inst, proc, ctx0 | names_of(msgs))
-    raw = _step(inst, psi, proc, frame, fuel.rep_depth, avoid0, msgs)
+    raw = _derive(inst, _PROVENANCE, psi, proc, fuel, avoid)
     env_c, src_c, st = _canon_head(psi, proc)
     return frozenset(Transition(env_c, src_c, *_canon_step(lab, pi, tgt, {}, st.fork()))
                      for lab, pi, tgt in raw)
 
 
-def _step(inst, env, p, frame, budget, avoid, msgs):
+def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
+                       fuel=DEFAULT_FUEL, avoid=(), reorient_in=False) -> frozenset:
+    """The original provenance-free semantics (In-Old / Out-Old / Com-Old).
+    ``reorient_in`` flips the channel judgement in the input rule from the
+    printed orientation (prefix on the left) to the consistent one (prefix
+    on the right)."""
+    rules = _LEGACY_REORIENTED if reorient_in else _LEGACY_PRINTED
+    raw = _derive(inst, rules, psi, proc, fuel, avoid)
+    return frozenset(_erased(psi, proc, [(lab, tgt) for lab, _, tgt in raw]))
+
+
+def _derive(inst, rules, psi, proc, fuel, avoid):
+    """Raw (label, provenance, target) triples of ``proc`` under ``psi``."""
+    check_well_formed(proc)
+    fuel = as_fuel(fuel)
+    ctx0 = names_of(psi, proc) | frozenset(avoid)
+    msgs = inst.message_basis(ctx0)
+    frame, avoid0 = open_frame(inst, proc, ctx0 | names_of(msgs))
+    return _step(inst, rules, psi, proc, frame, fuel.rep_depth, avoid0, msgs)
+
+
+def _in_subjects(inst, rules, env, channel, avoid):
+    return sorted(getattr(inst, rules.in_subjects)(env, channel, avoid), key=sort_key)
+
+
+def _step(inst, rules, env, p, frame, budget, avoid, msgs):
     """Raw (label, provenance, target) triples for one process.  ``frame``
     is the opened frame of ``p`` (``open_frame``); ``avoid`` already holds
     every atom it opened."""
@@ -324,8 +369,7 @@ def _step(inst, env, p, frame, budget, avoid, msgs):
 
     if isinstance(p, Input):
         out = []
-        subjects = sorted(inst.in_channels(env, p.channel, avoid), key=sort_key)
-        for k in subjects:
+        for k in _in_subjects(inst, rules, env, p.channel, avoid):
             for ls in itertools.product(msgs, repeat=len(p.variables)):
                 sigma = Subst.of(p.variables, ls)
                 msg = inst.subst_term(p.pattern, sigma)
@@ -338,14 +382,16 @@ def _step(inst, env, p, frame, budget, avoid, msgs):
         for phi, q in p.branches:
             if inst.entails(env, phi):
                 q_frame, q_avoid = open_frame(inst, q, avoid)
-                for lab, pi, tgt in _step(inst, env, q, q_frame, budget, q_avoid, msgs):
+                for lab, pi, tgt in _step(inst, rules, env, q, q_frame, budget,
+                                          q_avoid, msgs):
                     out.append((lab, prov_pushdown(pi), tgt))
         return out
 
     if isinstance(p, Res):
         fresh, (body_frame,) = frame.name, frame.parts
         out = []
-        for lab, pi, tgt in _step(inst, env, frame.body, body_frame, budget, avoid, msgs):
+        for lab, pi, tgt in _step(inst, rules, env, frame.body, body_frame, budget,
+                                  avoid, msgs):
             if fresh not in support(lab):
                 out.append((lab, prov_scope(fresh, pi), Res(fresh, tgt)))
             elif (isinstance(lab, OutLabel)
@@ -362,7 +408,8 @@ def _step(inst, env, p, frame, budget, avoid, msgs):
         unfolded = Par(p.body, p)
         u_frame, u_avoid = open_frame(inst, unfolded, avoid)
         out = []
-        for lab, pi, tgt in _step(inst, env, unfolded, u_frame, budget - 1, u_avoid, msgs):
+        for lab, pi, tgt in _step(inst, rules, env, unfolded, u_frame, budget - 1,
+                                  u_avoid, msgs):
             out.append((lab, prov_pushdown(pi), tgt))
         return out
 
@@ -371,8 +418,8 @@ def _step(inst, env, p, frame, budget, avoid, msgs):
         f_l, f_r = frame.parts
         env_l = inst.compose(f_r.assertion, env)
         env_r = inst.compose(f_l.assertion, env)
-        left_trans = _step(inst, env_l, left, f_l, budget, avoid, msgs)
-        right_trans = _step(inst, env_r, right, f_r, budget, avoid, msgs)
+        left_trans = _step(inst, rules, env_l, left, f_l, budget, avoid, msgs)
+        right_trans = _step(inst, rules, env_r, right, f_r, budget, avoid, msgs)
 
         # the opened sibling binders must be fresh for the conclusion label:
         # premise transitions mentioning them feed Com only
@@ -388,32 +435,43 @@ def _step(inst, env, p, frame, budget, avoid, msgs):
                 continue
             out.append((lab, prov_scope_names(b_l, pi), Par(left, tgt)))
 
-        out.extend(_coms(inst, right, left_trans, f_l, f_r, env_r, budget,
-                         avoid, msgs, swapped=False))
-        out.extend(_coms(inst, left, right_trans, f_r, f_l, env_l, budget,
-                         avoid, msgs, swapped=True))
+        three_way = (inst.compose(env, inst.compose(f_l.assertion, f_r.assertion))
+                     if rules.legacy else None)
+        out.extend(_coms(inst, rules, three_way, right, left_trans, f_l, f_r, env_r,
+                         budget, avoid, msgs, swapped=False))
+        out.extend(_coms(inst, rules, three_way, left, right_trans, f_r, f_l, env_l,
+                         budget, avoid, msgs, swapped=True))
         return out
 
     raise TypeError(f"not a process: {p!r}")
 
 
-def _coms(inst, receiver, sender_trans, f_send, f_recv, env_recv, budget,
-          avoid, msgs, swapped):
+def _coms(inst, rules, three_way, receiver, sender_trans, f_send, f_recv, env_recv,
+          budget, avoid, msgs, swapped):
     """Com instances with the sender's premises ``sender_trans`` outputting
     and ``receiver`` inputting; ``f_send`` and ``f_recv`` are their opened
-    frames."""
+    frames.  ``three_way`` is the assertion Com-Old checks connectivity
+    under (None for the provenance rules)."""
     out = []
     for lab, pi, s_tgt in sender_trans:
         if not isinstance(lab, OutLabel):
             continue
-        k_open, avoid2 = _open_prov(pi, f_send.binders, avoid | names_of(lab, s_tgt))
-        if k_open is None:
-            continue
-        for lab2, pi2, r_tgt in _inputs_for(inst, env_recv, receiver, f_recv,
-                                            k_open, lab.obj, budget, avoid2, msgs):
-            m_open, _ = _open_prov(pi2, f_recv.binders, avoid2 | names_of(lab2, r_tgt))
-            if m_open is None or m_open != lab.subject:
+        avoid2 = avoid | names_of(lab, s_tgt)
+        if rules.legacy:
+            k_open = None  # the receiver may use any of its label subjects
+        else:
+            k_open, avoid2 = _open_prov(pi, f_send.binders, avoid2)
+            if k_open is None:
                 continue
+        for lab2, pi2, r_tgt in _inputs_for(inst, rules, env_recv, receiver, f_recv,
+                                            k_open, lab.obj, budget, avoid2, msgs):
+            if rules.legacy:
+                if not inst.entails(three_way, inst.conn(lab.subject, lab2.subject)):
+                    continue
+            else:
+                m_open, _ = _open_prov(pi2, f_recv.binders, avoid2 | names_of(lab2, r_tgt))
+                if m_open is None or m_open != lab.subject:
+                    continue
             pair = Par(r_tgt, s_tgt) if swapped else Par(s_tgt, r_tgt)
             out.append((TAU, BOT, res(lab.extruded, pair)))
     return out
@@ -430,21 +488,26 @@ def _open_prov(pi, frame_binders, avoid):
     return rename(m, pi.term), avoid
 
 
-def _inputs_for(inst, env, p, frame, subject, message, budget, avoid, msgs):
+def _inputs_for(inst, rules, env, p, frame, subject, message, budget, avoid, msgs):
     """Input transitions of ``p`` receiving exactly ``message`` from the
-    sending prefix ``subject``.  ``frame`` is the opened frame of ``p``, as
-    in ``_step``."""
+    sending prefix ``subject``, or, where ``subject`` is None, with every
+    label subject the rule set gives.  ``frame`` is the opened frame of
+    ``p``, as in ``_step``."""
     if isinstance(p, (Nil, Assert, Output)):
         return []
 
     if isinstance(p, Input):
-        if not inst.entails(env, inst.conn(subject, p.channel)):
+        if subject is None:
+            subjects = _in_subjects(inst, rules, env, p.channel, avoid)
+        elif inst.entails(env, inst.conn(subject, p.channel)):
+            subjects = (subject,)
+        else:
             return []
         out = []
         for ts in inst.match_pattern(p.variables, p.pattern, message):
-            sigma = Subst.of(p.variables, ts)
-            tgt = subst_process(inst, p.cont, sigma)
-            out.append((InLabel(subject, message), Prov((), (), p.channel), tgt))
+            tgt = subst_process(inst, p.cont, Subst.of(p.variables, ts))
+            out.extend((InLabel(k, message), Prov((), (), p.channel), tgt)
+                       for k in subjects)
         return out
 
     if isinstance(p, Case):
@@ -452,7 +515,7 @@ def _inputs_for(inst, env, p, frame, subject, message, budget, avoid, msgs):
         for phi, q in p.branches:
             if inst.entails(env, phi):
                 q_frame, q_avoid = open_frame(inst, q, avoid)
-                for lab, pi, tgt in _inputs_for(inst, env, q, q_frame, subject,
+                for lab, pi, tgt in _inputs_for(inst, rules, env, q, q_frame, subject,
                                                 message, budget, q_avoid, msgs):
                     out.append((lab, prov_pushdown(pi), tgt))
         return out
@@ -460,7 +523,7 @@ def _inputs_for(inst, env, p, frame, subject, message, budget, avoid, msgs):
     if isinstance(p, Res):
         fresh, (body_frame,) = frame.name, frame.parts
         return [(lab, prov_scope(fresh, pi), Res(fresh, tgt))
-                for lab, pi, tgt in _inputs_for(inst, env, frame.body, body_frame,
+                for lab, pi, tgt in _inputs_for(inst, rules, env, frame.body, body_frame,
                                                 subject, message, budget, avoid, msgs)]
 
     if isinstance(p, Bang):
@@ -469,7 +532,7 @@ def _inputs_for(inst, env, p, frame, subject, message, budget, avoid, msgs):
         unfolded = Par(p.body, p)
         u_frame, u_avoid = open_frame(inst, unfolded, avoid)
         return [(lab, prov_pushdown(pi), tgt)
-                for lab, pi, tgt in _inputs_for(inst, env, unfolded, u_frame,
+                for lab, pi, tgt in _inputs_for(inst, rules, env, unfolded, u_frame,
                                                 subject, message, budget - 1,
                                                 u_avoid, msgs)]
 
@@ -477,184 +540,12 @@ def _inputs_for(inst, env, p, frame, subject, message, budget, avoid, msgs):
         left, right = p.left, p.right
         f_l, f_r = frame.parts
         out = []
-        for lab, pi, tgt in _inputs_for(inst, inst.compose(f_r.assertion, env), left,
-                                        f_l, subject, message, budget, avoid, msgs):
+        for lab, pi, tgt in _inputs_for(inst, rules, inst.compose(f_r.assertion, env),
+                                        left, f_l, subject, message, budget, avoid, msgs):
             out.append((lab, prov_append(pi, f_r.binders), Par(tgt, right)))
-        for lab, pi, tgt in _inputs_for(inst, inst.compose(f_l.assertion, env), right,
-                                        f_r, subject, message, budget, avoid, msgs):
+        for lab, pi, tgt in _inputs_for(inst, rules, inst.compose(f_l.assertion, env),
+                                        right, f_r, subject, message, budget, avoid, msgs):
             out.append((lab, prov_scope_names(f_l.binders, pi), Par(left, tgt)))
-        return out
-
-    raise TypeError(f"not a process: {p!r}")
-
-
-# ---------------------------------------------------------------------------
-# The legacy engine (In-Old / Out-Old / Com-Old)
-
-
-def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
-                       fuel=DEFAULT_FUEL, avoid=(), reorient_in=False) -> frozenset:
-    """The original provenance-free semantics.  ``reorient_in`` flips the
-    channel judgement in the input rule from the printed orientation
-    (prefix on the left) to the consistent one (prefix on the right)."""
-    check_well_formed(proc)
-    fuel = as_fuel(fuel)
-    ctx0 = names_of(psi, proc) | frozenset(avoid)
-    msgs = inst.message_basis(ctx0)
-    frame, avoid0 = open_frame(inst, proc, ctx0 | names_of(msgs))
-    raw = _legacy_step(inst, psi, proc, frame, fuel.rep_depth, avoid0, msgs,
-                       reorient_in)
-    return frozenset(_erased(psi, proc, raw))
-
-
-def _legacy_in_subjects(inst, env, channel, avoid, reorient_in):
-    if reorient_in:
-        return sorted(inst.in_channels(env, channel, avoid), key=sort_key)
-    return sorted(inst.out_channels(env, channel, avoid), key=sort_key)
-
-
-def _legacy_step(inst, env, p, frame, budget, avoid, msgs, reorient_in):
-    """Raw (label, target) pairs; ``frame`` is the opened frame of ``p``, as
-    in ``_step``."""
-    if isinstance(p, (Nil, Assert)):
-        return []
-
-    if isinstance(p, Output):
-        return [(OutLabel(k, (), p.message), p.cont)
-                for k in sorted(inst.out_channels(env, p.channel, avoid), key=sort_key)]
-
-    if isinstance(p, Input):
-        out = []
-        for k in _legacy_in_subjects(inst, env, p.channel, avoid, reorient_in):
-            for ls in itertools.product(msgs, repeat=len(p.variables)):
-                sigma = Subst.of(p.variables, ls)
-                out.append((InLabel(k, inst.subst_term(p.pattern, sigma)),
-                            subst_process(inst, p.cont, sigma)))
-        return out
-
-    if isinstance(p, Case):
-        out = []
-        for phi, q in p.branches:
-            if inst.entails(env, phi):
-                q_frame, q_avoid = open_frame(inst, q, avoid)
-                out.extend(_legacy_step(inst, env, q, q_frame, budget, q_avoid,
-                                        msgs, reorient_in))
-        return out
-
-    if isinstance(p, Res):
-        fresh, (body_frame,) = frame.name, frame.parts
-        out = []
-        for lab, tgt in _legacy_step(inst, env, frame.body, body_frame, budget,
-                                     avoid, msgs, reorient_in):
-            if fresh not in support(lab):
-                out.append((lab, Res(fresh, tgt)))
-            elif (isinstance(lab, OutLabel)
-                  and fresh not in support(lab.subject)
-                  and fresh in support(lab.obj) - frozenset(lab.extruded)):
-                out.append((OutLabel(lab.subject, (fresh,) + lab.extruded, lab.obj), tgt))
-        return out
-
-    if isinstance(p, Bang):
-        if budget <= 0:
-            return []
-        unfolded = Par(p.body, p)
-        u_frame, u_avoid = open_frame(inst, unfolded, avoid)
-        return _legacy_step(inst, env, unfolded, u_frame, budget - 1, u_avoid,
-                            msgs, reorient_in)
-
-    if isinstance(p, Par):
-        left, right = p.left, p.right
-        f_l, f_r = frame.parts
-        psi_l, psi_r = f_l.assertion, f_r.assertion
-        env_l = inst.compose(psi_r, env)
-        env_r = inst.compose(psi_l, env)
-        left_trans = _legacy_step(inst, env_l, left, f_l, budget, avoid, msgs,
-                                  reorient_in)
-        right_trans = _legacy_step(inst, env_r, right, f_r, budget, avoid, msgs,
-                                   reorient_in)
-
-        out = []
-        b_r_set, b_l_set = frozenset(f_r.binders), frozenset(f_l.binders)
-        out.extend((lab, Par(tgt, right)) for lab, tgt in left_trans
-                   if not support(lab) & b_r_set)
-        out.extend((lab, Par(left, tgt)) for lab, tgt in right_trans
-                   if not support(lab) & b_l_set)
-
-        three_way = inst.compose(env, inst.compose(psi_l, psi_r))
-        out.extend(_legacy_coms(inst, three_way, right, f_r, left_trans, env_r,
-                                budget, avoid, msgs, reorient_in, swapped=False))
-        out.extend(_legacy_coms(inst, three_way, left, f_l, right_trans, env_l,
-                                budget, avoid, msgs, reorient_in, swapped=True))
-        return out
-
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _legacy_coms(inst, three_way, receiver, f_recv, sender_trans, env_recv,
-                 budget, avoid, msgs, reorient_in, swapped):
-    out = []
-    for lab, s_tgt in sender_trans:
-        if not isinstance(lab, OutLabel):
-            continue
-        av = avoid | names_of(lab, s_tgt)
-        for lab2, r_tgt in _legacy_inputs_for(inst, env_recv, receiver, f_recv,
-                                              lab.obj, budget, av, msgs, reorient_in):
-            if not inst.entails(three_way, inst.conn(lab.subject, lab2.subject)):
-                continue
-            pair = Par(r_tgt, s_tgt) if swapped else Par(s_tgt, r_tgt)
-            out.append((TAU, res(lab.extruded, pair)))
-    return out
-
-
-def _legacy_inputs_for(inst, env, p, frame, message, budget, avoid, msgs,
-                       reorient_in):
-    if isinstance(p, (Nil, Assert, Output)):
-        return []
-
-    if isinstance(p, Input):
-        out = []
-        for k in _legacy_in_subjects(inst, env, p.channel, avoid, reorient_in):
-            for ts in inst.match_pattern(p.variables, p.pattern, message):
-                sigma = Subst.of(p.variables, ts)
-                out.append((InLabel(k, message), subst_process(inst, p.cont, sigma)))
-        return out
-
-    if isinstance(p, Case):
-        out = []
-        for phi, q in p.branches:
-            if inst.entails(env, phi):
-                q_frame, q_avoid = open_frame(inst, q, avoid)
-                out.extend(_legacy_inputs_for(inst, env, q, q_frame, message, budget,
-                                              q_avoid, msgs, reorient_in))
-        return out
-
-    if isinstance(p, Res):
-        fresh, (body_frame,) = frame.name, frame.parts
-        return [(lab, Res(fresh, tgt))
-                for lab, tgt in _legacy_inputs_for(inst, env, frame.body, body_frame,
-                                                   message, budget, avoid, msgs,
-                                                   reorient_in)]
-
-    if isinstance(p, Bang):
-        if budget <= 0:
-            return []
-        unfolded = Par(p.body, p)
-        u_frame, u_avoid = open_frame(inst, unfolded, avoid)
-        return _legacy_inputs_for(inst, env, unfolded, u_frame, message,
-                                  budget - 1, u_avoid, msgs, reorient_in)
-
-    if isinstance(p, Par):
-        left, right = p.left, p.right
-        f_l, f_r = frame.parts
-        out = []
-        for lab, tgt in _legacy_inputs_for(inst, inst.compose(f_r.assertion, env),
-                                           left, f_l, message, budget, avoid, msgs,
-                                           reorient_in):
-            out.append((lab, Par(tgt, right)))
-        for lab, tgt in _legacy_inputs_for(inst, inst.compose(f_l.assertion, env),
-                                           right, f_r, message, budget, avoid, msgs,
-                                           reorient_in):
-            out.append((lab, Par(left, tgt)))
         return out
 
     raise TypeError(f"not a process: {p!r}")

@@ -9,8 +9,7 @@ from psiwb.nominal import apply_perm, fresh_name, support, swap
 from psiwb.params import (EtherConn, EtherInstance, Join, PiEq, PiInstance,
                           Prec, PreorderInstance, Subst, SubstError, Tagged,
                           TaggedAssertion, TaggedInstance, TriangleInstance,
-                          apply_subst, compose, entails, get_instance,
-                          static_equiv)
+                          compose, entails, get_instance, static_equiv)
 
 a, b, c, x, y, z = (fresh_name((), h) for h in "abcxyz")
 NAMES = (a, b, c, x, y, z)
@@ -126,11 +125,11 @@ def test_subst_rejects_ill_formed():
 
 
 def test_subst_capture_avoidance():
-    from psiwb.process import NIL, Output, Res
+    from psiwb.process import NIL, Output, Res, subst_process
     from psiwb.nominal import alpha_eq, canonical
     # ((nu z) a<z>.0)[a := z]  ==  (nu z')(z<z'>.0) with z' fresh
     p = Res(z, Output(a, z, NIL))
-    q = apply_subst(ether, p, Subst.of((a,), (z,)))
+    q = subst_process(ether, p, Subst.of((a,), (z,)))
     # oracle: pre-rename the binder, then substitute naively
     w = fresh_name(NAMES, "w")
     oracle = Res(w, Output(z, w, NIL))

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from psiwb.nominal import alpha_eq, fresh_name
-from psiwb.corpus import corpus_generate, random_process, triangle_counterexample_shapes
+from psiwb.corpus import random_process, triangle_counterexample_shapes
 from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
                           TriangleInstance)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
-                           par)
+                           normal_form, par)
 from psiwb.reduction import (HOLE, CtxCase, CtxPar, CtxProc, conds,
                              congruence_key, derived_par, fill,
                              harmony_check, holes, ppr, reductions)
@@ -191,6 +191,18 @@ def test_harmony_case_under_restriction():
     p = Case(((guard, Res(b, Par(out(b, b), inp(b)))),))
     rep = harmony_check(pi, p)
     assert rep.ok and rep.matched == 1
+
+
+def test_hoisting_keeps_same_named_sibling_binders_apart():
+    # (nu x)x<a>.0 | (nu x)x(y).y: the second x is renamed when hoisted, so
+    # the two private channels stay distinct and nothing communicates
+    p = Par(Res(x, Output(x, a, NIL)), Res(x, Input(x, (y,), y, NIL)))
+    shared = Res(x, Par(Output(x, a, NIL), Input(x, (y,), y, NIL)))
+    nf = normal_form(pi, p)
+    assert len(set(nf.binders)) == 2
+    assert reductions(pi, p) == frozenset()
+    assert harmony_check(pi, p).ok
+    assert congruence_key(pi, p) != congruence_key(pi, shared)
 
 
 @pytest.mark.parametrize("inst", [pi, ether, tri, pre], ids=lambda i: i.name)

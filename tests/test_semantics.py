@@ -119,6 +119,15 @@ def test_triangle_legacy_strings_a_derivation_via_b():
     assert len([t for t in legacy if isinstance(t.label, TauLabel)]) >= 1
 
 
+def test_triangle_reoriented_legacy_strings_a_derivation_via_b():
+    # reoriented In-Old gives the input on c the subjects b and c; Com-Old
+    # still strings a's b to c, where the provenance Com finds no partner
+    psi = frozenset({(a, b), (b, c), (c, c)})
+    p = Res(b, Par(Par(Output(a, a, NIL), Input(c, (z,), z, NIL)), Assert(psi)))
+    assert len(taus(legacy_transitions(tri, frozenset(), p, reorient_in=True))) == 1
+    assert taus(transitions(tri, frozenset(), p)) == []
+
+
 def test_legacy_pi_handshake_agrees():
     p = Par(Output(a, x, NIL), Input(a, (y,), y, NIL))
     ts = legacy_transitions(pi, pi.unit, p)
@@ -282,12 +291,15 @@ def test_agreement_with_naive_oracle(inst):
 
 
 def test_conservativity_on_pi_small():
+    # pi's channel enumerators are symmetric, so both orientations of In-Old
+    # agree with the provenance rules
     rng = random.Random(7)
     for p in corpus(pi, rng, 40, size=6):
         for f in (0, 1, 2):
             new = erase_provenance(transitions(pi, pi.unit, p, fuel=f))
-            old = legacy_transitions(pi, pi.unit, p, fuel=f)
-            assert new == old
+            for reorient_in in (False, True):
+                old = legacy_transitions(pi, pi.unit, p, fuel=f, reorient_in=reorient_in)
+                assert new == old
 
 
 def pi_handshakes():
