@@ -10,11 +10,22 @@ Three generic traversals work on any such tree:
 * ``canonical(x)``    -- rename binders and engine scratch atoms to a
   canonical numbering, so structural equality decides alpha-equivalence.
 
-Dataclasses that bind names implement ``_support``, ``_map_atoms`` and
-``_canon``; binder-free dataclasses get generic traversals for free.  The
-generic traversals read a dataclass's field names from a table keyed by its
-type (``field_names``), filled on the first visit, instead of asking the
-``dataclasses`` module on every node.
+A dataclass that binds names declares its binder fields once, as a class
+attribute such as ``_binders = ("variables",)`` on ``Input``.  A binder field
+holds one Name or a tuple of Names.  It scopes over every field declared
+after it and over none before it: ``Input(channel, variables, pattern,
+cont)`` binds its variables in the pattern and the continuation, not in the
+channel.  ``support`` and ``canonical`` read the declaration; ``map_atoms``
+renames binders like any other atom and needs none.  A dataclass's field
+names, binder fields and any ``_support`` or ``_canon`` of its own sit in
+one table keyed by its type (``_LAYOUTS``), filled on the first visit of
+each type: a traversal asks neither the ``dataclasses`` module nor the node
+itself how to walk it.
+
+Three classes in ``semantics`` keep their own ``_support`` and ``_canon``,
+which the table also records: ``Transition``, ``ErasedTransition`` and
+``Action``.  The extruded names of their label bind in a sibling field, the
+target, which the one rule cannot express.
 
 Canonicalisation threads one ``_CanonState`` (binder counter and free-atom
 map) through a left-to-right traversal.  ``_CanonState.fork`` copies it, so a
@@ -66,8 +77,6 @@ class Name:
         return self.id < 0 or self.id >= MINT_BASE
 
 
-NameSet = frozenset  # frozenset[Name]
-
 _counter = itertools.count(0)
 _counter_lock = threading.Lock()
 
@@ -114,9 +123,6 @@ class Permutation:
                 n = a
         return n
 
-    def inverse(self) -> "Permutation":
-        return Permutation(tuple(reversed(self.swaps)))
-
     def then(self, other: "Permutation") -> "Permutation":
         # self applied first: other's swaps go to the left
         return Permutation(other.swaps + self.swaps)
@@ -129,19 +135,37 @@ def swap(a: Name, b: Name) -> Permutation:
 # ---------------------------------------------------------------------------
 # Generic traversals
 
-_FIELDS = {}  # type -> tuple of field names, or None for a non-dataclass
+class _Layout:
+    """What the generic traversals know of one dataclass type: its field
+    names in declaration order, its binder fields, and its own ``_support``
+    and ``_canon``, where it has them."""
+
+    __slots__ = ("names", "binders", "support", "canon")
+
+    def __init__(self, cls):
+        self.names = tuple(f.name for f in dataclasses.fields(cls))
+        self.binders = frozenset(getattr(cls, "_binders", ()))
+        self.support = getattr(cls, "_support", None)
+        self.canon = getattr(cls, "_canon", None)
+
+
+class _Layouts(dict):
+    """type -> _Layout, or None for a type that is not a dataclass; an entry
+    is made on the first lookup of its type."""
+
+    def __missing__(self, cls):
+        lay = self[cls] = _Layout(cls) if dataclasses.is_dataclass(cls) else None
+        return lay
+
+
+_LAYOUTS = _Layouts()
 
 
 def field_names(cls):
     """The field names of dataclass type ``cls``, or None for any other type;
     computed once per type."""
-    try:
-        return _FIELDS[cls]
-    except KeyError:
-        names = (tuple(f.name for f in dataclasses.fields(cls))
-                 if dataclasses.is_dataclass(cls) else None)
-        _FIELDS[cls] = names
-        return names
+    lay = _LAYOUTS[cls]
+    return None if lay is None else lay.names
 
 
 def support(x) -> frozenset:
@@ -151,16 +175,24 @@ def support(x) -> frozenset:
     cached = getattr(x, "_supp_cache", None)
     if cached is not None:
         return cached
-    sup = getattr(x, "_support", None)
-    if sup is not None:
-        out = sup()
-    elif isinstance(x, (tuple, list, frozenset, set)):
-        out = frozenset().union(*(support(e) for e in x)) if x else frozenset()
+    if isinstance(x, (tuple, list, frozenset, set)):
+        out = frozenset().union(*(support(e) for e in x))
     else:
-        names = field_names(type(x))
-        if names is None:
+        lay = _LAYOUTS[type(x)]
+        if lay is None:
             return frozenset()
-        out = frozenset().union(*(support(getattr(x, f)) for f in names))
+        if lay.support is not None:
+            out = lay.support(x)
+        else:
+            # last field first: a binder field removes its atoms from the
+            # support of the fields declared after it
+            out = frozenset()
+            for f in reversed(lay.names):
+                v = getattr(x, f)
+                if f in lay.binders:
+                    out = out.difference((v,) if isinstance(v, Name) else v)
+                else:
+                    out |= support(v)
     try:
         object.__setattr__(x, "_supp_cache", out)
     except (AttributeError, TypeError):
@@ -181,17 +213,14 @@ def map_atoms(f, x):
     """Apply the atom map ``f`` to every Name in ``x``, binders included."""
     if isinstance(x, Name):
         return f(x)
-    m = getattr(x, "_map_atoms", None)
-    if m is not None:
-        return m(f)
     if isinstance(x, tuple):
         return tuple(map_atoms(f, e) for e in x)
     if isinstance(x, frozenset):
         return frozenset(map_atoms(f, e) for e in x)
-    names = field_names(type(x))
-    if names is not None:
-        return type(x)(*(map_atoms(f, getattr(x, g)) for g in names))
-    return x
+    lay = _LAYOUTS[type(x)]
+    if lay is None:
+        return x
+    return type(x)(*[map_atoms(f, getattr(x, g)) for g in lay.names])
 
 
 def apply_perm(p: Permutation, x):
@@ -263,17 +292,23 @@ def _canon(x, env: dict, st: _CanonState):
         if x.is_scratch() and x not in st.pinned:
             return st.canon_free(x)
         return x
-    c = getattr(x, "_canon", None)
-    if c is not None:
-        return c(env, st)
     if isinstance(x, tuple):
         return tuple(_canon(e, env, st) for e in x)
     if isinstance(x, frozenset):
         return frozenset(_canon(e, env, st) for e in sorted(x, key=sort_key))
-    names = field_names(type(x))
-    if names is not None:
-        return type(x)(*(_canon(getattr(x, f), env, st) for f in names))
-    return x
+    lay = _LAYOUTS[type(x)]
+    if lay is None:
+        return x
+    if lay.canon is not None:
+        return lay.canon(x, env, st)
+    out = []
+    for f in lay.names:
+        if f in lay.binders:
+            v, env = canon_binders(getattr(x, f), env, st)
+        else:
+            v = _canon(getattr(x, f), env, st)
+        out.append(v)
+    return type(x)(*out)
 
 
 def canonical(x, pinned=frozenset()):
@@ -287,9 +322,13 @@ def canonical(x, pinned=frozenset()):
 
 
 def canon_binders(binders, env: dict, st: _CanonState):
-    """Allocate canonical atoms for an ordered binder sequence; returns the
-    new sequence and the extended environment."""
+    """Allocate canonical atoms for a binder field, one Name or an ordered
+    tuple of them; returns the field's canonical value and the extended
+    environment."""
     env = dict(env)
+    if isinstance(binders, Name):
+        nb = env[binders] = st.new_binder(binders.hint)
+        return nb, env
     out = []
     for b in binders:
         nb = st.new_binder(b.hint)

@@ -55,8 +55,6 @@ class Subst:
         return frozenset(x for x, _ in self.pairs)
 
 
-SubstitutionSeq = tuple  # tuple[Subst, ...]
-
 # A fixed global atom, used as the sum guard subject for closed sums.
 GLOBAL_TOP_NAME = fresh_name((), "top")
 
@@ -631,15 +629,7 @@ class TaggedInstance(CalculusInstance):
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations (thin wrappers; the instance carries the logic)
-
-
-def entails(inst: CalculusInstance, psi, phi) -> bool:
-    return inst.entails(psi, phi)
-
-
-def compose(inst: CalculusInstance, p1, p2):
-    return inst.compose(p1, p2)
+# Static equivalence
 
 
 def static_equiv(inst: CalculusInstance, psi1, psi2) -> bool:

@@ -6,15 +6,15 @@ Process constructors:
     Case(((phi, P), ...)) | Par(P, Q) | Res(x, P) | Bang(P)
 
 Input binds its pattern variables into the pattern and the continuation;
-Res binds its name into the body.  Everything is immutable.
+Res binds its name into the body.  Each declares its binder fields in
+``_binders`` (see ``nominal``).  Everything is immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nominal import (Name, _canon, canon_binders, map_atoms as _map, mint,
-                      mint_many, names_of, rename, support)
+from .nominal import Name, mint, mint_many, names_of, rename, support
 from .params import CalculusInstance, Subst
 
 
@@ -51,19 +51,7 @@ class Input(Process):
     pattern: object
     cont: Process
 
-    def _support(self):
-        inner = support(self.pattern) | support(self.cont)
-        return support(self.channel) | (inner - frozenset(self.variables))
-
-    def _map_atoms(self, f):
-        return Input(_map(f, self.channel), tuple(f(v) for v in self.variables),
-                     _map(f, self.pattern), _map(f, self.cont))
-
-    def _canon(self, env, st):
-        ch = _canon(self.channel, env, st)
-        vs, env2 = canon_binders(self.variables, env, st)
-        return Input(ch, vs, _canon(self.pattern, env2, st),
-                     _canon(self.cont, env2, st))
+    _binders = ("variables",)
 
 
 @dataclass(frozen=True)
@@ -82,15 +70,7 @@ class Res(Process):
     name: Name
     body: Process
 
-    def _support(self):
-        return support(self.body) - frozenset((self.name,))
-
-    def _map_atoms(self, f):
-        return Res(f(self.name), _map(f, self.body))
-
-    def _canon(self, env, st):
-        (b,), env2 = canon_binders((self.name,), env, st)
-        return Res(b, _canon(self.body, env2, st))
+    _binders = ("name",)
 
 
 @dataclass(frozen=True)
@@ -208,24 +188,6 @@ def check_well_formed(p: Process) -> None:
 # Frames
 
 
-@dataclass(frozen=True)
-class Frame:
-    """The assertion environment of a process: binders over an assertion."""
-
-    binders: tuple  # tuple[Name, ...]
-    assertion: object
-
-    def _support(self):
-        return support(self.assertion) - frozenset(self.binders)
-
-    def _map_atoms(self, f):
-        return Frame(tuple(f(b) for b in self.binders), _map(f, self.assertion))
-
-    def _canon(self, env, st):
-        bs, env2 = canon_binders(self.binders, env, st)
-        return Frame(bs, _canon(self.assertion, env2, st))
-
-
 class OpenedFrame:
     """The frame of a process with every binder opened to a scratch atom,
     together with the opened frames of the process's parts.
@@ -338,18 +300,7 @@ class NormalForm:
     assertions: tuple  # tuple[assertion, ...]
     rest: Process
 
-    def _support(self):
-        inner = names_of(self.assertions, self.rest)
-        return inner - frozenset(self.binders)
-
-    def _map_atoms(self, f):
-        return NormalForm(tuple(f(b) for b in self.binders),
-                          _map(f, self.assertions), _map(f, self.rest))
-
-    def _canon(self, env, st):
-        bs, env2 = canon_binders(self.binders, env, st)
-        return NormalForm(bs, _canon(self.assertions, env2, st),
-                          _canon(self.rest, env2, st))
+    _binders = ("binders",)
 
 
 def hoist(p: Process, avoid):

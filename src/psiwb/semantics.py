@@ -55,8 +55,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .nominal import (_canon, _CanonState, canon_binders, map_atoms as _map,
-                      mint_many, names_of, rename, sort_key, support)
+from .nominal import (_canon, _CanonState, mint_many, names_of, rename, sort_key,
+                      support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, Output, Par, Process,
                       Res, check_well_formed, open_frame, res, subst_process)
@@ -71,23 +71,7 @@ class OutLabel:
     extruded: tuple  # tuple[Name, ...], bind into the object (and the target)
     obj: object
 
-    def _support(self):
-        return (support(self.subject)
-                | (support(self.obj) - frozenset(self.extruded)))
-
-    def _map_atoms(self, f):
-        return OutLabel(_map(f, self.subject), tuple(f(x) for x in self.extruded),
-                        _map(f, self.obj))
-
-    def _canon(self, env, st):
-        return self._canon_scope(env, st)[0]
-
-    def _canon_scope(self, env, st):
-        """The canonical label and the environment, extended with the
-        extruded binders, under which its object and target are read."""
-        subj = _canon(self.subject, env, st)
-        ext, env2 = canon_binders(self.extruded, env, st)
-        return OutLabel(subj, ext, _canon(self.obj, env2, st)), env2
+    _binders = ("extruded",)
 
 
 @dataclass(frozen=True)
@@ -125,30 +109,20 @@ class Prov:
     inner: tuple
     term: object
 
-    def _support(self):
-        return support(self.term) - frozenset(self.outer) - frozenset(self.inner)
-
-    def _map_atoms(self, f):
-        return Prov(tuple(f(x) for x in self.outer),
-                    tuple(f(y) for y in self.inner), _map(f, self.term))
-
-    def _canon(self, env, st):
-        outer, env2 = canon_binders(self.outer, env, st)
-        inner, env3 = canon_binders(self.inner, env2, st)
-        return Prov(outer, inner, _canon(self.term, env3, st))
+    _binders = ("outer", "inner")
 
 
 def _canon_step(label, prov, target, env, st):
     """Canonicalise (label, provenance, target) in that order under ``st``.
     An OutLabel's extruded binders scope over its object and the target, not
     over the provenance.  ``prov`` is None where there is no provenance."""
-    if isinstance(label, OutLabel):
-        label, env2 = label._canon_scope(env, st)
-    else:
-        label, env2 = _canon(label, env, st), env
+    label_c = _canon(label, env, st)
     if prov is not None:
         prov = _canon(prov, env, st)
-    return label, prov, _canon(target, env2, st)
+    if isinstance(label, OutLabel):
+        env = dict(env)
+        env.update(zip(label.extruded, label_c.extruded))
+    return label_c, prov, _canon(target, env, st)
 
 
 def _canon_head(psi, proc):
@@ -222,11 +196,6 @@ class Transition:
         return (names_of(self.env, self.source, self.label, self.prov)
                 | (support(self.target) - frozenset(bn(self.label))))
 
-    def _map_atoms(self, f):
-        return Transition(_map(f, self.env), _map(f, self.source),
-                          _map(f, self.label), _map(f, self.prov),
-                          _map(f, self.target))
-
     def _canon(self, env, st):
         env_c = _canon(self.env, env, st)
         src_c = _canon(self.source, env, st)
@@ -247,10 +216,6 @@ class ErasedTransition:
         return (names_of(self.env, self.source, self.label)
                 | (support(self.target) - frozenset(bn(self.label))))
 
-    def _map_atoms(self, f):
-        return ErasedTransition(_map(f, self.env), _map(f, self.source),
-                                _map(f, self.label), _map(f, self.target))
-
     def _canon(self, env, st):
         env_c = _canon(self.env, env, st)
         src_c = _canon(self.source, env, st)
@@ -267,9 +232,6 @@ class Action:
 
     def _support(self):
         return support(self.label) | (support(self.target) - frozenset(bn(self.label)))
-
-    def _map_atoms(self, f):
-        return Action(_map(f, self.label), _map(f, self.target))
 
     def _canon(self, env, st):
         lab_c, _, tgt_c = _canon_step(self.label, None, self.target, env, st)

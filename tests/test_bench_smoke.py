@@ -1,7 +1,9 @@
 """The benchmark's quick mode on the two workloads BENCHMARK.json lists, so
-that the harness does not rot between full runs.  Each case runs
-``bench/run.py`` in a fresh interpreter; ``bench/smoke.py`` covers every
-workload, traced too, outside this suite."""
+that the harness does not rot between full runs, and one traced quick run,
+whose tracer wraps functions of every psiwb module by name and so fails when
+one of them is deleted or renamed.  Each case runs ``bench/run.py`` in a
+fresh interpreter; ``bench/smoke.py`` covers every workload, traced too,
+outside this suite."""
 
 import json
 import subprocess
@@ -14,14 +16,25 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
-def test_bench_quick_mode(workload):
+def run_quick(workload, trace):
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "1", "--quick"],
+         "--seed", "1", "--seconds", "1", "--trace", str(trace), "--quick"],
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result["correct"], done.stderr
+    return json.loads(done.stdout.splitlines()[-1]), done.stderr
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_bench_quick_mode(workload):
+    result, stderr = run_quick(workload, 0)
+    assert result["correct"], stderr
     assert result["failed"] == 0
     assert set(result["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
+
+
+def test_bench_traced_quick_mode():
+    # conservativity is the one listed workload that runs both engines
+    result, stderr = run_quick("conservativity", 1)
+    assert result["correct"], stderr
+    assert set(result["metrics"]) == {m["name"] for m in SPEC["per_layer"]}

@@ -6,6 +6,7 @@ from psiwb.nominal import (MINT_BASE, Name, Permutation, _CanonState, _canon,
                            is_fresh, map_atoms, mint, support, swap)
 from psiwb.params import EtherInstance
 from psiwb.process import NIL, Assert, Input, Output, Par, Res
+from psiwb.semantics import OutLabel
 
 a, b, c, x, y = (fresh_name((), h) for h in "abcxy")
 
@@ -74,6 +75,21 @@ def test_support_excludes_binders():
     canon = canonical(proc)
     frees = {n for n in _all_atoms(canon) if n.id >= 0}
     assert frees == {a}
+
+
+def test_binder_scopes_only_over_later_fields():
+    # Input(channel, variables, pattern, cont): the variables bind in the
+    # pattern and the continuation, not in the channel declared before them
+    p = Input(x, (x,), x, out(x, x))
+    assert support(p) == frozenset({x})
+    assert alpha_eq(p, Input(x, (y,), y, out(y, y)))
+    assert not alpha_eq(p, Input(y, (y,), y, out(y, y)))
+    # OutLabel(subject, extruded, obj): the subject stays free
+    lab = OutLabel(x, (x,), x)
+    assert support(lab) == frozenset({x})
+    canon = canonical(lab)
+    assert canon.subject == x
+    assert canon.extruded == (canon.obj,) and canon.obj != x
 
 
 def _all_atoms(v):

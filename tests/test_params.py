@@ -9,7 +9,7 @@ from psiwb.nominal import apply_perm, fresh_name, support, swap
 from psiwb.params import (EtherConn, EtherInstance, Join, PiEq, PiInstance,
                           Prec, PreorderInstance, Subst, SubstError, Tagged,
                           TaggedAssertion, TaggedInstance, TriangleInstance,
-                          compose, entails, get_instance, static_equiv)
+                          get_instance, static_equiv)
 
 a, b, c, x, y, z = (fresh_name((), h) for h in "abcxyz")
 NAMES = (a, b, c, x, y, z)
@@ -32,13 +32,13 @@ def test_registry():
 # -- entailment --------------------------------------------------------------
 
 def test_ether_entailment():
-    assert entails(ether, frozenset({x, y}), EtherConn(x, y))
-    assert not entails(ether, frozenset({x}), EtherConn(x, y))
+    assert ether.entails(frozenset({x, y}), EtherConn(x, y))
+    assert not ether.entails(frozenset({x}), EtherConn(x, y))
 
 
 def test_preorder_entailment_matches_transitive_closure_oracle():
     arcs = frozenset({(b, a)})
-    assert entails(pre, arcs, Prec(b, a))
+    assert pre.entails(arcs, Prec(b, a))
 
     def closure(arcs, names):
         rel = set(arcs) | {(n, n) for n in names}
@@ -57,43 +57,43 @@ def test_preorder_entailment_matches_transitive_closure_oracle():
                          for _ in range(rng.randint(0, 4)))
         rel = closure(arcs, NAMES[:4])
         for p, q in itertools.product(NAMES[:4], repeat=2):
-            assert entails(pre, arcs, Prec(p, q)) == ((p, q) in rel)
+            assert pre.entails(arcs, Prec(p, q)) == ((p, q) in rel)
             joins = any((p, w) in rel and (q, w) in rel for w in NAMES[:4])
-            assert entails(pre, arcs, Join(p, q)) == joins
+            assert pre.entails(arcs, Join(p, q)) == joins
 
 
 def test_tagged_entailment_clauses():
     psi = TaggedAssertion(pi.unit, frozenset({z}))
     mk = tagged.conn
-    assert entails(tagged, psi, mk(Tagged(a, x), Tagged(a, y)))
-    assert not entails(tagged, psi, mk(Tagged(a, x), Tagged(a, x)))   # equal tags
-    assert not entails(tagged, psi, mk(Tagged(a, z), Tagged(a, y)))   # disabled
-    assert not entails(tagged, psi, mk(Tagged(a, x), Tagged(b, y)))   # base fails
-    assert entails(tagged, psi, mk(Tagged(a, x), a))
-    assert entails(tagged, psi, mk(a, Tagged(a, x)))
-    assert entails(tagged, psi, mk(a, a))
+    assert tagged.entails(psi, mk(Tagged(a, x), Tagged(a, y)))
+    assert not tagged.entails(psi, mk(Tagged(a, x), Tagged(a, x)))   # equal tags
+    assert not tagged.entails(psi, mk(Tagged(a, z), Tagged(a, y)))   # disabled
+    assert not tagged.entails(psi, mk(Tagged(a, x), Tagged(b, y)))   # base fails
+    assert tagged.entails(psi, mk(Tagged(a, x), a))
+    assert tagged.entails(psi, mk(a, Tagged(a, x)))
+    assert tagged.entails(psi, mk(a, a))
     from psiwb.params import TagCond
-    assert entails(tagged, psi, TagCond(z))
-    assert not entails(tagged, psi, TagCond(x))
+    assert tagged.entails(psi, TagCond(z))
+    assert not tagged.entails(psi, TagCond(x))
 
 
 def test_tagged_connectivity_not_reflexive_not_transitive():
     # reflexivity fails: M_x cannot talk to M_x
     psi = tagged.unit
-    assert not entails(tagged, psi, tagged.conn(Tagged(a, x), Tagged(a, x)))
+    assert not tagged.entails(psi, tagged.conn(Tagged(a, x), Tagged(a, x)))
     # transitivity fails: M_x -> M_y and M_y -> M_x but not M_x -> M_x
-    assert entails(tagged, psi, tagged.conn(Tagged(a, x), Tagged(a, y)))
-    assert entails(tagged, psi, tagged.conn(Tagged(a, y), Tagged(a, x)))
+    assert tagged.entails(psi, tagged.conn(Tagged(a, x), Tagged(a, y)))
+    assert tagged.entails(psi, tagged.conn(Tagged(a, y), Tagged(a, x)))
 
 
 def test_pi_connectivity_is_equivalence():
     for m in NAMES:
-        assert entails(pi, pi.unit, pi.conn(m, m))
+        assert pi.entails(pi.unit, pi.conn(m, m))
     for m, k in itertools.product(NAMES, repeat=2):
-        assert entails(pi, pi.unit, pi.conn(m, k)) == entails(pi, pi.unit, pi.conn(k, m))
+        assert pi.entails(pi.unit, pi.conn(m, k)) == pi.entails(pi.unit, pi.conn(k, m))
         for l in NAMES:
-            if entails(pi, pi.unit, pi.conn(m, k)) and entails(pi, pi.unit, pi.conn(k, l)):
-                assert entails(pi, pi.unit, pi.conn(m, l))
+            if pi.entails(pi.unit, pi.conn(m, k)) and pi.entails(pi.unit, pi.conn(k, l)):
+                assert pi.entails(pi.unit, pi.conn(m, l))
 
 
 # -- static equivalence ------------------------------------------------------
@@ -147,11 +147,11 @@ def test_swap_substitution_equals_permutation():
 # -- composition -------------------------------------------------------------
 
 def test_compose_examples():
-    assert compose(ether, frozenset({x}), frozenset({y})) == frozenset({x, y})
+    assert ether.compose(frozenset({x}), frozenset({y})) == frozenset({x, y})
     t1 = TaggedAssertion(frozenset({x}), frozenset({x}))
     t2 = TaggedAssertion(frozenset({y}), frozenset({y}))
     te = TaggedInstance(ether)
-    assert compose(te, t1, t2) == TaggedAssertion(frozenset({x, y}), frozenset({x, y}))
+    assert te.compose(t1, t2) == TaggedAssertion(frozenset({x, y}), frozenset({x, y}))
 
 
 def _random_assertions(inst, rng, n=30):
@@ -163,12 +163,12 @@ def test_abelian_monoid_laws(inst):
     rng = random.Random(7)
     asserts = _random_assertions(inst, rng)
     for p1, p2 in zip(asserts, asserts[1:]):
-        assert static_equiv(inst, compose(inst, p1, p2), compose(inst, p2, p1))
-        assert static_equiv(inst, compose(inst, p1, inst.unit), p1)
+        assert static_equiv(inst, inst.compose(p1, p2), inst.compose(p2, p1))
+        assert static_equiv(inst, inst.compose(p1, inst.unit), p1)
     for p1, p2, p3 in zip(asserts, asserts[1:], asserts[2:]):
         assert static_equiv(inst,
-                            compose(inst, p1, compose(inst, p2, p3)),
-                            compose(inst, compose(inst, p1, p2), p3))
+                            inst.compose(p1, inst.compose(p2, p3)),
+                            inst.compose(inst.compose(p1, p2), p3))
 
 
 @pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
@@ -177,7 +177,7 @@ def test_static_equiv_preserved_by_composition(inst):
     asserts = _random_assertions(inst, rng)
     for p1, p2, q in zip(asserts, asserts[1:], asserts[2:]):
         if static_equiv(inst, p1, p2):
-            assert static_equiv(inst, compose(inst, p1, q), compose(inst, p2, q))
+            assert static_equiv(inst, inst.compose(p1, q), inst.compose(p2, q))
 
 
 @pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
@@ -191,14 +191,14 @@ def test_channel_enumerators_sound_and_complete(inst):
             outs = inst.out_channels(psi, m, ctx)
             ins = inst.in_channels(psi, m, ctx)
             for k in outs:
-                assert entails(inst, psi, inst.conn(m, k))
+                assert inst.entails(psi, inst.conn(m, k))
             for k in ins:
-                assert entails(inst, psi, inst.conn(k, m))
+                assert inst.entails(psi, inst.conn(k, m))
             # completeness over the name universe
             for k in universe:
-                if entails(inst, psi, inst.conn(m, k)):
+                if inst.entails(psi, inst.conn(m, k)):
                     assert k in outs
-                if entails(inst, psi, inst.conn(k, m)):
+                if inst.entails(psi, inst.conn(k, m)):
                     assert k in ins
 
 

@@ -4,10 +4,10 @@ from psiwb.nominal import (alpha_eq, apply_perm, canonical, fresh_name, names_of
                            swap)
 from psiwb.params import (EtherInstance, PiEq, PiInstance, Prec,
                           PreorderInstance, TriangleInstance)
-from psiwb.process import (NIL, Assert, Bang, Case, Frame, IllFormed, Input,
+from psiwb.process import (NIL, Assert, Bang, Case, IllFormed, Input,
                            Output, Par, Res, SumUnavailable, assertion_guarded,
                            check_well_formed, collect_assertions, desugar_sum,
-                           normal_form, opened_frame, par, reassemble,
+                           normal_form, opened_frame, par, reassemble, res,
                            well_formed_violations)
 
 a, b, x, y, z = (fresh_name((), h) for h in "abxyz")
@@ -95,65 +95,69 @@ def test_diagnostics_keep_pre_order():
 # -- frames -------------------------------------------------------------------
 
 def frame(inst, p):
-    """The frame of ``p``, opened against its own names, as a Frame value."""
+    """The frame of ``p``, opened against its own names: (binders, assertion)."""
     bs, assertion, _ = opened_frame(inst, p, names_of(p))
-    return Frame(bs, assertion)
+    return bs, assertion
+
+
+def nu(binders, assertion):
+    """The frame (nu binders)assertion as a process, to compare up to alpha."""
+    return res(binders, Assert(assertion))
 
 
 def test_frame_of_prefix_is_unit():
-    f = frame(ether, Output(a, x, NIL))
-    assert f == Frame((), ether.unit)
+    assert frame(ether, Output(a, x, NIL)) == ((), ether.unit)
 
 
 def test_frame_of_par_with_restriction():
     # hand-evaluation of the defining equations:
     # F((|P1|) | (nu x)(|P2|)) = <x, P1 (x) P2> when x fresh in P1
     p = Par(Assert(psi(a)), Res(x, Assert(psi(x))))
-    f = frame(ether, p)
-    assert len(f.binders) == 1
-    assert alpha_eq(f, Frame((x,), psi(a, x)))
+    bs, assertion = frame(ether, p)
+    assert len(bs) == 1
+    assert alpha_eq(nu(bs, assertion), nu((x,), psi(a, x)))
 
 
 def test_frame_binder_order_preserved():
     p = Res(x, Res(y, Assert(psi(x, y))))
-    f = frame(ether, p)
-    assert len(set(f.binders)) == 2
-    assert f.assertion == psi(*f.binders)
-    assert alpha_eq(f, Frame((x, y), psi(x, y)))
+    bs, assertion = frame(ether, p)
+    assert len(set(bs)) == 2
+    assert assertion == psi(*bs)
+    assert alpha_eq(nu(bs, assertion), nu((x, y), psi(x, y)))
     # an ether assertion is symmetric in its names; a triangle pair is not,
     # so it pins the outer binder first
-    g = frame(tri, Res(x, Res(y, Assert(frozenset({(x, y)})))))
-    assert g.assertion == frozenset({g.binders})
-    assert alpha_eq(g, Frame((x, y), frozenset({(x, y)})))
-    assert not alpha_eq(g, Frame((y, x), frozenset({(x, y)})))
+    bs, assertion = frame(tri, Res(x, Res(y, Assert(frozenset({(x, y)})))))
+    assert assertion == frozenset({bs})
+    assert alpha_eq(nu(bs, assertion), nu((x, y), frozenset({(x, y)})))
+    assert not alpha_eq(nu(bs, assertion), nu((y, x), frozenset({(x, y)})))
 
 
 def test_frame_par_binder_order_left_then_right():
     p = Par(Res(x, Assert(psi(x))), Res(y, Assert(psi(y))))
-    f = frame(ether, p)
-    assert len(f.binders) == 2
-    assert alpha_eq(f, Frame((x, y), psi(x, y)))
-    g = frame(tri, Par(Res(x, Assert(frozenset({(x, a)}))),
-                       Res(y, Assert(frozenset({(y, b)})))))
-    bx, by = g.binders
-    assert g.assertion == frozenset({(bx, a), (by, b)})
+    bs, assertion = frame(ether, p)
+    assert len(bs) == 2
+    assert alpha_eq(nu(bs, assertion), nu((x, y), psi(x, y)))
+    bs, assertion = frame(tri, Par(Res(x, Assert(frozenset({(x, a)}))),
+                                   Res(y, Assert(frozenset({(y, b)})))))
+    bx, by = bs
+    assert assertion == frozenset({(bx, a), (by, b)})
 
 
 def test_frame_freshens_on_clash():
     # both components bind the same atom: composition must not conflate them
     p = Par(Res(x, Assert(psi(x))), Res(x, Assert(psi(x))))
-    f = frame(ether, p)
-    assert len(f.binders) == 2 and len(set(f.binders)) == 2
-    assert len(f.assertion) == 2
+    bs, assertion = frame(ether, p)
+    assert len(bs) == 2 and len(set(bs)) == 2
+    assert len(assertion) == 2
 
 
 def test_frame_equivariant_and_alpha_invariant():
     p = Par(Assert(psi(a)), Res(x, Assert(psi(x))))
     q = Par(Assert(psi(a)), Res(y, Assert(psi(y))))  # alpha-variant
-    assert alpha_eq(frame(ether, p), frame(ether, q))
+    assert alpha_eq(nu(*frame(ether, p)), nu(*frame(ether, q)))
     perm = swap(a, b)
-    assert alpha_eq(frame(ether, apply_perm(perm, p)),
-                    apply_perm(perm, frame(ether, p)))
+    assert alpha_eq(nu(*frame(ether, apply_perm(perm, p))),
+                    apply_perm(perm, nu(*frame(ether, p))))
 
 
 # -- normal forms -------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, canonical,
                            fresh_name, names_of, support, swap)
 from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
-                          TriangleInstance, TaggedInstance, entails)
+                          TriangleInstance, TaggedInstance)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
                            opened_frame, par)
 from psiwb.semantics import (BOT, Bot, ErasedTransition, Fuel, InLabel,
@@ -212,9 +212,9 @@ def _check_lemma(inst, t):
                t.prov.term)
     env2 = inst.compose(t.env, psi_p)
     if isinstance(t.label, InLabel):
-        assert entails(inst, env2, inst.conn(t.label.subject, k))
+        assert inst.entails(env2, inst.conn(t.label.subject, k))
     else:
-        assert entails(inst, env2, inst.conn(k, t.label.subject))
+        assert inst.entails(env2, inst.conn(k, t.label.subject))
     return 1
 
 
