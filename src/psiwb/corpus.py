@@ -7,7 +7,7 @@ import random
 from .nominal import fresh_name
 from .params import CalculusInstance
 from .process import (NIL, Assert, Bang, Case, Input, Output, Par, Process,
-                      Res, check_well_formed, assertion_guarded)
+                      Res, check_well_formed)
 
 
 def random_process(inst: CalculusInstance, rng: random.Random, size: int,

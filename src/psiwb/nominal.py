@@ -204,11 +204,6 @@ def names_of(*xs) -> frozenset:
     return frozenset().union(*(support(x) for x in xs)) if xs else frozenset()
 
 
-def is_fresh(a: Name, x) -> bool:
-    """True iff ``a`` is not in the support of ``x``."""
-    return a not in support(x)
-
-
 def map_atoms(f, x):
     """Apply the atom map ``f`` to every Name in ``x``, binders included."""
     if isinstance(x, Name):

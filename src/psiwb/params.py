@@ -18,10 +18,9 @@ Shipped instances:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .nominal import Name, fresh_name, mint, names_of, sort_key, support
+from .nominal import Name, fresh_name, mint, support
 
 
 class SubstError(ValueError):

@@ -95,15 +95,6 @@ def res(names, body: Process) -> Process:
     return body
 
 
-def par_components(p: Process):
-    """Flatten nested Par into a component list (Nil dropped)."""
-    if isinstance(p, Par):
-        return par_components(p.left) + par_components(p.right)
-    if isinstance(p, Nil):
-        return []
-    return [p]
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness
 
@@ -365,18 +356,3 @@ def desugar_sum(inst: CalculusInstance, p: Process, q: Process, top=None) -> Pro
             f"instance {inst.name!r} has no always-entailed condition; "
             "sums cannot be expressed")
     return Case(((top, p), (top, q)))
-
-
-def collect_assertions(p: Process):
-    """Every assertion value occurring anywhere in ``p`` (under binders too)."""
-    if isinstance(p, Assert):
-        return [p.assertion]
-    if isinstance(p, (Output, Input)):
-        return collect_assertions(p.cont)
-    if isinstance(p, Case):
-        return [a for _, q in p.branches for a in collect_assertions(q)]
-    if isinstance(p, Par):
-        return collect_assertions(p.left) + collect_assertions(p.right)
-    if isinstance(p, (Res, Bang)):
-        return collect_assertions(p.body)
-    return []

@@ -163,20 +163,8 @@ def prov_scope_names(bs, pi):
 # Transitions
 
 
-@dataclass(frozen=True)
-class Fuel:
-    """Bounds the number of replication unfoldings per derivation path."""
-
-    rep_depth: int = 2
-
-
-DEFAULT_FUEL = Fuel(2)
-
-
-def as_fuel(fuel) -> Fuel:
-    if isinstance(fuel, Fuel):
-        return fuel
-    return Fuel(int(fuel))
+# the number of replication unfoldings allowed per derivation path
+DEFAULT_FUEL = 2
 
 
 @dataclass(frozen=True)
@@ -282,7 +270,7 @@ _LEGACY_REORIENTED = _Rules("in_channels", legacy=True)
 def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL,
                 avoid=()) -> frozenset:
     """Every transition derivable from the rules, with at most
-    ``fuel.rep_depth`` replication unfoldings per derivation path.
+    ``fuel`` replication unfoldings per derivation path.
     ``avoid`` adds extra names the freshening must steer clear of (e.g. a
     comparison partner)."""
     raw = _derive(inst, _PROVENANCE, psi, proc, fuel, avoid)
@@ -305,11 +293,10 @@ def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
 def _derive(inst, rules, psi, proc, fuel, avoid):
     """Raw (label, provenance, target) triples of ``proc`` under ``psi``."""
     check_well_formed(proc)
-    fuel = as_fuel(fuel)
     ctx0 = names_of(psi, proc) | frozenset(avoid)
     msgs = inst.message_basis(ctx0)
     frame, avoid0 = open_frame(inst, proc, ctx0 | names_of(msgs))
-    return _step(inst, rules, psi, proc, frame, fuel.rep_depth, avoid0, msgs)
+    return _step(inst, rules, psi, proc, frame, fuel, avoid0, msgs)
 
 
 def _in_subjects(inst, rules, env, channel, avoid):

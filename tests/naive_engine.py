@@ -15,9 +15,8 @@ import itertools
 from psiwb.nominal import canonical, mint, mint_many, names_of, rename, support
 from psiwb.params import Subst
 from psiwb.process import (Assert, Bang, Case, Input, Nil, Output, Par, Res,
-                           opened_frame, par, res, subst_process)
-from psiwb.semantics import (BOT, ErasedTransition, InLabel, OutLabel, TAU,
-                             TauLabel, bn)
+                           opened_frame, res, subst_process)
+from psiwb.semantics import BOT, ErasedTransition, InLabel, OutLabel, TAU
 
 
 def naive_transitions(inst, psi, proc, fuel):

@@ -3,8 +3,7 @@ from hypothesis import given
 
 from psiwb.nominal import (MINT_BASE, Name, Permutation, _CanonState, _canon,
                            alpha_eq, apply_perm, canonical, fresh_name,
-                           is_fresh, map_atoms, mint, support, swap)
-from psiwb.params import EtherInstance
+                           mint, support, swap)
 from psiwb.process import NIL, Assert, Input, Output, Par, Res
 from psiwb.semantics import OutLabel
 
@@ -107,12 +106,6 @@ def _all_atoms(v):
 def test_support_of_ether_assertion():
     # Example 2.10: the ether assertion {x, y} has support {x, y}
     assert support(frozenset({x, y})) == frozenset({x, y})
-
-
-def test_is_fresh():
-    assert is_fresh(a, NIL)
-    assert is_fresh(x, Res(x, out(a, x)))
-    assert not is_fresh(a, out(a, x))
 
 
 def test_alpha_eq_restriction():

@@ -1,12 +1,10 @@
 import itertools
 import random
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given
 
-from psiwb.nominal import apply_perm, fresh_name, support, swap
-from psiwb.params import (EtherConn, EtherInstance, Join, PiEq, PiInstance,
+from psiwb.nominal import apply_perm, fresh_name, swap
+from psiwb.params import (EtherConn, EtherInstance, Join, PiInstance,
                           Prec, PreorderInstance, Subst, SubstError, Tagged,
                           TaggedAssertion, TaggedInstance, TriangleInstance,
                           get_instance, static_equiv)
@@ -126,7 +124,7 @@ def test_subst_rejects_ill_formed():
 
 def test_subst_capture_avoidance():
     from psiwb.process import NIL, Output, Res, subst_process
-    from psiwb.nominal import alpha_eq, canonical
+    from psiwb.nominal import alpha_eq
     # ((nu z) a<z>.0)[a := z]  ==  (nu z')(z<z'>.0) with z' fresh
     p = Res(z, Output(a, z, NIL))
     q = subst_process(ether, p, Subst.of((a,), (z,)))

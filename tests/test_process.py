@@ -1,12 +1,10 @@
 import pytest
 
-from psiwb.nominal import (alpha_eq, apply_perm, canonical, fresh_name, names_of,
-                           swap)
-from psiwb.params import (EtherInstance, PiEq, PiInstance, Prec,
-                          PreorderInstance, TriangleInstance)
+from psiwb.nominal import alpha_eq, apply_perm, fresh_name, names_of, swap
+from psiwb.params import EtherInstance, PiEq, PiInstance, TriangleInstance
 from psiwb.process import (NIL, Assert, Bang, Case, IllFormed, Input,
                            Output, Par, Res, SumUnavailable, assertion_guarded,
-                           check_well_formed, collect_assertions, desugar_sum,
+                           check_well_formed, desugar_sum,
                            normal_form, opened_frame, par, reassemble, res,
                            well_formed_violations)
 
@@ -224,8 +222,3 @@ def test_desugar_sum_unavailable_for_ether():
 def test_desugar_sum_rejects_unguarded():
     with pytest.raises(IllFormed):
         desugar_sum(pi, Assert(pi.unit), NIL)
-
-
-def test_collect_assertions():
-    p = Par(Assert(psi(a)), Output(a, x, Assert(psi(x))))
-    assert sorted(collect_assertions(p), key=len) == [psi(a), psi(x)]

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from psiwb.nominal import alpha_eq, fresh_name
+from psiwb.nominal import fresh_name
 from psiwb.corpus import random_process, triangle_counterexample_shapes
 from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
                           TriangleInstance)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
-                           normal_form, par)
-from psiwb.reduction import (HOLE, CtxCase, CtxPar, CtxProc, conds,
-                             congruence_key, derived_par, fill,
-                             harmony_check, holes, ppr, reductions)
+                           normal_form)
+from psiwb.reduction import (congruence_key, derived_par, harmony_check,
+                             reductions)
 
 a, b, c, x, y, z = (fresh_name((), h) for h in "abcxyz")
 pi = PiInstance()
@@ -26,66 +25,6 @@ def out(ch, msg=None, cont=NIL):
 def inp(ch, cont=NIL):
     v = fresh_name((a, b, c, x, y, z), "v")
     return Input(ch, (v,), v, cont)
-
-
-# -- contexts -------------------------------------------------------------------
-
-def test_holes_and_fill():
-    c1 = CtxPar(HOLE, CtxProc(out(a)))
-    assert holes(c1) == 1
-    assert fill(c1, [out(b)]) == Par(out(b), out(a))
-    with pytest.raises(ValueError):
-        fill(c1, [out(b), out(c)])
-
-
-def test_conds_and_ppr_base_clauses():
-    c1 = CtxPar(HOLE, CtxProc(out(a)))
-    assert conds(c1) == frozenset()
-    assert ppr(c1) == out(a)  # the nil hole contributes nothing
-
-
-def test_conds_collects_case_guards():
-    phi = PiEq(a, a)
-    c1 = CtxCase((), phi, HOLE, ((PiEq(b, b), out(b)),))
-    assert conds(c1) == frozenset((phi,))
-    assert ppr(c1) == NIL
-
-
-def test_conds_ppr_structural_recursion_oracle():
-    # independent recursion over randomly built context trees
-    rng = random.Random(11)
-
-    def build(depth):
-        roll = rng.random()
-        if depth == 0 or roll < 0.3:
-            return CtxProc(out(rng.choice((a, b))))
-        if roll < 0.5:
-            return HOLE
-        if roll < 0.8:
-            return CtxPar(build(depth - 1), build(depth - 1))
-        return CtxCase((), PiEq(rng.choice((a, b)), a), build(depth - 1), ())
-
-    def oracle_conds(ctx):
-        if isinstance(ctx, CtxPar):
-            return oracle_conds(ctx.left) | oracle_conds(ctx.right)
-        if isinstance(ctx, CtxCase):
-            return {ctx.guard} | oracle_conds(ctx.inner)
-        return set()
-
-    def oracle_ppr(ctx):
-        if isinstance(ctx, CtxProc):
-            return [ctx.proc]
-        if isinstance(ctx, CtxPar):
-            return oracle_ppr(ctx.left) + oracle_ppr(ctx.right)
-        if isinstance(ctx, CtxCase):
-            return oracle_ppr(ctx.inner)
-        return []
-
-    from psiwb.process import par_components
-    for _ in range(60):
-        ctx = build(3)
-        assert conds(ctx) == frozenset(oracle_conds(ctx))
-        assert par_components(ppr(ctx)) == oracle_ppr(ctx)
 
 
 # -- reductions -------------------------------------------------------------------
@@ -191,6 +130,21 @@ def test_harmony_case_under_restriction():
     p = Case(((guard, Res(b, Par(out(b, b), inp(b)))),))
     rep = harmony_check(pi, p)
     assert rep.ok and rep.matched == 1
+
+
+@pytest.mark.parametrize("fuel, matched", [(1, 1), (2, 2)])
+def test_harmony_replicated_handshake(fuel, matched):
+    # !(a<x>.0 | a(v).v): each target keeps the bang beside the copies used
+    rep = harmony_check(pi, Bang(Par(out(a, x), inp(a))), fuel=fuel)
+    assert rep.ok and rep.matched == matched
+
+
+@pytest.mark.parametrize("fuel, matched", [(1, 1), (2, 4)])
+def test_harmony_replicated_sender_and_receiver(fuel, matched):
+    # !a<x>.0 | !a(v).v: at fuel 2 a step may use the second copy of one
+    # bang, so its unused first copy stays in the target
+    rep = harmony_check(pi, Par(Bang(out(a, x)), Bang(inp(a))), fuel=fuel)
+    assert rep.ok and rep.matched == matched
 
 
 def test_hoisting_keeps_same_named_sibling_binders_apart():

@@ -1,16 +1,15 @@
 import functools
-import itertools
 import random
 
 import pytest
 
 from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, canonical,
-                           fresh_name, names_of, support, swap)
-from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
-                          TriangleInstance, TaggedInstance)
+                           fresh_name, names_of, swap)
+from psiwb.params import (EtherInstance, PiInstance, PreorderInstance,
+                          TriangleInstance)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
                            opened_frame, par)
-from psiwb.semantics import (BOT, Bot, ErasedTransition, Fuel, InLabel,
+from psiwb.semantics import (BOT, ErasedTransition, InLabel,
                              OutLabel, Prov, TAU, TauLabel, Transition,
                              erase_provenance, legacy_transitions,
                              prov_append, prov_pushdown, prov_scope,
