@@ -218,6 +218,18 @@ def map_atoms(f, x):
     return type(x)(*[map_atoms(f, getattr(x, g)) for g in lay.names])
 
 
+def atoms(x) -> frozenset:
+    """Every Name in ``x``, binders included."""
+    seen = set()
+
+    def note(n):
+        seen.add(n)
+        return n
+
+    map_atoms(note, x)
+    return frozenset(seen)
+
+
 def apply_perm(p: Permutation, x):
     """The permutation action of ``p`` on a nominal value."""
     return map_atoms(p.act, x)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nominal import Name, fresh_name, mint, support
+from .nominal import Name, fresh_name, map_atoms, mint, support
 
 
 class SubstError(ValueError):
@@ -221,6 +221,12 @@ class _NameTermMixin:
             raise SubstError(f"{self.name}: substitution range must be names")
         return out
 
+    def subst_assertion(self, psi, sigma: Subst):
+        # assertions and conditions are binder-free values over name terms
+        return map_atoms(lambda n: self.subst_term(n, sigma), psi)
+
+    subst_condition = subst_assertion
+
     def match_pattern(self, variables, pattern, message):
         if not isinstance(message, Name):
             return ()
@@ -255,12 +261,6 @@ class PiInstance(_NameTermMixin, CalculusInstance):
 
     def conn(self, sender, receiver):
         return PiEq(sender, receiver)
-
-    def subst_assertion(self, psi, sigma):
-        return psi
-
-    def subst_condition(self, phi, sigma):
-        return PiEq(self.subst_term(phi.left, sigma), self.subst_term(phi.right, sigma))
 
     def out_channels(self, psi, term, ctx=frozenset()):
         return frozenset((term,))
@@ -305,13 +305,6 @@ class EtherInstance(_NameTermMixin, CalculusInstance):
     def conn(self, sender, receiver):
         return EtherConn(sender, receiver)
 
-    def subst_assertion(self, psi, sigma):
-        return frozenset(self.subst_term(n, sigma) for n in psi)
-
-    def subst_condition(self, phi, sigma):
-        return EtherConn(self.subst_term(phi.left, sigma),
-                         self.subst_term(phi.right, sigma))
-
     def out_channels(self, psi, term, ctx=frozenset()):
         return frozenset(psi) if term in psi else frozenset()
 
@@ -355,13 +348,6 @@ class TriangleInstance(_NameTermMixin, CalculusInstance):
 
     def conn(self, sender, receiver):
         return TriConn(sender, receiver)
-
-    def subst_assertion(self, psi, sigma):
-        return frozenset((self.subst_term(a, sigma), self.subst_term(b, sigma))
-                         for a, b in psi)
-
-    def subst_condition(self, phi, sigma):
-        return TriConn(self.subst_term(phi.src, sigma), self.subst_term(phi.dst, sigma))
 
     def out_channels(self, psi, term, ctx=frozenset()):
         return frozenset(b for a, b in psi if a == term)
@@ -425,15 +411,6 @@ class PreorderInstance(_NameTermMixin, CalculusInstance):
 
     def conn(self, sender, receiver):
         return Join(sender, receiver)
-
-    def subst_assertion(self, psi, sigma):
-        return frozenset((self.subst_term(a, sigma), self.subst_term(b, sigma))
-                         for a, b in psi)
-
-    def subst_condition(self, phi, sigma):
-        if isinstance(phi, Prec):
-            return Prec(self.subst_term(phi.low, sigma), self.subst_term(phi.high, sigma))
-        return Join(self.subst_term(phi.left, sigma), self.subst_term(phi.right, sigma))
 
     def out_channels(self, psi, term, ctx=frozenset()):
         universe = support(psi) | {term}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nominal import Name, mint, mint_many, names_of, rename, support
+from .nominal import Name, atoms, mint, mint_many, names_of, rename, support
 from .params import CalculusInstance, Subst
 
 
@@ -238,7 +238,8 @@ def opened_frame(inst: CalculusInstance, p: Process, avoid):
 
 def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, avoid=None) -> Process:
     """Capture-avoiding simultaneous substitution; binders clashing with the
-    substitution's names are freshened before descending."""
+    substitution's names are freshened before descending, to an atom fresh
+    for every atom of their scope, bound ones included."""
     if avoid is None:
         avoid = support(p) | names_of(*(t for _, t in sigma.pairs)) | sigma.domain
     if isinstance(p, Nil):
@@ -254,7 +255,7 @@ def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, avoid=None) 
         pat, cont, variables = p.pattern, p.cont, p.variables
         clash = [v for v in variables if v in names_of(sigma.pairs)]
         if clash:
-            fresh, avoid = mint_many(avoid, len(clash), "v")
+            fresh, avoid = mint_many(avoid | atoms((pat, cont)), len(clash), "v")
             m = dict(zip(clash, fresh))
             variables = tuple(m.get(v, v) for v in variables)
             pat, cont = rename(m, pat), rename(m, cont)
@@ -270,7 +271,7 @@ def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, avoid=None) 
     if isinstance(p, Res):
         name, body = p.name, p.body
         if name in names_of(sigma.pairs):
-            fresh = mint(avoid, name.hint or "b")
+            fresh = mint(avoid | atoms(body), name.hint or "b")
             body = rename({name: fresh}, body)
             name, avoid = fresh, avoid | {fresh}
         return Res(name, subst_process(inst, body, sigma, avoid))
@@ -300,9 +301,10 @@ def hoist(p: Process, avoid):
     Returns the hoisted binders (outermost first), the unguarded assertions,
     the other components, all in pre-order, left before right, and ``avoid``
     extended with the binders.  A binder already in ``avoid`` is renamed in
-    its body to a deterministic mint atom fresh for ``avoid``; the others
-    keep their names.  Walks with an explicit stack, so neither depth nor
-    width meets the recursion limit."""
+    its body to a deterministic mint atom fresh for ``avoid`` and for every
+    atom of the body, bound ones included; the others keep their names.
+    Walks with an explicit stack, so neither depth nor width meets the
+    recursion limit."""
     avoid = set(avoid)
     binders, asserts, comps = [], [], []
     todo = [p]
@@ -317,7 +319,7 @@ def hoist(p: Process, avoid):
         elif isinstance(q, Res):
             name, body = q.name, q.body
             if name in avoid:
-                name = mint(avoid, name.hint or "b")
+                name = mint(avoid | atoms(body), name.hint or "b")
                 body = rename({q.name: name}, body)
             avoid.add(name)
             binders.append(name)

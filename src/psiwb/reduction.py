@@ -206,10 +206,10 @@ def congruence_key(inst: CalculusInstance, p: Process):
     """A canonical form equal for processes related by binder hoisting
     across parallel, unit laws, parallel commutativity/associativity and
     binder reordering.  Used to compare reduction and tau targets."""
-    return canonical(_cnorm(inst, p))
+    return canonical(_cnorm(p))
 
 
-def _cnorm(inst, p):
+def _cnorm(p):
     binders, asserts, comps, _ = hoist(p, support(p))
     parts = [Assert(a) for a in asserts] + comps
     parts.sort(key=lambda q: (sort_key(canonical(q)), sort_key(q)))

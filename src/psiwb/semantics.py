@@ -13,12 +13,15 @@ Rule-by-rule summary of the provenance rules:
   frame of a process (``process.open_frame``) holds those of its Par
   children and restriction bodies, so a Par reads its children's frames off
   the tree, and a Res that an enclosing opening covers reuses that opening's
-  binder and renamed body instead of minting again.  The Com partner search
-  is handed the receiver's tree.  Only what no enclosing opening covers is
-  opened where it is met: the query's root, a Case branch and each
-  replication unfolding.
+  binder and renamed body instead of minting again.  Only what no enclosing
+  opening covers is opened where it is met: the query's root, a Case branch
+  and each replication unfolding.
 * Com fires when the label subject of each premise equals the other
-  premise's provenance term, with frame binders opened consistently.
+  premise's provenance term, with frame binders opened consistently.  The
+  receiving premise is derived by the same walk as every other transition,
+  handed the receiver's opened frame and restricted to inputs of the
+  sender's message from the sender's provenance term; so it obeys Scope's
+  and Par's freshness checks like any premise.
 * Case and Rep demote frame binders to the provenance's inner sequence;
   Scope and Open wrap the provenance.
 
@@ -26,16 +29,17 @@ The legacy rules (``legacy_transitions``) share every rule but three: In-Old
 draws its label subjects from ``out_channels`` in the printed orientation
 (``in_channels`` when reoriented); Com-Old ignores provenances and instead
 requires the environment composed with both frames to entail that the
-sender's label subject connects to the receiver's; and their results drop
+sender's label subject connects to the receiver's, whose receiving premise
+may then have any label subject In-Old gives; and their results drop
 the provenance, which the engine computes all the same.  The private
 ``_Rules`` value that carries these differences is threaded through the
 derivation.
 
-Freshness side conditions are discharged constructively: every binder is
-opened to a deterministic scratch atom (minted against an avoid set that
-includes everything in scope), never checked after the fact.  Standalone
-input objects are enumerated over the instance's message basis; inside Com
-the receiving premise is instantiated with the sender's actual message.
+Every binder is opened to a deterministic scratch atom, minted against an
+avoid set that includes everything in scope, so opening needs no freshness
+check.  Input objects are enumerated over the instance's message basis,
+except in the receiving premise of Com, which receives exactly the sender's
+message.
 
 All results are alpha-canonicalised and deduplicated, which also makes the
 enumeration reproducible: scratch atoms never leak identity.
@@ -146,17 +150,11 @@ def prov_append(pi, zs):
     return Prov(pi.outer + tuple(zs), pi.inner, pi.term)
 
 
-def prov_scope(b, pi):
-    """Prepend one restriction binder."""
-    if isinstance(pi, Bot):
+def prov_scope(names, pi):
+    """Prepend restriction binders to the outer binder sequence."""
+    if isinstance(pi, Bot) or not names:
         return pi
-    return Prov((b,) + pi.outer, pi.inner, pi.term)
-
-
-def prov_scope_names(bs, pi):
-    if isinstance(pi, Bot) or not bs:
-        return pi
-    return Prov(tuple(bs) + pi.outer, pi.inner, pi.term)
+    return Prov(tuple(names) + pi.outer, pi.inner, pi.term)
 
 
 # ---------------------------------------------------------------------------
@@ -299,31 +297,44 @@ def _derive(inst, rules, psi, proc, fuel, avoid):
     return _step(inst, rules, psi, proc, frame, fuel, avoid0, msgs)
 
 
-def _in_subjects(inst, rules, env, channel, avoid):
-    return sorted(getattr(inst, rules.in_subjects)(env, channel, avoid), key=sort_key)
-
-
-def _step(inst, rules, env, p, frame, budget, avoid, msgs):
+def _step(inst, rules, env, p, frame, budget, avoid, msgs, recv=None):
     """Raw (label, provenance, target) triples for one process.  ``frame``
     is the opened frame of ``p`` (``open_frame``); ``avoid`` already holds
-    every atom it opened."""
+    every atom it opened.  ``recv`` is None, or (subject, message) for the
+    receiving premise of Com: then only inputs of exactly ``message`` are
+    derived, from the sending prefix ``subject`` (with every label subject
+    the rule set gives where ``subject`` is None), and Par makes no Com."""
     if isinstance(p, (Nil, Assert)):
         return []
 
     if isinstance(p, Output):
+        if recv is not None:
+            return []
         out = []
         for k in sorted(inst.out_channels(env, p.channel, avoid), key=sort_key):
             out.append((OutLabel(k, (), p.message), Prov((), (), p.channel), p.cont))
         return out
 
     if isinstance(p, Input):
+        subject, message = recv or (None, None)
+        if subject is None:
+            subjects = sorted(getattr(inst, rules.in_subjects)(env, p.channel, avoid),
+                              key=sort_key)
+        elif inst.entails(env, inst.conn(subject, p.channel)):
+            subjects = (subject,)
+        else:
+            return []
+        if recv is None:
+            sigmas = [Subst.of(p.variables, ls)
+                      for ls in itertools.product(msgs, repeat=len(p.variables))]
+            received = [(sigma, inst.subst_term(p.pattern, sigma)) for sigma in sigmas]
+        else:
+            received = [(Subst.of(p.variables, ts), message)
+                        for ts in inst.match_pattern(p.variables, p.pattern, message)]
         out = []
-        for k in _in_subjects(inst, rules, env, p.channel, avoid):
-            for ls in itertools.product(msgs, repeat=len(p.variables)):
-                sigma = Subst.of(p.variables, ls)
-                msg = inst.subst_term(p.pattern, sigma)
-                tgt = subst_process(inst, p.cont, sigma)
-                out.append((InLabel(k, msg), Prov((), (), p.channel), tgt))
+        for sigma, msg in received:
+            tgt = subst_process(inst, p.cont, sigma)
+            out.extend((InLabel(k, msg), Prov((), (), p.channel), tgt) for k in subjects)
         return out
 
     if isinstance(p, Case):
@@ -332,7 +343,7 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs):
             if inst.entails(env, phi):
                 q_frame, q_avoid = open_frame(inst, q, avoid)
                 for lab, pi, tgt in _step(inst, rules, env, q, q_frame, budget,
-                                          q_avoid, msgs):
+                                          q_avoid, msgs, recv):
                     out.append((lab, prov_pushdown(pi), tgt))
         return out
 
@@ -340,14 +351,14 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs):
         fresh, (body_frame,) = frame.name, frame.parts
         out = []
         for lab, pi, tgt in _step(inst, rules, env, frame.body, body_frame, budget,
-                                  avoid, msgs):
+                                  avoid, msgs, recv):
             if fresh not in support(lab):
-                out.append((lab, prov_scope(fresh, pi), Res(fresh, tgt)))
+                out.append((lab, prov_scope((fresh,), pi), Res(fresh, tgt)))
             elif (isinstance(lab, OutLabel)
                   and fresh not in support(lab.subject)
                   and fresh in support(lab.obj) - frozenset(lab.extruded)):
                 opened = OutLabel(lab.subject, (fresh,) + lab.extruded, lab.obj)
-                out.append((opened, prov_scope(fresh, pi), tgt))
+                out.append((opened, prov_scope((fresh,), pi), tgt))
             # otherwise the name escapes through the subject: no rule applies
         return out
 
@@ -358,7 +369,7 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs):
         u_frame, u_avoid = open_frame(inst, unfolded, avoid)
         out = []
         for lab, pi, tgt in _step(inst, rules, env, unfolded, u_frame, budget - 1,
-                                  u_avoid, msgs):
+                                  u_avoid, msgs, recv):
             out.append((lab, prov_pushdown(pi), tgt))
         return out
 
@@ -367,8 +378,8 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs):
         f_l, f_r = frame.parts
         env_l = inst.compose(f_r.assertion, env)
         env_r = inst.compose(f_l.assertion, env)
-        left_trans = _step(inst, rules, env_l, left, f_l, budget, avoid, msgs)
-        right_trans = _step(inst, rules, env_r, right, f_r, budget, avoid, msgs)
+        left_trans = _step(inst, rules, env_l, left, f_l, budget, avoid, msgs, recv)
+        right_trans = _step(inst, rules, env_r, right, f_r, budget, avoid, msgs, recv)
 
         # the opened sibling binders must be fresh for the conclusion label:
         # premise transitions mentioning them feed Com only
@@ -382,7 +393,9 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs):
         for lab, pi, tgt in right_trans:
             if support(lab) & b_l_set:
                 continue
-            out.append((lab, prov_scope_names(b_l, pi), Par(left, tgt)))
+            out.append((lab, prov_scope(b_l, pi), Par(left, tgt)))
+        if recv is not None:
+            return out
 
         three_way = (inst.compose(env, inst.compose(f_l.assertion, f_r.assertion))
                      if rules.legacy else None)
@@ -412,8 +425,8 @@ def _coms(inst, rules, three_way, receiver, sender_trans, f_send, f_recv, env_re
             k_open, avoid2 = _open_prov(pi, f_send.binders, avoid2)
             if k_open is None:
                 continue
-        for lab2, pi2, r_tgt in _inputs_for(inst, rules, env_recv, receiver, f_recv,
-                                            k_open, lab.obj, budget, avoid2, msgs):
+        for lab2, pi2, r_tgt in _step(inst, rules, env_recv, receiver, f_recv, budget,
+                                      avoid2, msgs, (k_open, lab.obj)):
             if rules.legacy:
                 if not inst.entails(three_way, inst.conn(lab.subject, lab2.subject)):
                     continue
@@ -436,65 +449,3 @@ def _open_prov(pi, frame_binders, avoid):
     m.update(zip(pi.inner, fresh))
     return rename(m, pi.term), avoid
 
-
-def _inputs_for(inst, rules, env, p, frame, subject, message, budget, avoid, msgs):
-    """Input transitions of ``p`` receiving exactly ``message`` from the
-    sending prefix ``subject``, or, where ``subject`` is None, with every
-    label subject the rule set gives.  ``frame`` is the opened frame of
-    ``p``, as in ``_step``."""
-    if isinstance(p, (Nil, Assert, Output)):
-        return []
-
-    if isinstance(p, Input):
-        if subject is None:
-            subjects = _in_subjects(inst, rules, env, p.channel, avoid)
-        elif inst.entails(env, inst.conn(subject, p.channel)):
-            subjects = (subject,)
-        else:
-            return []
-        out = []
-        for ts in inst.match_pattern(p.variables, p.pattern, message):
-            tgt = subst_process(inst, p.cont, Subst.of(p.variables, ts))
-            out.extend((InLabel(k, message), Prov((), (), p.channel), tgt)
-                       for k in subjects)
-        return out
-
-    if isinstance(p, Case):
-        out = []
-        for phi, q in p.branches:
-            if inst.entails(env, phi):
-                q_frame, q_avoid = open_frame(inst, q, avoid)
-                for lab, pi, tgt in _inputs_for(inst, rules, env, q, q_frame, subject,
-                                                message, budget, q_avoid, msgs):
-                    out.append((lab, prov_pushdown(pi), tgt))
-        return out
-
-    if isinstance(p, Res):
-        fresh, (body_frame,) = frame.name, frame.parts
-        return [(lab, prov_scope(fresh, pi), Res(fresh, tgt))
-                for lab, pi, tgt in _inputs_for(inst, rules, env, frame.body, body_frame,
-                                                subject, message, budget, avoid, msgs)]
-
-    if isinstance(p, Bang):
-        if budget <= 0:
-            return []
-        unfolded = Par(p.body, p)
-        u_frame, u_avoid = open_frame(inst, unfolded, avoid)
-        return [(lab, prov_pushdown(pi), tgt)
-                for lab, pi, tgt in _inputs_for(inst, rules, env, unfolded, u_frame,
-                                                subject, message, budget - 1,
-                                                u_avoid, msgs)]
-
-    if isinstance(p, Par):
-        left, right = p.left, p.right
-        f_l, f_r = frame.parts
-        out = []
-        for lab, pi, tgt in _inputs_for(inst, rules, inst.compose(f_r.assertion, env),
-                                        left, f_l, subject, message, budget, avoid, msgs):
-            out.append((lab, prov_append(pi, f_r.binders), Par(tgt, right)))
-        for lab, pi, tgt in _inputs_for(inst, rules, inst.compose(f_l.assertion, env),
-                                        right, f_r, subject, message, budget, avoid, msgs):
-            out.append((lab, prov_scope_names(f_l.binders, pi), Par(left, tgt)))
-        return out
-
-    raise TypeError(f"not a process: {p!r}")

@@ -1,4 +1,6 @@
-"""Every imported name is read somewhere in its module (no linter runs)."""
+"""Every imported name is read somewhere in its module, and so is every
+private top-level function, class and constant of the package (no linter
+runs)."""
 
 import ast
 import pathlib
@@ -6,7 +8,13 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "psiwb").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "psiwb").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+
+
+def _read(tree):
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
 def unused_imports(source: str):
@@ -19,9 +27,25 @@ def unused_imports(source: str):
                          for al in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [(node.lineno, al.asname or al.name) for al in node.names]
-    read = {n.id for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read = _read(tree)
     return sorted((line, name) for line, name in imported if name not in read)
+
+
+def unread_privates(source: str):
+    """(line, name) for each private top-level function, class or constant
+    that its module never reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, ast.Assign):
+            defined += [(node.lineno, t.id) for t in node.targets
+                        if isinstance(t, ast.Name)]
+    read = _read(tree)
+    return sorted((line, name) for line, name in defined
+                  if name.startswith("_") and not name.endswith("__")
+                  and name not in read)
 
 
 def test_unused_imports_are_found():
@@ -32,3 +56,15 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unread_privates_are_found():
+    # a function that only calls itself counts as read
+    src = ("_A = 1\n_B = 2\nC = 3\n__all__ = ()\n"
+           "def _f(): return _A\n\ndef _g(): return _g()\n\nclass _K: pass\n")
+    assert unread_privates(src) == [(2, "_B"), (5, "_f"), (9, "_K")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_privates(path):
+    assert unread_privates(path.read_text()) == []

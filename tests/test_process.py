@@ -1,12 +1,13 @@
 import pytest
 
-from psiwb.nominal import alpha_eq, apply_perm, fresh_name, names_of, swap
-from psiwb.params import EtherInstance, PiEq, PiInstance, TriangleInstance
+from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, fresh_name,
+                           names_of, swap)
+from psiwb.params import EtherInstance, PiEq, PiInstance, Subst, TriangleInstance
 from psiwb.process import (NIL, Assert, Bang, Case, IllFormed, Input,
                            Output, Par, Res, SumUnavailable, assertion_guarded,
                            check_well_formed, desugar_sum,
                            normal_form, opened_frame, par, reassemble, res,
-                           well_formed_violations)
+                           subst_process, well_formed_violations)
 
 a, b, x, y, z = (fresh_name((), h) for h in "abxyz")
 ether = EtherInstance()
@@ -193,6 +194,26 @@ def test_normal_form_reassembles_to_congruent_process():
     # compare labels here; the full harmony check lives in test_reduction)
     labels = lambda ts: frozenset(t.label for t in ts)
     assert labels(transitions(ether, env, p)) == labels(transitions(ether, env, q))
+
+
+def test_normal_form_renames_binder_clear_of_bound_atoms():
+    # (nu a)(nu M0)a<M0>.0 | a<a>.0: the outer a clashes with the free a and
+    # is renamed; the first mint atom is bound inside its scope, so it must
+    # not be the new name
+    m0 = Name(MINT_BASE)
+    p = Par(Res(a, Res(m0, Output(a, m0, NIL))), Output(a, a, NIL))
+    assert alpha_eq(reassemble(normal_form(pi, p)),
+                    Res(x, Res(y, Par(Output(x, y, NIL), Output(a, a, NIL)))))
+
+
+# -- substitution -----------------------------------------------------------------
+
+def test_subst_renames_binder_clear_of_bound_atoms():
+    # (nu M0)c(x).M0<x>.0 [x := y]: the input binder x clashes with the
+    # substitution and is renamed, not to the bound M0
+    m0 = Name(MINT_BASE)
+    p = Res(m0, Input(b, (x,), x, Output(m0, x, NIL)))
+    assert alpha_eq(subst_process(pi, p, Subst.of((x,), (y,))), p)
 
 
 # -- sums ----------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from psiwb.nominal import fresh_name
+from psiwb.nominal import MINT_BASE, Name, fresh_name
 from psiwb.corpus import random_process, triangle_counterexample_shapes
 from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
                           TriangleInstance)
@@ -157,6 +157,29 @@ def test_hoisting_keeps_same_named_sibling_binders_apart():
     assert reductions(pi, p) == frozenset()
     assert harmony_check(pi, p).ok
     assert congruence_key(pi, p) != congruence_key(pi, shared)
+
+
+def test_harmony_when_a_hoisted_binder_is_bound_again_below_an_input():
+    # n<n>.0 | (nu n)(c<m>.0 | c(x).(nu n)d(x).n<x>.0): hoisting renames both
+    # n binders, and the received continuation renames x; neither renaming
+    # may capture, so the target keeps d(v).n<v> under its own n
+    n, m, d = (fresh_name((), h) for h in "nmd")
+    inner = Res(n, Input(d, (x,), x, Output(n, x, NIL)))
+    p = Par(Output(n, n, NIL), Res(n, Par(Output(c, m, NIL), Input(c, (x,), x, inner))))
+    (step,) = reductions(pi, p)
+    want = Par(Output(n, n, NIL), Res(y, Res(z, Input(d, (x,), x, Output(z, x, NIL)))))
+    assert congruence_key(pi, step.target) == congruence_key(pi, want)
+    rep = harmony_check(pi, p)
+    assert rep.ok and rep.matched == 1
+
+
+def test_congruence_key_of_binder_bound_again_by_a_mint_atom():
+    # (|{a}|) | (nu a)(nu M0)a<M0>.0: hoisting renames the clashing a, not to
+    # the first mint atom, which is bound inside its scope
+    m0 = Name(MINT_BASE)
+    p = Par(Assert(frozenset({a})), Res(a, Res(m0, Output(a, m0, NIL))))
+    q = Par(Assert(frozenset({a})), Res(x, Res(y, Output(x, y, NIL))))
+    assert congruence_key(ether, p) == congruence_key(ether, q)
 
 
 @pytest.mark.parametrize("inst", [pi, ether, tri, pre], ids=lambda i: i.name)

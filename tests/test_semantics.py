@@ -38,11 +38,13 @@ def test_pushdown_moves_outer_binders():
 def test_bot_is_absorbing():
     assert prov_pushdown(BOT) == BOT
     assert prov_append(BOT, (z,)) == BOT
-    assert prov_scope(b, BOT) == BOT
+    assert prov_scope((b,), BOT) == BOT
 
 
 def test_scope_prepends_outer_binder():
-    assert prov_scope(b, Prov((x,), (y,), a)) == Prov((b, x), (y,), a)
+    assert prov_scope((b,), Prov((x,), (y,), a)) == Prov((b, x), (y,), a)
+    assert prov_scope((b, z), Prov((x,), (y,), a)) == Prov((b, z, x), (y,), a)
+    assert prov_scope((), Prov((x,), (y,), a)) == Prov((x,), (y,), a)
 
 
 def test_append_extends_outer_binders():
@@ -125,6 +127,37 @@ def test_triangle_reoriented_legacy_strings_a_derivation_via_b():
     p = Res(b, Par(Par(Output(a, a, NIL), Input(c, (z,), z, NIL)), Assert(psi)))
     assert len(taus(legacy_transitions(tri, frozenset(), p, reorient_in=True))) == 1
     assert taus(transitions(tri, frozenset(), p)) == []
+
+
+# Receivers whose input on c gets the label subject b (or z) only through a
+# fact on a private name.  Scope (Par, for the sibling binder z) rejects that
+# premise, so the receiver has no input transition of its own, and Com-Old
+# must not use it as a receiving premise either.
+# shape -> (the orientation under which Com-Old would fire, receiver)
+RECEIVER_ESCAPES = {
+    "scope-reoriented": (True, Res(b, Par(Input(c, (x,), x, NIL),
+                                          Assert(frozenset({(a, b), (b, b), (b, c)}))))),
+    "scope-printed": (False, Res(b, Par(Input(c, (x,), x, NIL),
+                                        Assert(frozenset({(a, b), (b, b), (c, b)}))))),
+    "sibling-reoriented": (True, Par(Input(c, (x,), x, NIL),
+                                     Res(z, Assert(frozenset({(a, z), (z, z), (z, c)}))))),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RECEIVER_ESCAPES))
+def test_com_old_receiver_obeys_scope_and_par(shape):
+    reorient_in, q = RECEIVER_ESCAPES[shape]
+    p = Par(Output(a, y, NIL), q)
+    for ro in (False, True):
+        assert legacy_transitions(tri, frozenset(), q, reorient_in=ro) == frozenset()
+        assert taus(legacy_transitions(tri, frozenset(), p, reorient_in=ro)) == []
+    assert transitions(tri, frozenset(), q) == frozenset()
+    assert taus(transitions(tri, frozenset(), p)) == []
+    # the fact on the private name is what the receiver needs: made public,
+    # it gives Com-Old its tau under the same orientation
+    public = q.body if isinstance(q, Res) else Par(q.left, q.right.body)
+    assert len(taus(legacy_transitions(tri, frozenset(), Par(Output(a, y, NIL), public),
+                                       reorient_in=reorient_in))) == 1
 
 
 def test_legacy_pi_handshake_agrees():
