@@ -219,7 +219,11 @@ def map_atoms(f, x):
 
 
 def atoms(x) -> frozenset:
-    """Every Name in ``x``, binders included."""
+    """Every Name in ``x``, binders included.  Cached on ``x``, as ``support``
+    is: every query reads the atoms of its source."""
+    cached = getattr(x, "_atoms_cache", None)
+    if cached is not None:
+        return cached
     seen = set()
 
     def note(n):
@@ -227,7 +231,12 @@ def atoms(x) -> frozenset:
         return n
 
     map_atoms(note, x)
-    return frozenset(seen)
+    out = frozenset(seen)
+    try:
+        object.__setattr__(x, "_atoms_cache", out)
+    except (AttributeError, TypeError):
+        pass
+    return out
 
 
 def apply_perm(p: Permutation, x):

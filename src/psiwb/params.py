@@ -13,7 +13,6 @@ Shipped instances:
 * ether     -- assertions are name sets naming a shared medium
 * triangle  -- directed connectivity facts, for non-transitive scenarios
 * preorder  -- arcs generating a preorder; connectivity is joinability
-* tagged(B) -- B extended with tagged terms, for the choice encoding
 """
 
 from __future__ import annotations
@@ -103,35 +102,6 @@ class Join:
     right: Name
 
 
-@dataclass(frozen=True)
-class Tagged:
-    """A term decorated with a tag name."""
-
-    term: object
-    tag: Name
-
-
-@dataclass(frozen=True)
-class TaggedAssertion:
-    base: object
-    disabled: frozenset  # frozenset[Name]
-
-
-@dataclass(frozen=True)
-class TagCond:
-    """Entailed iff the tag is disabled."""
-
-    tag: Name
-
-
-@dataclass(frozen=True)
-class TaggedConn:
-    """Connectivity condition over tagged-or-untagged terms."""
-
-    sender: object
-    receiver: object
-
-
 class CalculusInstance:
     """Base class; shipped instances override the instance-specific parts.
 
@@ -167,11 +137,11 @@ class CalculusInstance:
         raise NotImplementedError
 
     # -- finite enumerators ----------------------------------------------
-    def out_channels(self, psi, term, ctx=frozenset()):
+    def out_channels(self, psi, term):
         """Finite set of K with psi |- term -> K."""
         raise NotImplementedError
 
-    def in_channels(self, psi, term, ctx=frozenset()):
+    def in_channels(self, psi, term):
         """Finite set of K with psi |- K -> term."""
         raise NotImplementedError
 
@@ -262,10 +232,10 @@ class PiInstance(_NameTermMixin, CalculusInstance):
     def conn(self, sender, receiver):
         return PiEq(sender, receiver)
 
-    def out_channels(self, psi, term, ctx=frozenset()):
+    def out_channels(self, psi, term):
         return frozenset((term,))
 
-    def in_channels(self, psi, term, ctx=frozenset()):
+    def in_channels(self, psi, term):
         return frozenset((term,))
 
     def condition_basis(self, psi1, psi2):
@@ -305,11 +275,11 @@ class EtherInstance(_NameTermMixin, CalculusInstance):
     def conn(self, sender, receiver):
         return EtherConn(sender, receiver)
 
-    def out_channels(self, psi, term, ctx=frozenset()):
+    def out_channels(self, psi, term):
         return frozenset(psi) if term in psi else frozenset()
 
-    def in_channels(self, psi, term, ctx=frozenset()):
-        return self.out_channels(psi, term, ctx)
+    def in_channels(self, psi, term):
+        return self.out_channels(psi, term)
 
     def condition_basis(self, psi1, psi2):
         names = _sorted_names(support(psi1) | support(psi2))
@@ -349,10 +319,10 @@ class TriangleInstance(_NameTermMixin, CalculusInstance):
     def conn(self, sender, receiver):
         return TriConn(sender, receiver)
 
-    def out_channels(self, psi, term, ctx=frozenset()):
+    def out_channels(self, psi, term):
         return frozenset(b for a, b in psi if a == term)
 
-    def in_channels(self, psi, term, ctx=frozenset()):
+    def in_channels(self, psi, term):
         return frozenset(a for a, b in psi if b == term)
 
     def condition_basis(self, psi1, psi2):
@@ -412,11 +382,11 @@ class PreorderInstance(_NameTermMixin, CalculusInstance):
     def conn(self, sender, receiver):
         return Join(sender, receiver)
 
-    def out_channels(self, psi, term, ctx=frozenset()):
+    def out_channels(self, psi, term):
         universe = support(psi) | {term}
         return frozenset(k for k in universe if self.entails(psi, Join(term, k)))
 
-    def in_channels(self, psi, term, ctx=frozenset()):
+    def in_channels(self, psi, term):
         universe = support(psi) | {term}
         return frozenset(k for k in universe if self.entails(psi, Join(k, term)))
 
@@ -450,160 +420,6 @@ class PreorderInstance(_NameTermMixin, CalculusInstance):
         return Join(rng.choice(ns), rng.choice(ns))
 
 
-class TaggedInstance(CalculusInstance):
-    """The choice-encoding target over a base instance.
-
-    Terms gain one layer of tagging; assertions carry a set of disabled
-    tags.  Tagged channels are connected when the underlying channels are,
-    the tags differ, and neither tag is disabled.  A sorting discipline
-    keeps communicated objects untagged: substitution ranges and received
-    messages must be base terms.
-    """
-
-    def __init__(self, base: CalculusInstance):
-        self.base = base
-        self.name = f"tagged:{base.name}"
-
-    @property
-    def unit(self):
-        return TaggedAssertion(self.base.unit, frozenset())
-
-    def entails(self, psi, phi):
-        base, disabled = psi.base, psi.disabled
-        if isinstance(phi, TagCond):
-            return phi.tag in disabled
-        if isinstance(phi, TaggedConn):
-            m, k = phi.sender, phi.receiver
-            if isinstance(m, Tagged) and isinstance(k, Tagged):
-                return (m.tag != k.tag and m.tag not in disabled
-                        and k.tag not in disabled
-                        and self.base.entails(base, self.base.conn(m.term, k.term)))
-            if isinstance(m, Tagged):
-                return m.tag not in disabled and self.base.entails(
-                    base, self.base.conn(m.term, k))
-            if isinstance(k, Tagged):
-                return k.tag not in disabled and self.base.entails(
-                    base, self.base.conn(m, k.term))
-            return self.base.entails(base, self.base.conn(m, k))
-        return self.base.entails(base, phi)
-
-    def compose(self, p1, p2):
-        return TaggedAssertion(self.base.compose(p1.base, p2.base),
-                               p1.disabled | p2.disabled)
-
-    def conn(self, sender, receiver):
-        if isinstance(sender, Tagged) or isinstance(receiver, Tagged):
-            return TaggedConn(sender, receiver)
-        return self.base.conn(sender, receiver)
-
-    def subst_term(self, term, sigma):
-        if isinstance(term, Tagged):
-            tag = sigma.lookup(term.tag)
-            if not isinstance(tag, Name):
-                raise SubstError("tag positions only take names")
-            return Tagged(self.base.subst_term(term.term, sigma), tag)
-        out = self.base.subst_term(term, sigma)
-        if isinstance(out, Tagged):
-            raise SubstError("sorting violation: tagged term in substitution range")
-        return out
-
-    def subst_assertion(self, psi, sigma):
-        disabled = []
-        for t in psi.disabled:
-            nt = sigma.lookup(t)
-            if not isinstance(nt, Name):
-                raise SubstError("disabled-tag positions only take names")
-            disabled.append(nt)
-        return TaggedAssertion(self.base.subst_assertion(psi.base, sigma),
-                               frozenset(disabled))
-
-    def subst_condition(self, phi, sigma):
-        if isinstance(phi, TagCond):
-            nt = sigma.lookup(phi.tag)
-            if not isinstance(nt, Name):
-                raise SubstError("tag positions only take names")
-            return TagCond(nt)
-        if isinstance(phi, TaggedConn):
-            return TaggedConn(self.subst_term(phi.sender, sigma),
-                              self.subst_term(phi.receiver, sigma))
-        return self.base.subst_condition(phi, sigma)
-
-    def _tags(self, psi, ctx, exclude=frozenset()):
-        cand = [n for n in _sorted_names(frozenset(ctx))
-                if n not in psi.disabled and n not in exclude]
-        return cand
-
-    def out_channels(self, psi, term, ctx=frozenset()):
-        if isinstance(term, Tagged):
-            if term.tag in psi.disabled:
-                return frozenset()
-            inner = self.base.out_channels(psi.base, term.term, ctx)
-            exclude = frozenset((term.tag,))
-        else:
-            inner = self.base.out_channels(psi.base, term, ctx)
-            exclude = frozenset()
-        out = set(inner)
-        for k in inner:
-            for tag in self._tags(psi, ctx, exclude):
-                out.add(Tagged(k, tag))
-        return frozenset(out)
-
-    def in_channels(self, psi, term, ctx=frozenset()):
-        if isinstance(term, Tagged):
-            if term.tag in psi.disabled:
-                return frozenset()
-            inner = self.base.in_channels(psi.base, term.term, ctx)
-            exclude = frozenset((term.tag,))
-        else:
-            inner = self.base.in_channels(psi.base, term, ctx)
-            exclude = frozenset()
-        out = set(inner)
-        for k in inner:
-            for tag in self._tags(psi, ctx, exclude):
-                out.add(Tagged(k, tag))
-        return frozenset(out)
-
-    def match_pattern(self, variables, pattern, message):
-        if isinstance(message, Tagged) or isinstance(pattern, Tagged):
-            return ()  # sorting: only base terms are communicated
-        return self.base.match_pattern(variables, pattern, message)
-
-    def condition_basis(self, psi1, psi2):
-        out = list(self.base.condition_basis(psi1.base, psi2.base))
-        names = _sorted_names(support(psi1) | support(psi2))
-        out.extend(TagCond(n) for n in names)
-        for a in names:
-            for b in names:
-                out.append(TaggedConn(a, b))
-                for t in names:
-                    out.append(TaggedConn(Tagged(a, t), b))
-                    out.append(TaggedConn(a, Tagged(b, t)))
-                    for u in names:
-                        out.append(TaggedConn(Tagged(a, t), Tagged(b, u)))
-        return tuple(out)
-
-    def message_basis(self, ctx):
-        return self.base.message_basis(ctx)
-
-    def assertion_basis(self, names):
-        out = [TaggedAssertion(b, frozenset())
-               for b in self.base.assertion_basis(names)]
-        out.extend(TaggedAssertion(self.base.unit, frozenset((n,)))
-                   for n in _sorted_names(names))
-        return tuple(out)
-
-    def top_condition(self, names=()):
-        return self.base.top_condition(names)
-
-    def random_assertion(self, rng, names):
-        ns = list(names)
-        disabled = frozenset(rng.sample(ns, rng.randint(0, 1)))
-        return TaggedAssertion(self.base.random_assertion(rng, names), disabled)
-
-    def random_condition(self, rng, names):
-        return self.base.random_condition(rng, names)
-
-
 # ---------------------------------------------------------------------------
 # Static equivalence
 
@@ -628,10 +444,8 @@ _REGISTRY = {
 
 
 def get_instance(spec: str) -> CalculusInstance:
-    if spec.startswith("tagged:"):
-        return TaggedInstance(get_instance(spec.split(":", 1)[1]))
     try:
         return _REGISTRY[spec]()
     except KeyError:
         raise KeyError(f"unknown calculus {spec!r}; expected one of "
-                       f"{sorted(_REGISTRY)} or tagged:<base>") from None
+                       f"{sorted(_REGISTRY)}") from None

@@ -1,4 +1,4 @@
-"""Agent syntax, well-formedness, frames and normal forms.
+"""Agent syntax, well-formedness, frames, substitution and hoisting.
 
 Process constructors:
 
@@ -281,18 +281,7 @@ def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, avoid=None) 
 
 
 # ---------------------------------------------------------------------------
-# Normal forms
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Top-level binders, unguarded assertions and the guarded rest."""
-
-    binders: tuple     # tuple[Name, ...]
-    assertions: tuple  # tuple[assertion, ...]
-    rest: Process
-
-    _binders = ("binders",)
+# Hoisting
 
 
 def hoist(p: Process, avoid):
@@ -327,19 +316,6 @@ def hoist(p: Process, avoid):
         else:
             comps.append(q)
     return tuple(binders), tuple(asserts), comps, frozenset(avoid)
-
-
-def normal_form(inst: CalculusInstance, p: Process) -> NormalForm:
-    """Hoist top-level restrictions outward and split unguarded assertions
-    from the guarded rest.  Binders keep their names unless hoisting would
-    capture, in which case they are freshened."""
-    check_well_formed(p)
-    binders, asserts, rest, _ = hoist(p, support(p))
-    return NormalForm(binders, asserts, par(*rest))
-
-
-def reassemble(nf: NormalForm) -> Process:
-    return res(nf.binders, par(*(Assert(a) for a in nf.assertions), nf.rest))
 
 
 class SumUnavailable(ValueError):

@@ -4,9 +4,9 @@ A reduction fires an output and an input prefix at two positions of the
 process that are in parallel (not in two branches of one case) and whose
 case guards the top-level assertions entail.  Restrictions are handled by
 hoisting them to the top first, with the one hoisting routine
-``process.hoist`` (which ``normal_form`` and the congruence key use too), and
-replication by materialising copies on demand; both only use rewrites that
-are structural-congruence laws.  The target puts the two continuations, the
+``process.hoist`` (which the congruence key uses too), and replication by
+materialising copies on demand; both only use rewrites that are
+structural-congruence laws.  The target puts the two continuations, the
 received one under the match's substitution, beside the top-level
 assertions and everything parallel to the two positions, all under the
 hoisted binders.  The number of copies mirrors the labelled engine's

@@ -59,8 +59,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .nominal import (_canon, _CanonState, mint_many, names_of, rename, sort_key,
-                      support)
+from .nominal import (_canon, _CanonState, atoms, mint_many, names_of, rename,
+                      sort_key, support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, Output, Par, Process,
                       Res, check_well_formed, open_frame, res, subst_process)
@@ -293,7 +293,8 @@ def _derive(inst, rules, psi, proc, fuel, avoid):
     check_well_formed(proc)
     ctx0 = names_of(psi, proc) | frozenset(avoid)
     msgs = inst.message_basis(ctx0)
-    frame, avoid0 = open_frame(inst, proc, ctx0 | names_of(msgs))
+    # the source's bound atoms too, or opening a restriction could capture one
+    frame, avoid0 = open_frame(inst, proc, ctx0 | atoms(proc) | names_of(msgs))
     return _step(inst, rules, psi, proc, frame, fuel, avoid0, msgs)
 
 
@@ -311,14 +312,14 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs, recv=None):
         if recv is not None:
             return []
         out = []
-        for k in sorted(inst.out_channels(env, p.channel, avoid), key=sort_key):
+        for k in sorted(inst.out_channels(env, p.channel), key=sort_key):
             out.append((OutLabel(k, (), p.message), Prov((), (), p.channel), p.cont))
         return out
 
     if isinstance(p, Input):
         subject, message = recv or (None, None)
         if subject is None:
-            subjects = sorted(getattr(inst, rules.in_subjects)(env, p.channel, avoid),
+            subjects = sorted(getattr(inst, rules.in_subjects)(env, p.channel),
                               key=sort_key)
         elif inst.entails(env, inst.conn(subject, p.channel)):
             subjects = (subject,)

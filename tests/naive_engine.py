@@ -32,10 +32,10 @@ def _derive(inst, env, p, budget, avoid, msgs):
         return []
     if isinstance(p, Output):
         return [(OutLabel(k, (), p.message), ((), (), p.channel), p.cont)
-                for k in inst.out_channels(env, p.channel, avoid)]
+                for k in inst.out_channels(env, p.channel)]
     if isinstance(p, Input):
         out = []
-        for k in inst.in_channels(env, p.channel, avoid):
+        for k in inst.in_channels(env, p.channel):
             for ls in itertools.product(msgs, repeat=len(p.variables)):
                 sig = Subst.of(p.variables, ls)
                 out.append((InLabel(k, inst.subst_term(p.pattern, sig)),

@@ -5,9 +5,8 @@ import pytest
 
 from psiwb.nominal import apply_perm, fresh_name, swap
 from psiwb.params import (EtherConn, EtherInstance, Join, PiInstance,
-                          Prec, PreorderInstance, Subst, SubstError, Tagged,
-                          TaggedAssertion, TaggedInstance, TriangleInstance,
-                          get_instance, static_equiv)
+                          Prec, PreorderInstance, Subst, SubstError, TriConn,
+                          TriangleInstance, get_instance, static_equiv)
 
 a, b, c, x, y, z = (fresh_name((), h) for h in "abcxyz")
 NAMES = (a, b, c, x, y, z)
@@ -16,15 +15,14 @@ pi = PiInstance()
 ether = EtherInstance()
 tri = TriangleInstance()
 pre = PreorderInstance()
-tagged = TaggedInstance(pi)
-ALL = (pi, ether, tri, pre, tagged)
+ALL = (pi, ether, tri, pre)
 
 
 def test_registry():
     assert isinstance(get_instance("pi"), PiInstance)
-    assert isinstance(get_instance("tagged:ether").base, EtherInstance)
-    with pytest.raises(KeyError):
-        get_instance("nope")
+    for spec in ("nope", "tagged:pi"):
+        with pytest.raises(KeyError):
+            get_instance(spec)
 
 
 # -- entailment --------------------------------------------------------------
@@ -60,28 +58,17 @@ def test_preorder_entailment_matches_transitive_closure_oracle():
             assert pre.entails(arcs, Join(p, q)) == joins
 
 
-def test_tagged_entailment_clauses():
-    psi = TaggedAssertion(pi.unit, frozenset({z}))
-    mk = tagged.conn
-    assert tagged.entails(psi, mk(Tagged(a, x), Tagged(a, y)))
-    assert not tagged.entails(psi, mk(Tagged(a, x), Tagged(a, x)))   # equal tags
-    assert not tagged.entails(psi, mk(Tagged(a, z), Tagged(a, y)))   # disabled
-    assert not tagged.entails(psi, mk(Tagged(a, x), Tagged(b, y)))   # base fails
-    assert tagged.entails(psi, mk(Tagged(a, x), a))
-    assert tagged.entails(psi, mk(a, Tagged(a, x)))
-    assert tagged.entails(psi, mk(a, a))
-    from psiwb.params import TagCond
-    assert tagged.entails(psi, TagCond(z))
-    assert not tagged.entails(psi, TagCond(x))
-
-
-def test_tagged_connectivity_not_reflexive_not_transitive():
-    # reflexivity fails: M_x cannot talk to M_x
-    psi = tagged.unit
-    assert not tagged.entails(psi, tagged.conn(Tagged(a, x), Tagged(a, x)))
-    # transitivity fails: M_x -> M_y and M_y -> M_x but not M_x -> M_x
-    assert tagged.entails(psi, tagged.conn(Tagged(a, x), Tagged(a, y)))
-    assert tagged.entails(psi, tagged.conn(Tagged(a, y), Tagged(a, x)))
+def test_connectivity_need_not_be_symmetric_or_transitive():
+    # triangle: a -> b and b -> c, but neither a -> c, b -> a nor a -> a
+    facts = frozenset({(a, b), (b, c)})
+    assert tri.entails(facts, TriConn(a, b)) and tri.entails(facts, TriConn(b, c))
+    for src, dst in ((a, c), (b, a), (a, a)):
+        assert not tri.entails(facts, TriConn(src, dst))
+    # preorder: a and b share w, b and c share v, but a and c share nothing
+    w, v = (fresh_name((), h) for h in "wv")
+    arcs = frozenset({(a, w), (b, w), (b, v), (c, v)})
+    assert pre.entails(arcs, Join(a, b)) and pre.entails(arcs, Join(b, c))
+    assert not pre.entails(arcs, Join(a, c))
 
 
 def test_pi_connectivity_is_equivalence():
@@ -146,10 +133,6 @@ def test_swap_substitution_equals_permutation():
 
 def test_compose_examples():
     assert ether.compose(frozenset({x}), frozenset({y})) == frozenset({x, y})
-    t1 = TaggedAssertion(frozenset({x}), frozenset({x}))
-    t2 = TaggedAssertion(frozenset({y}), frozenset({y}))
-    te = TaggedInstance(ether)
-    assert te.compose(t1, t2) == TaggedAssertion(frozenset({x, y}), frozenset({x, y}))
 
 
 def _random_assertions(inst, rng, n=30):
@@ -184,10 +167,9 @@ def test_channel_enumerators_sound_and_complete(inst):
     universe = NAMES[:4]
     for _ in range(25):
         psi = inst.random_assertion(rng, universe)
-        ctx = frozenset(universe)
         for m in universe:
-            outs = inst.out_channels(psi, m, ctx)
-            ins = inst.in_channels(psi, m, ctx)
+            outs = inst.out_channels(psi, m)
+            ins = inst.in_channels(psi, m)
             for k in outs:
                 assert inst.entails(psi, inst.conn(m, k))
             for k in ins:
@@ -204,10 +186,3 @@ def test_match_pattern():
     assert pi.match_pattern((x,), x, y) == ((y,),)
     assert pi.match_pattern((), a, a) == ((),)
     assert pi.match_pattern((), a, b) == ()
-    assert tagged.match_pattern((x,), x, Tagged(a, y)) == ()  # sorting check
-
-
-def test_tagged_substitution_sorting_check():
-    te = TaggedInstance(pi)
-    with pytest.raises(SubstError):
-        te.subst_term(x, Subst.of((x,), (Tagged(a, y),)))

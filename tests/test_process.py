@@ -5,9 +5,9 @@ from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, fresh_name,
 from psiwb.params import EtherInstance, PiEq, PiInstance, Subst, TriangleInstance
 from psiwb.process import (NIL, Assert, Bang, Case, IllFormed, Input,
                            Output, Par, Res, SumUnavailable, assertion_guarded,
-                           check_well_formed, desugar_sum,
-                           normal_form, opened_frame, par, reassemble, res,
-                           subst_process, well_formed_violations)
+                           check_well_formed, desugar_sum, hoist,
+                           opened_frame, par, res, subst_process,
+                           well_formed_violations)
 
 a, b, x, y, z = (fresh_name((), h) for h in "abxyz")
 ether = EtherInstance()
@@ -159,34 +159,42 @@ def test_frame_equivariant_and_alpha_invariant():
                     apply_perm(perm, nu(*frame(ether, p))))
 
 
-# -- normal forms -------------------------------------------------------------
+# -- normal forms: the hoisted binders, the assertions and the rest ----------
+
+def hoisted(p):
+    binders, asserts, comps, _ = hoist(p, names_of(p))
+    return binders, asserts, par(*comps)
+
+
+def reassemble(binders, asserts, rest):
+    return res(binders, par(*(Assert(a) for a in asserts), rest))
+
 
 def test_normal_form_of_guarded_process():
     p = Output(a, x, NIL)
-    nf = normal_form(ether, p)
-    assert nf.binders == () and nf.assertions == () and nf.rest == p
+    binders, asserts, rest = hoisted(p)
+    assert binders == () and asserts == () and rest == p
 
 
 def test_normal_form_hoists_and_splits():
     p = Par(Assert(psi(a)), Res(x, Assert(psi(x))))
-    nf = normal_form(ether, p)
-    assert len(nf.binders) == 1
-    assert nf.assertions == (psi(a), psi(nf.binders[0]))
-    assert nf.rest == NIL
+    binders, asserts, rest = hoisted(p)
+    assert len(binders) == 1
+    assert asserts == (psi(a), psi(binders[0]))
+    assert rest == NIL
 
 
 def test_normal_form_keeps_dead_binder():
-    nf = normal_form(ether, Res(a, NIL))
-    assert nf.binders == (a,)
-    assert nf.assertions == ()
-    assert nf.rest == NIL
+    binders, asserts, rest = hoisted(Res(a, NIL))
+    assert binders == (a,)
+    assert asserts == ()
+    assert rest == NIL
 
 
 def test_normal_form_reassembles_to_congruent_process():
     from psiwb.semantics import erase_provenance, transitions
     p = Par(Res(x, Par(Output(x, x, NIL), Assert(psi(x)))), Assert(psi(a)))
-    nf = normal_form(ether, p)
-    q = reassemble(nf)
+    q = reassemble(*hoisted(p))
     env = psi(b)
     assert (erase_provenance(transitions(ether, env, p))
             != frozenset())
@@ -202,7 +210,7 @@ def test_normal_form_renames_binder_clear_of_bound_atoms():
     # not be the new name
     m0 = Name(MINT_BASE)
     p = Par(Res(a, Res(m0, Output(a, m0, NIL))), Output(a, a, NIL))
-    assert alpha_eq(reassemble(normal_form(pi, p)),
+    assert alpha_eq(reassemble(*hoisted(p)),
                     Res(x, Res(y, Par(Output(x, y, NIL), Output(a, a, NIL)))))
 
 

@@ -369,6 +369,18 @@ def test_unfolded_copy_is_opened_fresh_for_sibling_frames():
         assert legacy_transitions(ether, ether.unit, p, fuel=f) == frozenset()
 
 
+def test_root_restriction_opened_clear_of_bound_mint_atoms():
+    # (nu n)a(x).(nu M1)n<M1>.0: the root's n is opened to a mint atom, which
+    # must not be the bound M1, or the target's n<M1> would become M1<M1>
+    n = fresh_name((), "n")
+    m1 = Name(MINT_BASE + 1)
+    p = Res(n, Input(a, (x,), x, Res(m1, Output(n, m1, NIL))))
+    want = Res(n, Res(y, Output(n, y, NIL)))
+    for engine in (transitions, legacy_transitions):
+        ts = engine(pi, pi.unit, p, 0)
+        assert ts and all(alpha_eq(t.target, want) for t in ts)
+
+
 def test_frames_opened_once_per_query(monkeypatch):
     # one opening at the root covers every restriction on the Par spine, and
     # the Com partner search reuses it: the 8 restrictions of 4 ether-example
