@@ -22,10 +22,10 @@ one table keyed by its type (``_LAYOUTS``), filled on the first visit of
 each type: a traversal asks neither the ``dataclasses`` module nor the node
 itself how to walk it.
 
-Three classes in ``semantics`` keep their own ``_support`` and ``_canon``,
-which the table also records: ``Transition``, ``ErasedTransition`` and
-``Action``.  The extruded names of their label bind in a sibling field, the
-target, which the one rule cannot express.
+Two classes in ``semantics`` keep their own ``_support`` and ``_canon``,
+which the table also records: ``Transition`` and ``ErasedTransition``.  The
+extruded names of their label bind in a sibling field, the target, which the
+one rule cannot express.
 
 Canonicalisation threads one ``_CanonState`` (binder counter and free-atom
 map) through a left-to-right traversal.  ``_CanonState.fork`` copies it, so a
@@ -220,17 +220,23 @@ def map_atoms(f, x):
 
 def atoms(x) -> frozenset:
     """Every Name in ``x``, binders included.  Cached on ``x``, as ``support``
-    is: every query reads the atoms of its source."""
+    is: every query reads the atoms of its source.  Reads fields with an
+    explicit stack, so depth does not meet the recursion limit."""
     cached = getattr(x, "_atoms_cache", None)
     if cached is not None:
         return cached
     seen = set()
-
-    def note(n):
-        seen.add(n)
-        return n
-
-    map_atoms(note, x)
+    todo = [x]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Name):
+            seen.add(v)
+        elif isinstance(v, (tuple, frozenset)):
+            todo.extend(v)
+        else:
+            lay = _LAYOUTS[type(v)]
+            if lay is not None:
+                todo.extend(getattr(v, f) for f in lay.names)
     out = frozenset(seen)
     try:
         object.__setattr__(x, "_atoms_cache", out)
@@ -274,16 +280,15 @@ def sort_key(x):
 
 
 class _CanonState:
-    __slots__ = ("binder_n", "free_map", "pinned")
+    __slots__ = ("binder_n", "free_map")
 
-    def __init__(self, pinned):
+    def __init__(self):
         self.binder_n = 0
         self.free_map = {}
-        self.pinned = pinned
 
     def fork(self) -> "_CanonState":
         """A copy that continues this numbering and never writes back."""
-        st = _CanonState(self.pinned)
+        st = _CanonState()
         st.binder_n = self.binder_n
         st.free_map = dict(self.free_map)
         return st
@@ -305,7 +310,7 @@ def _canon(x, env: dict, st: _CanonState):
         y = env.get(x)
         if y is not None:
             return y
-        if x.is_scratch() and x not in st.pinned:
+        if x.is_scratch():
             return st.canon_free(x)
         return x
     if isinstance(x, tuple):
@@ -327,14 +332,14 @@ def _canon(x, env: dict, st: _CanonState):
     return type(x)(*out)
 
 
-def canonical(x, pinned=frozenset()):
+def canonical(x):
     """The canonical alpha-representative of ``x``.
 
     Binders are renumbered in traversal order; free scratch atoms (engine
-    mints and previous canonical atoms) not in ``pinned`` are renumbered
-    too, so enumeration results compare stably across calls.
+    mints and previous canonical atoms) are renumbered too, so enumeration
+    results compare stably across calls.
     """
-    return _canon(x, {}, _CanonState(frozenset(pinned)))
+    return _canon(x, {}, _CanonState())
 
 
 def canon_binders(binders, env: dict, st: _CanonState):

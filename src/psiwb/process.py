@@ -239,11 +239,12 @@ def opened_frame(inst: CalculusInstance, p: Process, avoid):
 def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, avoid=None) -> Process:
     """Capture-avoiding simultaneous substitution; binders clashing with the
     substitution's names are freshened before descending, to an atom fresh
-    for every atom of their scope, bound ones included."""
+    for every atom of their scope, bound ones included.  A subterm with no
+    free name in the substitution's domain is returned as it is."""
+    if support(p).isdisjoint(sigma.domain):
+        return p
     if avoid is None:
         avoid = support(p) | names_of(*(t for _, t in sigma.pairs)) | sigma.domain
-    if isinstance(p, Nil):
-        return p
     if isinstance(p, Assert):
         return Assert(inst.subst_assertion(p.assertion, sigma))
     if isinstance(p, Output):

@@ -17,11 +17,10 @@ Rule-by-rule summary of the provenance rules:
   opening covers is opened where it is met: the query's root, a Case branch
   and each replication unfolding.
 * Com fires when the label subject of each premise equals the other
-  premise's provenance term, with frame binders opened consistently.  The
-  receiving premise is derived by the same walk as every other transition,
-  handed the receiver's opened frame and restricted to inputs of the
-  sender's message from the sender's provenance term; so it obeys Scope's
-  and Par's freshness checks like any premise.
+  premise's provenance term, with frame binders opened consistently.  It
+  joins an output and an input premise that Par has already derived, so
+  every process is derived once, and the receiving premise has passed
+  Scope's and Par's freshness checks like any premise.
 * Case and Rep demote frame binders to the provenance's inner sequence;
   Scope and Open wrap the provenance.
 
@@ -37,9 +36,11 @@ derivation.
 
 Every binder is opened to a deterministic scratch atom, minted against an
 avoid set that includes everything in scope, so opening needs no freshness
-check.  Input objects are enumerated over the instance's message basis,
-except in the receiving premise of Com, which receives exactly the sender's
-message.
+check.  Inputs are late (Milner, Parrow & Walker, 1992): an input premise
+opens its pattern variables to such atoms, free in its target, and Com
+instantiates them by matching the pattern against the sender's message; an
+input still open at the root receives every message of the instance's
+message basis.
 
 All results are alpha-canonicalised and deduplicated, which also makes the
 enumeration reproducible: scratch atoms never leak identity.
@@ -82,6 +83,19 @@ class OutLabel:
 class InLabel:
     subject: object
     obj: object
+
+
+@dataclass(frozen=True)
+class _LateIn:
+    """The label of an input premise whose pattern variables are still
+    open: it receives ``pattern`` under any instantiation of ``variables``,
+    which are free in the premise's target."""
+
+    subject: object
+    variables: tuple  # tuple[Name, ...], bind into the pattern
+    pattern: object
+
+    _binders = ("variables",)
 
 
 @dataclass(frozen=True)
@@ -132,7 +146,7 @@ def _canon_step(label, prov, target, env, st):
 def _canon_head(psi, proc):
     """The canonical environment and source of a query, and the state to
     fork for each of its results."""
-    st = _CanonState(frozenset())
+    st = _CanonState()
     return _canon(psi, {}, st), _canon(proc, {}, st), st
 
 
@@ -209,21 +223,6 @@ class ErasedTransition:
         return ErasedTransition(env_c, src_c, lab_c, tgt_c)
 
 
-@dataclass(frozen=True)
-class Action:
-    """A label/target pair, canonicalised jointly for simulation matching."""
-
-    label: object
-    target: Process
-
-    def _support(self):
-        return support(self.label) | (support(self.target) - frozenset(bn(self.label)))
-
-    def _canon(self, env, st):
-        lab_c, _, tgt_c = _canon_step(self.label, None, self.target, env, st)
-        return Action(lab_c, tgt_c)
-
-
 def erase_provenance(transitions) -> frozenset:
     """Project provenances away, deduplicating up to alpha."""
     groups = {}
@@ -265,78 +264,71 @@ _LEGACY_PRINTED = _Rules("out_channels", legacy=True)
 _LEGACY_REORIENTED = _Rules("in_channels", legacy=True)
 
 
-def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL,
-                avoid=()) -> frozenset:
+def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL) -> frozenset:
     """Every transition derivable from the rules, with at most
-    ``fuel`` replication unfoldings per derivation path.
-    ``avoid`` adds extra names the freshening must steer clear of (e.g. a
-    comparison partner)."""
-    raw = _derive(inst, _PROVENANCE, psi, proc, fuel, avoid)
+    ``fuel`` replication unfoldings per derivation path."""
+    raw = _derive(inst, _PROVENANCE, psi, proc, fuel)
     env_c, src_c, st = _canon_head(psi, proc)
     return frozenset(Transition(env_c, src_c, *_canon_step(lab, pi, tgt, {}, st.fork()))
                      for lab, pi, tgt in raw)
 
 
 def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
-                       fuel=DEFAULT_FUEL, avoid=(), reorient_in=False) -> frozenset:
+                       fuel=DEFAULT_FUEL, reorient_in=False) -> frozenset:
     """The original provenance-free semantics (In-Old / Out-Old / Com-Old).
     ``reorient_in`` flips the channel judgement in the input rule from the
     printed orientation (prefix on the left) to the consistent one (prefix
     on the right)."""
     rules = _LEGACY_REORIENTED if reorient_in else _LEGACY_PRINTED
-    raw = _derive(inst, rules, psi, proc, fuel, avoid)
+    raw = _derive(inst, rules, psi, proc, fuel)
     return frozenset(_erased(psi, proc, [(lab, tgt) for lab, _, tgt in raw]))
 
 
-def _derive(inst, rules, psi, proc, fuel, avoid):
-    """Raw (label, provenance, target) triples of ``proc`` under ``psi``."""
+def _derive(inst, rules, psi, proc, fuel):
+    """Raw (label, provenance, target) triples of ``proc`` under ``psi``; an
+    input still open at the root receives every message of the basis."""
     check_well_formed(proc)
-    ctx0 = names_of(psi, proc) | frozenset(avoid)
+    ctx0 = names_of(psi, proc)
     msgs = inst.message_basis(ctx0)
     # the source's bound atoms too, or opening a restriction could capture one
     frame, avoid0 = open_frame(inst, proc, ctx0 | atoms(proc) | names_of(msgs))
-    return _step(inst, rules, psi, proc, frame, fuel, avoid0, msgs)
+    out = []
+    for lab, pi, tgt in _step(inst, rules, psi, proc, frame, fuel, avoid0):
+        if not isinstance(lab, _LateIn):
+            out.append((lab, pi, tgt))
+            continue
+        for ms in itertools.product(msgs, repeat=len(lab.variables)):
+            sigma = Subst.of(lab.variables, ms)
+            out.append((InLabel(lab.subject, inst.subst_term(lab.pattern, sigma)), pi,
+                        subst_process(inst, tgt, sigma)))
+    return out
 
 
-def _step(inst, rules, env, p, frame, budget, avoid, msgs, recv=None):
-    """Raw (label, provenance, target) triples for one process.  ``frame``
-    is the opened frame of ``p`` (``open_frame``); ``avoid`` already holds
-    every atom it opened.  ``recv`` is None, or (subject, message) for the
-    receiving premise of Com: then only inputs of exactly ``message`` are
-    derived, from the sending prefix ``subject`` (with every label subject
-    the rule set gives where ``subject`` is None), and Par makes no Com."""
+def _step(inst, rules, env, p, frame, budget, avoid):
+    """Raw (label, provenance, target) triples for one process, with every
+    input late (a ``_LateIn`` label).  ``frame`` is the opened frame of ``p``
+    (``open_frame``); ``avoid`` already holds every atom it opened."""
     if isinstance(p, (Nil, Assert)):
         return []
 
     if isinstance(p, Output):
-        if recv is not None:
-            return []
         out = []
         for k in sorted(inst.out_channels(env, p.channel), key=sort_key):
             out.append((OutLabel(k, (), p.message), Prov((), (), p.channel), p.cont))
         return out
 
     if isinstance(p, Input):
-        subject, message = recv or (None, None)
-        if subject is None:
-            subjects = sorted(getattr(inst, rules.in_subjects)(env, p.channel),
-                              key=sort_key)
-        elif inst.entails(env, inst.conn(subject, p.channel)):
-            subjects = (subject,)
-        else:
-            return []
-        if recv is None:
-            sigmas = [Subst.of(p.variables, ls)
-                      for ls in itertools.product(msgs, repeat=len(p.variables))]
-            received = [(sigma, inst.subst_term(p.pattern, sigma)) for sigma in sigmas]
-        else:
-            received = [(Subst.of(p.variables, ts), message)
-                        for ts in inst.match_pattern(p.variables, p.pattern, message)]
-        out = []
-        for sigma, msg in received:
-            tgt = subst_process(inst, p.cont, sigma)
-            out.extend((InLabel(k, msg), Prov((), (), p.channel), tgt) for k in subjects)
-        return out
+        variables, pattern, cont = p.variables, p.pattern, p.cont
+        if variables:
+            # opened fresh for every atom in scope, so the target may hold
+            # them free until Com or the root instantiates them
+            opened, _ = mint_many(avoid, len(variables), "x")
+            m = dict(zip(variables, opened))
+            variables, pattern, cont = opened, rename(m, pattern), rename(m, cont)
+        prov = Prov((), (), p.channel)
+        return [(_LateIn(k, variables, pattern), prov, cont)
+                for k in sorted(getattr(inst, rules.in_subjects)(env, p.channel),
+                                key=sort_key)]
 
     if isinstance(p, Case):
         out = []
@@ -344,7 +336,7 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs, recv=None):
             if inst.entails(env, phi):
                 q_frame, q_avoid = open_frame(inst, q, avoid)
                 for lab, pi, tgt in _step(inst, rules, env, q, q_frame, budget,
-                                          q_avoid, msgs, recv):
+                                          q_avoid):
                     out.append((lab, prov_pushdown(pi), tgt))
         return out
 
@@ -352,7 +344,7 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs, recv=None):
         fresh, (body_frame,) = frame.name, frame.parts
         out = []
         for lab, pi, tgt in _step(inst, rules, env, frame.body, body_frame, budget,
-                                  avoid, msgs, recv):
+                                  avoid):
             if fresh not in support(lab):
                 out.append((lab, prov_scope((fresh,), pi), Res(fresh, tgt)))
             elif (isinstance(lab, OutLabel)
@@ -370,7 +362,7 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs, recv=None):
         u_frame, u_avoid = open_frame(inst, unfolded, avoid)
         out = []
         for lab, pi, tgt in _step(inst, rules, env, unfolded, u_frame, budget - 1,
-                                  u_avoid, msgs, recv):
+                                  u_avoid):
             out.append((lab, prov_pushdown(pi), tgt))
         return out
 
@@ -379,8 +371,8 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs, recv=None):
         f_l, f_r = frame.parts
         env_l = inst.compose(f_r.assertion, env)
         env_r = inst.compose(f_l.assertion, env)
-        left_trans = _step(inst, rules, env_l, left, f_l, budget, avoid, msgs, recv)
-        right_trans = _step(inst, rules, env_r, right, f_r, budget, avoid, msgs, recv)
+        left_trans = _step(inst, rules, env_l, left, f_l, budget, avoid)
+        right_trans = _step(inst, rules, env_r, right, f_r, budget, avoid)
 
         # the opened sibling binders must be fresh for the conclusion label:
         # premise transitions mentioning them feed Com only
@@ -395,58 +387,56 @@ def _step(inst, rules, env, p, frame, budget, avoid, msgs, recv=None):
             if support(lab) & b_l_set:
                 continue
             out.append((lab, prov_scope(b_l, pi), Par(left, tgt)))
-        if recv is not None:
-            return out
 
         three_way = (inst.compose(env, inst.compose(f_l.assertion, f_r.assertion))
                      if rules.legacy else None)
-        out.extend(_coms(inst, rules, three_way, right, left_trans, f_l, f_r, env_r,
-                         budget, avoid, msgs, swapped=False))
-        out.extend(_coms(inst, rules, three_way, left, right_trans, f_r, f_l, env_l,
-                         budget, avoid, msgs, swapped=True))
+        out.extend(_coms(inst, rules, three_way, left_trans, right_trans, f_l, f_r,
+                         swapped=False))
+        out.extend(_coms(inst, rules, three_way, right_trans, left_trans, f_r, f_l,
+                         swapped=True))
         return out
 
     raise TypeError(f"not a process: {p!r}")
 
 
-def _coms(inst, rules, three_way, receiver, sender_trans, f_send, f_recv, env_recv,
-          budget, avoid, msgs, swapped):
-    """Com instances with the sender's premises ``sender_trans`` outputting
-    and ``receiver`` inputting; ``f_send`` and ``f_recv`` are their opened
-    frames.  ``three_way`` is the assertion Com-Old checks connectivity
-    under (None for the provenance rules)."""
+def _coms(inst, rules, three_way, sender_trans, receiver_trans, f_send, f_recv,
+          swapped):
+    """Com instances joining the sender's output premises ``sender_trans``
+    with the receiver's input premises ``receiver_trans``; ``f_send`` and
+    ``f_recv`` are their opened frames.  The receiver's target receives the
+    match of its pattern against the sent message.  ``three_way`` is the
+    assertion Com-Old checks connectivity under (None for the provenance
+    rules)."""
+    ins = [t for t in receiver_trans if isinstance(t[0], _LateIn)]
+    if not ins:
+        return []
     out = []
     for lab, pi, s_tgt in sender_trans:
         if not isinstance(lab, OutLabel):
             continue
-        avoid2 = avoid | names_of(lab, s_tgt)
-        if rules.legacy:
-            k_open = None  # the receiver may use any of its label subjects
-        else:
-            k_open, avoid2 = _open_prov(pi, f_send.binders, avoid2)
-            if k_open is None:
-                continue
-        for lab2, pi2, r_tgt in _step(inst, rules, env_recv, receiver, f_recv, budget,
-                                      avoid2, msgs, (k_open, lab.obj)):
+        k_open = None if rules.legacy else _open_prov(pi, f_send.binders)
+        for lab2, pi2, r_tgt in ins:
             if rules.legacy:
+                # the receiver may use any of its label subjects
                 if not inst.entails(three_way, inst.conn(lab.subject, lab2.subject)):
                     continue
-            else:
-                m_open, _ = _open_prov(pi2, f_recv.binders, avoid2 | names_of(lab2, r_tgt))
-                if m_open is None or m_open != lab.subject:
-                    continue
-            pair = Par(r_tgt, s_tgt) if swapped else Par(s_tgt, r_tgt)
-            out.append((TAU, BOT, res(lab.extruded, pair)))
+            # None, where the sender's term cannot be opened, is no subject
+            elif (lab2.subject != k_open
+                  or _open_prov(pi2, f_recv.binders) != lab.subject):
+                continue
+            for ts in inst.match_pattern(lab2.variables, lab2.pattern, lab.obj):
+                received = subst_process(inst, r_tgt, Subst.of(lab2.variables, ts))
+                pair = Par(received, s_tgt) if swapped else Par(s_tgt, received)
+                out.append((TAU, BOT, res(lab.extruded, pair)))
     return out
 
 
-def _open_prov(pi, frame_binders, avoid):
-    """The provenance term with outer binders aligned to the opened frame
-    binders (positionally) and inner binders opened fresh."""
-    if isinstance(pi, Bot) or len(pi.outer) != len(frame_binders):
-        return None, avoid
-    m = dict(zip(pi.outer, frame_binders))
-    fresh, avoid = mint_many(avoid, len(pi.inner), "y")
-    m.update(zip(pi.inner, fresh))
-    return rename(m, pi.term), avoid
-
+def _open_prov(pi, frame_binders):
+    """The provenance term with its outer binders renamed, positionally, to
+    the opened frame binders; None where they do not align, or where the
+    term mentions an inner binder, which, opened fresh, could equal no label
+    subject."""
+    if (isinstance(pi, Bot) or len(pi.outer) != len(frame_binders)
+            or not support(pi.term).isdisjoint(pi.inner)):
+        return None
+    return rename(dict(zip(pi.outer, frame_binders)), pi.term)

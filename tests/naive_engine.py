@@ -12,7 +12,7 @@ Only used to cross-check the engine on small terms.
 
 import itertools
 
-from psiwb.nominal import canonical, mint, mint_many, names_of, rename, support
+from psiwb.nominal import atoms, canonical, mint, mint_many, names_of, rename, support
 from psiwb.params import Subst
 from psiwb.process import (Assert, Bang, Case, Input, Nil, Output, Par, Res,
                            opened_frame, res, subst_process)
@@ -22,7 +22,9 @@ from psiwb.semantics import BOT, ErasedTransition, InLabel, OutLabel, TAU
 def naive_transitions(inst, psi, proc, fuel):
     ctx = names_of(psi, proc)
     base_msgs = inst.message_basis(ctx)
-    raw = _derive(inst, psi, proc, fuel, ctx | names_of(base_msgs), base_msgs)
+    # opening must also steer clear of the source's bound atoms
+    raw = _derive(inst, psi, proc, fuel, ctx | atoms(proc) | names_of(base_msgs),
+                  base_msgs)
     return frozenset(canonical(ErasedTransition(psi, proc, lab, tgt))
                      for lab, _prov, tgt in raw)
 

@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from psiwb.nominal import (MINT_BASE, Name, Permutation, _CanonState, _canon,
-                           alpha_eq, apply_perm, canonical, fresh_name,
+                           alpha_eq, apply_perm, atoms, canonical, fresh_name,
                            mint, support, swap)
 from psiwb.process import NIL, Assert, Input, Output, Par, Res
 from psiwb.semantics import OutLabel
@@ -121,6 +121,15 @@ def test_alpha_ineq_ordered_binder_sequences():
     assert alpha_eq(Prov((x,), (y,), m), Prov((a,), (b,), (a, b)))
 
 
+def test_atoms_include_binders_and_walk_deep_terms():
+    p = Res(x, Input(a, (y,), y, Output(x, y, NIL)))
+    assert atoms(p) == {a, x, y}
+    deep = Output(a, b, NIL)
+    for _ in range(5000):
+        deep = Output(a, c, deep)
+    assert atoms(deep) == {a, b, c}
+
+
 def test_input_binds_pattern_variables():
     p1 = Input(a, (x,), x, out(b, x))
     p2 = Input(a, (y,), y, out(b, y))
@@ -180,7 +189,7 @@ def test_fresh_name_never_in_avoid(avoid):
 
 def test_forked_canon_state_does_not_write_through():
     s1, s2 = Name(MINT_BASE + 1), Name(MINT_BASE + 2)
-    state = _CanonState(frozenset())
+    state = _CanonState()
     first = _canon(s1, {}, state)
     state.new_binder("b")
     child = state.fork()

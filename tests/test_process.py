@@ -224,6 +224,16 @@ def test_subst_renames_binder_clear_of_bound_atoms():
     assert alpha_eq(subst_process(pi, p, Subst.of((x,), (y,))), p)
 
 
+def test_subst_returns_term_missing_the_domain_unchanged():
+    # no free x: not even the clashing binder y is renamed, and the very
+    # object comes back; a free x below one Par side leaves the other alone
+    p = Res(y, Input(b, (x,), x, Output(y, x, NIL)))
+    assert subst_process(pi, p, Subst.of((x,), (y,))) is p
+    q = Par(p, Output(x, a, NIL))
+    got = subst_process(pi, q, Subst.of((x,), (b,)))
+    assert got.left is p and got.right == Output(b, a, NIL)
+
+
 # -- sums ----------------------------------------------------------------------
 
 def test_desugar_sum_builds_case():

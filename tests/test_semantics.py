@@ -5,7 +5,7 @@ import pytest
 
 from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, canonical,
                            fresh_name, names_of, swap)
-from psiwb.params import (EtherInstance, PiInstance, PreorderInstance,
+from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
                           TriangleInstance)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
                            opened_frame, par)
@@ -293,11 +293,15 @@ def ether_copies(n, right=False):
     return spine([ether_P(), ether_Q()] * n, right)
 
 
-# the channel enumerators offer the sibling's bound c as an output subject,
-# which Par's freshness side condition must drop.  The ether spines hand
-# opened frames down several Par levels, one of them through a component
-# whose frame nests a restriction inside another.
-SIBLING_BINDER_CASES = {
+# In triangle and ether the channel enumerators offer the sibling's bound c
+# as an output subject, which Par's freshness side condition must drop.  The
+# ether spines hand opened frames down several Par levels, one of them
+# through a component whose frame nests a restriction inside another.  The
+# pi case binds the first mint atom but one below a restriction, which
+# opening the root restriction must steer clear of.
+ORACLE_CASES = {
+    "pi": [Res(c, Input(a, (x,), x, Res(Name(MINT_BASE + 1), Output(
+        c, Name(MINT_BASE + 1), NIL))))],
     "triangle": [Par(Res(c, Assert(frozenset({(a, c)}))), Output(a, a, NIL))],
     "ether": [Par(Res(c, Assert(frozenset({a, c}))), Output(a, a, NIL)),
               ether_copies(2), ether_copies(2, right=True),
@@ -315,7 +319,7 @@ def test_agreement_with_naive_oracle(inst):
     rng = random.Random(6)
     cases = [(inst.random_assertion(rng, (a, b)), p)
              for p in corpus(inst, rng, 25, size=6, names=(a, b))]
-    cases += [(inst.unit, p) for p in SIBLING_BINDER_CASES.get(inst.name, ())]
+    cases += [(inst.unit, p) for p in ORACLE_CASES.get(inst.name, ())]
     for env, p in cases:
         got = erase_provenance(transitions(inst, env, p, fuel=2))
         want = naive_transitions(inst, env, p, fuel=2)
@@ -381,10 +385,82 @@ def test_root_restriction_opened_clear_of_bound_mint_atoms():
         assert ts and all(alpha_eq(t.target, want) for t in ts)
 
 
+def test_step_runs_once_per_node(monkeypatch):
+    # Com joins the premises Par already derived: a 50-wide Par of outputs
+    # has 50 leaves and 49 Par nodes, and no receiver is derived again
+    from psiwb import semantics
+    calls = []
+    original = semantics._step
+
+    def counting_step(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(semantics, "_step", counting_step)
+    names = [fresh_name((), "k") for _ in range(50)]
+    ts = transitions(pi, pi.unit, par(*(Output(n, n, NIL) for n in names)))
+    assert len(ts) == 50
+    assert len(calls) == 99
+
+
+def test_com_between_case_branches_that_open_the_same_atom():
+    # each side opens its case branch's restriction against the same avoid
+    # set, so s and z become one scratch atom; receiving s must not capture z
+    from psiwb.reduction import harmony_check
+    s, w = fresh_name((), "s"), fresh_name((), "w")
+    send = Case(((PiEq(a, a), Res(s, Output(a, s, NIL))),))
+    recv = Case(((PiEq(a, a), Res(z, Input(a, (x,), x, Output(x, z, NIL)))),))
+    p = Par(send, recv)
+    (t,) = taus(transitions(pi, pi.unit, p))
+    assert alpha_eq(t.target, Res(w, Par(NIL, Res(z, Output(w, z, NIL)))))
+    assert harmony_check(pi, p).ok
+
+
+HUB = fresh_name((), "hub")
+
+
+class _HubPi(PiInstance):
+    """pi plus one hub name that every name may send to and receive from.
+    ``out_channels`` is complete, but ``in_channels`` cannot list every name
+    and offers the hub only the hub.  That lets an output on a restricted
+    channel keep a subject, the hub, while its provenance term is the bound
+    channel; under enumerators that are complete no premise has such a
+    term."""
+
+    name = "hub"
+
+    def entails(self, psi, phi):
+        return super().entails(psi, phi) or (
+            isinstance(phi, PiEq) and HUB in (phi.left, phi.right))
+
+    def out_channels(self, psi, term):
+        return frozenset((term, HUB))
+
+    in_channels = out_channels
+
+
+def test_provenance_term_naming_an_inner_binder_meets_no_subject():
+    # the sender's provenance term is the bound s, demoted to an inner binder
+    # by case or replication: no receiving subject the enumerators give can
+    # be s, so the provenance rules make no Com, as in the naive oracle;
+    # Com-Old sees hub -> hub
+    hub = _HubPi()
+    s = fresh_name((), "s")
+    recv = Input(HUB, (x,), x, NIL)
+    for send in (Case(((PiEq(a, a), Res(s, Output(s, a, NIL))),)),
+                 Bang(Res(s, Output(s, a, NIL)))):
+        p = Par(send, recv)
+        ts = transitions(hub, hub.unit, p, fuel=1)
+        assert not taus(ts)
+        assert any(isinstance(t.label, OutLabel) and t.prov.inner for t in ts)
+        assert erase_provenance(ts) == naive_transitions(hub, hub.unit, p, fuel=1)
+        assert taus(legacy_transitions(hub, hub.unit, p, fuel=1))
+
+
 def test_frames_opened_once_per_query(monkeypatch):
     # one opening at the root covers every restriction on the Par spine, and
-    # the Com partner search reuses it: the 8 restrictions of 4 ether-example
-    # copies need 8 atoms, plus the message basis's one
+    # Com reuses it: the 8 restrictions of 4 ether-example copies need 8
+    # atoms, plus the message basis's one and one per input variable
     from psiwb import (corpus as corpus_mod, nominal, params, process, reduction,
                        semantics)
     minted = []
