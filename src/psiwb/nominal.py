@@ -35,10 +35,11 @@ the state for each value: the fork continues exactly the numbering a
 traversal of the whole value would give.
 
 Atom ids live in disjoint bands.  User atoms are non-negative and come from
-a global counter.  The engine itself never touches that counter: it mints
-deterministic scratch atoms from MINT_BASE upwards given an avoid set, which
-keeps enumeration results reproducible across calls.  Canonicalisation maps
-binders into one negative band and free scratch atoms into another.
+a global counter, which the engine never touches: each query ``mint``s its
+scratch atoms from one ``Fresh`` supply over its inputs, which counts up from
+above their every MINT-band atom, so its atoms are fresh and reproducible.
+Canonicalisation maps binders into one negative band and free scratch atoms
+into another.
 """
 
 from __future__ import annotations
@@ -91,22 +92,30 @@ def fresh_name(avoid=(), hint: str = "n") -> Name:
             return n
 
 
-def mint(avoid, hint: str = "f") -> Name:
-    """Deterministic scratch atom: the first MINT-band id not in ``avoid``."""
-    k = 0
-    while Name(MINT_BASE + k) in avoid:
-        k += 1
-    return Name(MINT_BASE + k, hint)
+class Fresh:
+    """A supply of scratch atoms fresh for ``values``: ids count up from
+    above every MINT-band atom of the values, bound ones included.  The
+    values are read at the first draw, so a supply never drawn from never
+    walks them."""
+
+    def __init__(self, *values):
+        self.values, self.next_id = values, None
 
 
-def mint_many(avoid, n: int, hint: str = "f"):
-    out = []
-    avoid = set(avoid)
-    for _ in range(n):
-        a = mint(avoid, hint)
-        avoid.add(a)
-        out.append(a)
-    return tuple(out), frozenset(avoid)
+def mint(fresh: Fresh, hint: str = "f") -> Name:
+    """The next atom of the supply ``fresh``."""
+    if fresh.next_id is None:
+        fresh.next_id = max((n.id + 1 for v in fresh.values for n in atoms(v)
+                             if n.id >= MINT_BASE), default=MINT_BASE)
+        fresh.values = None
+    n = Name(fresh.next_id, hint)
+    fresh.next_id += 1
+    return n
+
+
+def mint_many(fresh: Fresh, n: int, hint: str = "f"):
+    """The next ``n`` atoms of the supply ``fresh``."""
+    return tuple(mint(fresh, hint) for _ in range(n))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nominal import Name, fresh_name, map_atoms, mint, support
+from .nominal import Fresh, Name, fresh_name, map_atoms, mint, support
 
 
 class SubstError(ValueError):
@@ -208,7 +208,7 @@ class _NameTermMixin:
         return ()
 
     def message_basis(self, ctx):
-        rep = mint(ctx, "m")
+        rep = mint(Fresh(ctx), "m")
         return tuple(_sorted_names(support(frozenset(ctx)))) + (rep,)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nominal import Name, atoms, mint, mint_many, names_of, rename, support
+from .nominal import Fresh, Name, mint, mint_many, names_of, rename, support
 from .params import CalculusInstance, Subst
 
 
@@ -203,81 +203,79 @@ class OpenedFrame:
         self.body = body
 
 
-def open_frame(inst: CalculusInstance, p: Process, avoid: frozenset):
-    """The opened frame of ``p`` and ``avoid`` extended with the atoms it
-    opened.  Each binder is minted deterministically, fresh for ``avoid``
-    and for every binder opened before it, in syntactic order."""
+def open_frame(inst: CalculusInstance, p: Process, fresh: Fresh) -> OpenedFrame:
+    """The opened frame of ``p``, each binder opened, in syntactic order, to
+    the next atom of the supply ``fresh``."""
     if isinstance(p, Assert):
-        return OpenedFrame((), p.assertion), avoid
+        return OpenedFrame((), p.assertion)
     if isinstance(p, Par):
-        left, avoid = open_frame(inst, p.left, avoid)
-        right, avoid = open_frame(inst, p.right, avoid)
+        left = open_frame(inst, p.left, fresh)
+        right = open_frame(inst, p.right, fresh)
         return OpenedFrame(left.binders + right.binders,
                            inst.compose(left.assertion, right.assertion),
-                           (left, right)), avoid
+                           (left, right))
     if isinstance(p, Res):
-        fresh = mint(avoid, p.name.hint or "b")
-        body = rename({p.name: fresh}, p.body)
-        inner, avoid = open_frame(inst, body, avoid | {fresh})
-        return OpenedFrame((fresh,) + inner.binders, inner.assertion, (inner,),
-                           fresh, body), avoid
-    return OpenedFrame((), inst.unit), avoid
+        name = mint(fresh, p.name.hint or "b")
+        body = rename({p.name: name}, p.body)
+        inner = open_frame(inst, body, fresh)
+        return OpenedFrame((name,) + inner.binders, inner.assertion, (inner,),
+                           name, body)
+    return OpenedFrame((), inst.unit)
 
 
 def opened_frame(inst: CalculusInstance, p: Process, avoid):
-    """The frame of ``p`` with every binder opened to a deterministic mint
-    atom.  Returns (binders, assertion, extended avoid).  The binder order
-    is the syntactic order, matching the provenance invariant."""
-    f, avoid = open_frame(inst, p, frozenset(avoid))
-    return f.binders, f.assertion, avoid
+    """The frame of ``p`` with every binder opened to a scratch atom fresh
+    for ``avoid`` and ``p``.  Returns (binders, assertion, ``avoid`` extended
+    with the binders).  The binder order is the syntactic order, matching
+    the provenance invariant."""
+    f = open_frame(inst, p, Fresh(tuple(avoid), p))
+    return f.binders, f.assertion, frozenset(avoid).union(f.binders)
 
 
 # ---------------------------------------------------------------------------
 # Substitution on processes
 
 
-def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, avoid=None) -> Process:
+def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, fresh=None) -> Process:
     """Capture-avoiding simultaneous substitution; binders clashing with the
-    substitution's names are freshened before descending, to an atom fresh
-    for every atom of their scope, bound ones included.  A subterm with no
-    free name in the substitution's domain is returned as it is."""
+    substitution's names are freshened before descending, to atoms of one
+    supply over ``p`` and ``sigma``, built at the outermost call.  A subterm
+    with no free name in the substitution's domain is returned as it is."""
     if support(p).isdisjoint(sigma.domain):
         return p
-    if avoid is None:
-        avoid = support(p) | names_of(*(t for _, t in sigma.pairs)) | sigma.domain
+    if fresh is None:
+        fresh = Fresh(p, sigma)
     if isinstance(p, Assert):
         return Assert(inst.subst_assertion(p.assertion, sigma))
     if isinstance(p, Output):
         return Output(inst.subst_term(p.channel, sigma),
                       inst.subst_term(p.message, sigma),
-                      subst_process(inst, p.cont, sigma, avoid))
+                      subst_process(inst, p.cont, sigma, fresh))
     if isinstance(p, Input):
         ch = inst.subst_term(p.channel, sigma)
         pat, cont, variables = p.pattern, p.cont, p.variables
         clash = [v for v in variables if v in names_of(sigma.pairs)]
         if clash:
-            fresh, avoid = mint_many(avoid | atoms((pat, cont)), len(clash), "v")
-            m = dict(zip(clash, fresh))
+            m = dict(zip(clash, mint_many(fresh, len(clash), "v")))
             variables = tuple(m.get(v, v) for v in variables)
             pat, cont = rename(m, pat), rename(m, cont)
         return Input(ch, variables, inst.subst_term(pat, sigma),
-                     subst_process(inst, cont, sigma, avoid))
+                     subst_process(inst, cont, sigma, fresh))
     if isinstance(p, Case):
         return Case(tuple((inst.subst_condition(phi, sigma),
-                           subst_process(inst, q, sigma, avoid))
+                           subst_process(inst, q, sigma, fresh))
                           for phi, q in p.branches))
     if isinstance(p, Par):
-        return Par(subst_process(inst, p.left, sigma, avoid),
-                   subst_process(inst, p.right, sigma, avoid))
+        return Par(subst_process(inst, p.left, sigma, fresh),
+                   subst_process(inst, p.right, sigma, fresh))
     if isinstance(p, Res):
         name, body = p.name, p.body
         if name in names_of(sigma.pairs):
-            fresh = mint(avoid | atoms(body), name.hint or "b")
-            body = rename({name: fresh}, body)
-            name, avoid = fresh, avoid | {fresh}
-        return Res(name, subst_process(inst, body, sigma, avoid))
+            name = mint(fresh, name.hint or "b")
+            body = rename({p.name: name}, body)
+        return Res(name, subst_process(inst, body, sigma, fresh))
     if isinstance(p, Bang):
-        return Bang(subst_process(inst, p.body, sigma, avoid))
+        return Bang(subst_process(inst, p.body, sigma, fresh))
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -285,17 +283,16 @@ def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, avoid=None) 
 # Hoisting
 
 
-def hoist(p: Process, avoid):
+def hoist(p: Process, fresh: Fresh, taken: set):
     """Hoist the restrictions on the Par/Res spine of ``p`` outward.
 
-    Returns the hoisted binders (outermost first), the unguarded assertions,
-    the other components, all in pre-order, left before right, and ``avoid``
-    extended with the binders.  A binder already in ``avoid`` is renamed in
-    its body to a deterministic mint atom fresh for ``avoid`` and for every
-    atom of the body, bound ones included; the others keep their names.
-    Walks with an explicit stack, so neither depth nor width meets the
-    recursion limit."""
-    avoid = set(avoid)
+    Returns the hoisted binders (outermost first), the unguarded assertions
+    and the other components, all in pre-order, left before right.  A binder
+    keeps its name unless ``taken`` (the free names in scope and the binders
+    hoisted before) already holds it; then it is renamed in its body to the
+    next atom of ``fresh``, a supply over a process that contains ``p``.
+    Each hoisted binder is added to ``taken``.  Walks with an explicit stack, so
+    neither depth nor width meets the recursion limit."""
     binders, asserts, comps = [], [], []
     todo = [p]
     while todo:
@@ -308,15 +305,15 @@ def hoist(p: Process, avoid):
             todo += (q.right, q.left)
         elif isinstance(q, Res):
             name, body = q.name, q.body
-            if name in avoid:
-                name = mint(avoid | atoms(body), name.hint or "b")
+            if name in taken:
+                name = mint(fresh, name.hint or "b")
                 body = rename({q.name: name}, body)
-            avoid.add(name)
+            taken.add(name)
             binders.append(name)
             todo.append(body)
         else:
             comps.append(q)
-    return tuple(binders), tuple(asserts), comps, frozenset(avoid)
+    return tuple(binders), tuple(asserts), comps
 
 
 class SumUnavailable(ValueError):

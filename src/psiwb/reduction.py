@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nominal import Name, canonical, field_names, sort_key, support
+from .nominal import Fresh, Name, canonical, field_names, sort_key, support
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, NIL, Output, Par, Process,
                       assertion_guarded, check_well_formed, hoist, par, res,
@@ -76,25 +76,19 @@ class _BangN:
     copies: tuple  # tuple[_ParN, ...]; copy i (from 0) costs i + 1 unfoldings
 
 
-def _expand(p, fuel, avoid):
-    binders, asserts, comps, avoid = hoist(p, avoid)
+def _expand(p, fuel, fresh, taken):
+    binders, asserts, comps = hoist(p, fresh, taken)
     children = []
     for q in comps:
         if isinstance(q, Case):
-            subs = []
-            for phi, body in q.branches:
-                node, avoid = _expand(body, fuel, avoid)
-                subs.append((phi, node))
-            children.append(_CaseN(q, tuple(subs)))
+            children.append(_CaseN(q, tuple((phi, _expand(body, fuel, fresh, taken))
+                                            for phi, body in q.branches)))
         elif isinstance(q, Bang):
-            copies = []
-            for _ in range(fuel):
-                node, avoid = _expand(q.body, fuel, avoid)
-                copies.append(node)
-            children.append(_BangN(q, tuple(copies)))
+            copies = tuple(_expand(q.body, fuel, fresh, taken) for _ in range(fuel))
+            children.append(_BangN(q, copies))
         else:
             children.append(q)
-    return _ParN(p, binders, asserts, tuple(children)), avoid
+    return _ParN(p, binders, asserts, tuple(children))
 
 
 def _positions(node, path=(), guards=(), cost=0):
@@ -160,7 +154,7 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
     """All reduction steps licensed by Struct, Scope and Ctxt, with at most
     ``fuel`` replication copies along any position's path."""
     check_well_formed(p)
-    root, _ = _expand(p, fuel, support(p))
+    root = _expand(p, fuel, Fresh(p), set(support(p)))
     env = inst.unit
     for a in root.asserts:
         env = inst.compose(env, a)
@@ -210,7 +204,7 @@ def congruence_key(inst: CalculusInstance, p: Process):
 
 
 def _cnorm(p):
-    binders, asserts, comps, _ = hoist(p, support(p))
+    binders, asserts, comps = hoist(p, Fresh(p), set(support(p)))
     parts = [Assert(a) for a in asserts] + comps
     parts.sort(key=lambda q: (sort_key(canonical(q)), sort_key(q)))
     body = par(*parts)

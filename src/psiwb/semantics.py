@@ -34,13 +34,14 @@ the provenance, which the engine computes all the same.  The private
 ``_Rules`` value that carries these differences is threaded through the
 derivation.
 
-Every binder is opened to a deterministic scratch atom, minted against an
-avoid set that includes everything in scope, so opening needs no freshness
-check.  Inputs are late (Milner, Parrow & Walker, 1992): an input premise
-opens its pattern variables to such atoms, free in its target, and Com
-instantiates them by matching the pattern against the sender's message; an
-input still open at the root receives every message of the instance's
-message basis.
+Every binder is opened to a scratch atom of the query's one supply
+(``nominal.Fresh`` over the environment, the source and the message basis),
+fresh for everything in scope and for every other atom opened, so opening
+needs no freshness check.  Inputs are late (Milner, Parrow & Walker, 1992):
+an input premise opens its pattern variables to such atoms, free in its
+target, and Com instantiates them by matching the pattern against the
+sender's message; an input still open at the root receives every message of
+the instance's message basis.
 
 All results are alpha-canonicalised and deduplicated, which also makes the
 enumeration reproducible: scratch atoms never leak identity.
@@ -60,7 +61,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .nominal import (_canon, _CanonState, atoms, mint_many, names_of, rename,
+from .nominal import (_canon, _CanonState, Fresh, mint_many, names_of, rename,
                       sort_key, support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, Output, Par, Process,
@@ -288,12 +289,11 @@ def _derive(inst, rules, psi, proc, fuel):
     """Raw (label, provenance, target) triples of ``proc`` under ``psi``; an
     input still open at the root receives every message of the basis."""
     check_well_formed(proc)
-    ctx0 = names_of(psi, proc)
-    msgs = inst.message_basis(ctx0)
-    # the source's bound atoms too, or opening a restriction could capture one
-    frame, avoid0 = open_frame(inst, proc, ctx0 | atoms(proc) | names_of(msgs))
+    msgs = inst.message_basis(names_of(psi, proc))
+    fresh = Fresh(psi, proc, msgs)
     out = []
-    for lab, pi, tgt in _step(inst, rules, psi, proc, frame, fuel, avoid0):
+    for lab, pi, tgt in _step(inst, rules, psi, proc, open_frame(inst, proc, fresh),
+                              fuel, fresh):
         if not isinstance(lab, _LateIn):
             out.append((lab, pi, tgt))
             continue
@@ -304,10 +304,10 @@ def _derive(inst, rules, psi, proc, fuel):
     return out
 
 
-def _step(inst, rules, env, p, frame, budget, avoid):
+def _step(inst, rules, env, p, frame, budget, fresh):
     """Raw (label, provenance, target) triples for one process, with every
     input late (a ``_LateIn`` label).  ``frame`` is the opened frame of ``p``
-    (``open_frame``); ``avoid`` already holds every atom it opened."""
+    (``open_frame``); ``fresh`` is the query's supply, which opened it."""
     if isinstance(p, (Nil, Assert)):
         return []
 
@@ -322,7 +322,7 @@ def _step(inst, rules, env, p, frame, budget, avoid):
         if variables:
             # opened fresh for every atom in scope, so the target may hold
             # them free until Com or the root instantiates them
-            opened, _ = mint_many(avoid, len(variables), "x")
+            opened = mint_many(fresh, len(variables), "x")
             m = dict(zip(variables, opened))
             variables, pattern, cont = opened, rename(m, pattern), rename(m, cont)
         prov = Prov((), (), p.channel)
@@ -331,48 +331,36 @@ def _step(inst, rules, env, p, frame, budget, avoid):
                                 key=sort_key)]
 
     if isinstance(p, Case):
-        out = []
-        for phi, q in p.branches:
-            if inst.entails(env, phi):
-                q_frame, q_avoid = open_frame(inst, q, avoid)
-                for lab, pi, tgt in _step(inst, rules, env, q, q_frame, budget,
-                                          q_avoid):
-                    out.append((lab, prov_pushdown(pi), tgt))
-        return out
+        return [t for phi, q in p.branches if inst.entails(env, phi)
+                for t in _demoted(inst, rules, env, q, budget, fresh)]
 
     if isinstance(p, Res):
-        fresh, (body_frame,) = frame.name, frame.parts
+        name, (body_frame,) = frame.name, frame.parts
         out = []
         for lab, pi, tgt in _step(inst, rules, env, frame.body, body_frame, budget,
-                                  avoid):
-            if fresh not in support(lab):
-                out.append((lab, prov_scope((fresh,), pi), Res(fresh, tgt)))
+                                  fresh):
+            if name not in support(lab):
+                out.append((lab, prov_scope((name,), pi), Res(name, tgt)))
             elif (isinstance(lab, OutLabel)
-                  and fresh not in support(lab.subject)
-                  and fresh in support(lab.obj) - frozenset(lab.extruded)):
-                opened = OutLabel(lab.subject, (fresh,) + lab.extruded, lab.obj)
-                out.append((opened, prov_scope((fresh,), pi), tgt))
+                  and name not in support(lab.subject)
+                  and name in support(lab.obj) - frozenset(lab.extruded)):
+                opened = OutLabel(lab.subject, (name,) + lab.extruded, lab.obj)
+                out.append((opened, prov_scope((name,), pi), tgt))
             # otherwise the name escapes through the subject: no rule applies
         return out
 
     if isinstance(p, Bang):
         if budget <= 0:
             return []
-        unfolded = Par(p.body, p)
-        u_frame, u_avoid = open_frame(inst, unfolded, avoid)
-        out = []
-        for lab, pi, tgt in _step(inst, rules, env, unfolded, u_frame, budget - 1,
-                                  u_avoid):
-            out.append((lab, prov_pushdown(pi), tgt))
-        return out
+        return _demoted(inst, rules, env, Par(p.body, p), budget - 1, fresh)
 
     if isinstance(p, Par):
         left, right = p.left, p.right
         f_l, f_r = frame.parts
         env_l = inst.compose(f_r.assertion, env)
         env_r = inst.compose(f_l.assertion, env)
-        left_trans = _step(inst, rules, env_l, left, f_l, budget, avoid)
-        right_trans = _step(inst, rules, env_r, right, f_r, budget, avoid)
+        left_trans = _step(inst, rules, env_l, left, f_l, budget, fresh)
+        right_trans = _step(inst, rules, env_r, right, f_r, budget, fresh)
 
         # the opened sibling binders must be fresh for the conclusion label:
         # premise transitions mentioning them feed Com only
@@ -397,6 +385,15 @@ def _step(inst, rules, env, p, frame, budget, avoid):
         return out
 
     raise TypeError(f"not a process: {p!r}")
+
+
+def _demoted(inst, rules, env, q, budget, fresh):
+    """The premises of a Case branch or replication unfolding ``q``, which
+    no enclosing opening covers: its frame is opened here, and its frame
+    binders are demoted to the provenance's inner sequence."""
+    return [(lab, prov_pushdown(pi), tgt)
+            for lab, pi, tgt in _step(inst, rules, env, q, open_frame(inst, q, fresh),
+                                      budget, fresh)]
 
 
 def _coms(inst, rules, three_way, sender_trans, receiver_trans, f_send, f_recv,

@@ -12,7 +12,8 @@ Only used to cross-check the engine on small terms.
 
 import itertools
 
-from psiwb.nominal import atoms, canonical, mint, mint_many, names_of, rename, support
+from psiwb.nominal import (Fresh, atoms, canonical, mint, mint_many, names_of, rename,
+                           support)
 from psiwb.params import Subst
 from psiwb.process import (Assert, Bang, Case, Input, Nil, Output, Par, Res,
                            opened_frame, res, subst_process)
@@ -52,7 +53,7 @@ def _derive(inst, env, p, budget, avoid, msgs):
                     out.append((lab, ((), o + i, m), tgt))
         return out
     if isinstance(p, Res):
-        fresh = mint(avoid, "nb")
+        fresh = mint(Fresh(tuple(avoid)), "nb")
         body = rename({p.name: fresh}, p.body)
         out = []
         for lab, (o, i, m), tgt in _derive(inst, env, body, budget,
@@ -100,7 +101,8 @@ def _naive_com(inst, env, sender, receiver, b_s, b_r, psi_s, psi_r, budget,
         if len(o) != len(b_s):
             continue
         avoid2 = avoid | names_of(lab, s_tgt)
-        temps, avoid2 = mint_many(avoid2, len(i), "t")
+        temps = mint_many(Fresh(tuple(avoid2)), len(i), "t")
+        avoid2 = avoid2 | frozenset(temps)
         k_open = rename(dict(list(zip(o, b_s)) + list(zip(i, temps))), m)
         # receiver gets the payload added to its message basis
         msgs2 = tuple(msgs) + (lab.obj,)
@@ -110,7 +112,7 @@ def _naive_com(inst, env, sender, receiver, b_s, b_r, psi_s, psi_r, budget,
         for lab2, (o2, i2, m2), r_tgt in ins:
             if lab2.obj != lab.obj or lab2.subject != k_open or len(o2) != len(b_r):
                 continue
-            temps2, _ = mint_many(avoid2 | names_of(lab2, r_tgt), len(i2), "t")
+            temps2 = mint_many(Fresh(tuple(avoid2 | names_of(lab2, r_tgt))), len(i2), "t")
             m_open = rename(dict(list(zip(o2, b_r)) + list(zip(i2, temps2))), m2)
             if m_open != lab.subject:
                 continue

@@ -1,9 +1,9 @@
 import hypothesis.strategies as st
 from hypothesis import given
 
-from psiwb.nominal import (MINT_BASE, Name, Permutation, _CanonState, _canon,
-                           alpha_eq, apply_perm, atoms, canonical, fresh_name,
-                           mint, support, swap)
+from psiwb.nominal import (MINT_BASE, Fresh, Name, Permutation, _CanonState,
+                           _canon, alpha_eq, apply_perm, atoms, canonical,
+                           fresh_name, mint, mint_many, rename, support, swap)
 from psiwb.process import NIL, Assert, Input, Output, Par, Res
 from psiwb.semantics import OutLabel
 
@@ -30,10 +30,30 @@ def test_fresh_name_avoids():
 
 def test_mint_deterministic():
     avoid = frozenset({a, b})
-    assert mint(avoid) == mint(avoid)
-    m1 = mint(avoid)
-    m2 = mint(avoid | {m1})
+    assert mint(Fresh(avoid)) == mint(Fresh(avoid))
+    m1 = mint(Fresh(avoid))
+    m2 = mint(Fresh(avoid | {m1}))
     assert m1 != m2
+
+
+def test_fresh_atoms_are_distinct_and_clear_of_every_value():
+    # the supply counts above every MINT-band atom of its values, free and
+    # bound: M5 is bound below the restriction, M2 is free in the assertion
+    m2, m5 = Name(MINT_BASE + 2), Name(MINT_BASE + 5)
+    values = (Res(m5, out(a, m5)), Assert(frozenset({m2, b})), Res(x, out(x, c)))
+    fresh = Fresh(*values)
+    drawn = [mint(fresh) for _ in range(3)] + list(mint_many(fresh, 4, "v"))
+    assert len(set(drawn)) == len(drawn)
+    assert not set(drawn) & atoms(values)
+    assert all(n.id > m5.id for n in drawn)
+
+
+def test_fresh_supplies_over_the_same_values_draw_alike():
+    p = Par(Res(x, out(x, Name(MINT_BASE))), out(a, b))
+    first, second = Fresh(p, a), Fresh(p, a)
+    assert mint_many(first, 5) == mint_many(second, 5)
+    assert mint(first) == mint(second)
+    assert mint(Fresh()) == Name(MINT_BASE)
 
 
 def test_single_swap_on_names():
@@ -185,6 +205,15 @@ def test_alpha_eq_is_equivalence(p1, p2, p3):
 @given(st.sets(names, max_size=5))
 def test_fresh_name_never_in_avoid(avoid):
     assert fresh_name(avoid) not in avoid
+
+
+@given(procs(), st.integers(0, 4))
+def test_fresh_atoms_never_in_values(proc, n):
+    # x and y, free or bound, become MINT-band atoms out of order
+    moved = rename({x: Name(MINT_BASE + 3), y: Name(MINT_BASE)}, proc)
+    drawn = mint_many(Fresh(moved, proc), n)
+    assert len(set(drawn)) == n
+    assert not set(drawn) & atoms((moved, proc))
 
 
 def test_forked_canon_state_does_not_write_through():

@@ -1,7 +1,7 @@
 import pytest
 
-from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, fresh_name,
-                           names_of, swap)
+from psiwb.nominal import (MINT_BASE, Fresh, Name, alpha_eq, apply_perm,
+                           fresh_name, names_of, swap)
 from psiwb.params import EtherInstance, PiEq, PiInstance, Subst, TriangleInstance
 from psiwb.process import (NIL, Assert, Bang, Case, IllFormed, Input,
                            Output, Par, Res, SumUnavailable, assertion_guarded,
@@ -162,7 +162,7 @@ def test_frame_equivariant_and_alpha_invariant():
 # -- normal forms: the hoisted binders, the assertions and the rest ----------
 
 def hoisted(p):
-    binders, asserts, comps, _ = hoist(p, names_of(p))
+    binders, asserts, comps = hoist(p, Fresh(p), set(names_of(p)))
     return binders, asserts, par(*comps)
 
 

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from psiwb.nominal import MINT_BASE, Name, fresh_name, support
+from psiwb.nominal import MINT_BASE, Fresh, Name, fresh_name, support
 from psiwb.corpus import random_process, triangle_counterexample_shapes
 from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
                           TriangleInstance)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
-                           hoist)
+                           hoist, par)
 from psiwb.reduction import (congruence_key, derived_par, harmony_check,
                              reductions)
+from psiwb.semantics import TauLabel, legacy_transitions, transitions
 
 a, b, c, x, y, z = (fresh_name((), h) for h in "abcxyz")
 pi = PiInstance()
@@ -41,6 +42,29 @@ def test_pi_handshake_reduces_to_nil():
 def test_triangle_counterexample_has_no_reduction():
     p, _ = triangle_counterexample_shapes(a, b, c)
     assert reductions(tri, p) == frozenset()
+
+
+def preorder_counterexample_shape(a, b, c):
+    """a<a>.0 | c(x).0 | (|{(b,a),(b,c)}|): under the arcs b <= a and b <= c,
+    a and b join and b and c join, but a and c do not."""
+    return par(Output(a, a, NIL), Input(c, (x,), x, NIL),
+               Assert(frozenset({(b, a), (b, c)})))
+
+
+def test_preorder_counterexample_has_only_a_legacy_tau():
+    p = preorder_counterexample_shape(a, b, c)
+    arcs = frozenset({(b, a), (b, c)})
+    assert pre.entails(arcs, pre.conn(a, b)) and pre.entails(arcs, pre.conn(b, c))
+    assert not pre.entails(arcs, pre.conn(a, c))
+
+    def taus(ts):
+        return [t for t in ts if isinstance(t.label, TauLabel)]
+
+    for reorient_in in (False, True):
+        assert len(taus(legacy_transitions(pre, pre.unit, p, reorient_in=reorient_in))) == 1
+    assert taus(transitions(pre, pre.unit, p)) == []
+    assert reductions(pre, p) == frozenset()
+    assert harmony_check(pre, p).ok
 
 
 def test_failed_guard_blocks_reduction():
@@ -152,7 +176,7 @@ def test_hoisting_keeps_same_named_sibling_binders_apart():
     # the two private channels stay distinct and nothing communicates
     p = Par(Res(x, Output(x, a, NIL)), Res(x, Input(x, (y,), y, NIL)))
     shared = Res(x, Par(Output(x, a, NIL), Input(x, (y,), y, NIL)))
-    binders, _, _, _ = hoist(p, support(p))
+    binders, _, _ = hoist(p, Fresh(p), set(support(p)))
     assert len(set(binders)) == 2
     assert reductions(pi, p) == frozenset()
     assert harmony_check(pi, p).ok
@@ -185,7 +209,8 @@ def test_congruence_key_of_binder_bound_again_by_a_mint_atom():
 @pytest.mark.parametrize("inst", [pi, ether, tri, pre], ids=lambda i: i.name)
 def test_harmony_on_corpus(inst):
     rng = random.Random(13)
-    shapes = triangle_counterexample_shapes(a, b, c) if inst is tri else []
+    shapes = {tri: triangle_counterexample_shapes(a, b, c),
+              pre: [preorder_counterexample_shape(a, b, c)]}.get(inst, [])
     count = 0
     for p in shapes + [random_process(inst, rng, rng.randint(2, 7), (a, b, c))
                        for _ in range(60)]:

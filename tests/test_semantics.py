@@ -238,8 +238,8 @@ def _check_lemma(inst, t):
     avoid = names_of(t.env, t.source, t.label, t.prov, t.target)
     bs, psi_p, avoid = opened_frame(inst, t.source, avoid)
     assert len(t.prov.outer) == len(bs), "provenance binders mismatch frame binders"
-    from psiwb.nominal import mint_many, rename
-    temps, _ = mint_many(avoid, len(t.prov.inner), "t")
+    from psiwb.nominal import Fresh, mint_many, rename
+    temps = mint_many(Fresh(tuple(avoid)), len(t.prov.inner), "t")
     k = rename(dict(list(zip(t.prov.outer, bs)) + list(zip(t.prov.inner, temps))),
                t.prov.term)
     env2 = inst.compose(t.env, psi_p)
@@ -326,16 +326,20 @@ def test_agreement_with_naive_oracle(inst):
         assert got == want
 
 
-def test_conservativity_on_pi_small():
-    # pi's channel enumerators are symmetric, so both orientations of In-Old
-    # agree with the provenance rules
+@pytest.mark.parametrize("inst", [pi, ether], ids=lambda i: i.name)
+def test_conservativity_on_small_terms(inst):
+    # pi's and ether's connectivity is symmetric and transitive (checked by
+    # test_connectivity_is_symmetric_and_transitive), so both orientations of
+    # In-Old agree with the provenance rules, under any environment
     rng = random.Random(7)
-    for p in corpus(pi, rng, 40, size=6):
-        for f in (0, 1, 2):
-            new = erase_provenance(transitions(pi, pi.unit, p, fuel=f))
-            for reorient_in in (False, True):
-                old = legacy_transitions(pi, pi.unit, p, fuel=f, reorient_in=reorient_in)
-                assert new == old
+    members = [p for size in (6, 3, 4, 5) for p in corpus(inst, rng, 40, size=size)]
+    for p in members:
+        for psi in (inst.unit, inst.random_assertion(rng, (a, b, c))):
+            for f in (0, 1, 2):
+                new = erase_provenance(transitions(inst, psi, p, fuel=f))
+                for reorient_in in (False, True):
+                    assert new == legacy_transitions(inst, psi, p, fuel=f,
+                                                     reorient_in=reorient_in)
 
 
 def pi_handshakes():
