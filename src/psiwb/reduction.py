@@ -238,7 +238,7 @@ def _first_occurrence_order(value, binders):
                 walk(getattr(v, f))
 
     walk(value)
-    order.extend(b for b in binders if b not in set(order))
+    order.extend(b for b in binders if b in todo)
     return tuple(order)
 
 

@@ -46,14 +46,15 @@ the instance's message basis.
 All results are alpha-canonicalised and deduplicated, which also makes the
 enumeration reproducible: scratch atoms never leak identity.
 
-Every result of one query shares its environment and source, which come
-first in the canonical traversal.  So ``transitions`` and
-``legacy_transitions`` canonicalise ``(psi, proc)`` once and fork the
-canonicalisation state for each raw (label, provenance, target) triple; the
-fork replays exactly the numbering of canonicalising the whole transition,
-so every result equals ``canonical(Transition(psi, proc, ...))``.
-``erase_provenance`` does the same for each group of its input that shares
-an environment and source.
+Every result is canonicalised in one order: environment, source, label,
+target, then provenance.  Every result of one query shares its environment
+and source, so ``transitions`` and ``legacy_transitions`` canonicalise
+``(psi, proc)`` once and fork the canonicalisation state for each raw
+triple; the fork replays exactly the numbering of canonicalising the whole
+transition, so every result equals ``canonical(Transition(psi, proc, ...))``.
+The provenance comes last, so the first four fields of a canonical
+``Transition`` are a canonical ``ErasedTransition``, and
+``erase_provenance`` is a plain projection.
 """
 
 from __future__ import annotations
@@ -131,17 +132,14 @@ class Prov:
     _binders = ("outer", "inner")
 
 
-def _canon_step(label, prov, target, env, st):
-    """Canonicalise (label, provenance, target) in that order under ``st``.
-    An OutLabel's extruded binders scope over its object and the target, not
-    over the provenance.  ``prov`` is None where there is no provenance."""
+def _canon_step(label, target, env, st):
+    """Canonicalise (label, target) in that order under ``st``.  An
+    OutLabel's extruded binders scope over its object and the target."""
     label_c = _canon(label, env, st)
-    if prov is not None:
-        prov = _canon(prov, env, st)
     if isinstance(label, OutLabel):
         env = dict(env)
         env.update(zip(label.extruded, label_c.extruded))
-    return label_c, prov, _canon(target, env, st)
+    return label_c, _canon(target, env, st)
 
 
 def _canon_head(psi, proc):
@@ -198,10 +196,14 @@ class Transition:
                 | (support(self.target) - frozenset(bn(self.label))))
 
     def _canon(self, env, st):
+        """Canonical order: environment, source, label, target, then the
+        provenance, under ``env`` alone (the label's extruded binders do not
+        scope over it).  So the first four fields are canonical as an
+        ``ErasedTransition``."""
         env_c = _canon(self.env, env, st)
         src_c = _canon(self.source, env, st)
-        return Transition(env_c, src_c,
-                          *_canon_step(self.label, self.prov, self.target, env, st))
+        lab_c, tgt_c = _canon_step(self.label, self.target, env, st)
+        return Transition(env_c, src_c, lab_c, _canon(self.prov, env, st), tgt_c)
 
 
 @dataclass(frozen=True)
@@ -220,30 +222,16 @@ class ErasedTransition:
     def _canon(self, env, st):
         env_c = _canon(self.env, env, st)
         src_c = _canon(self.source, env, st)
-        lab_c, _, tgt_c = _canon_step(self.label, None, self.target, env, st)
-        return ErasedTransition(env_c, src_c, lab_c, tgt_c)
+        return ErasedTransition(env_c, src_c,
+                                *_canon_step(self.label, self.target, env, st))
 
 
 def erase_provenance(transitions) -> frozenset:
-    """Project provenances away, deduplicating up to alpha."""
-    groups = {}
-    for t in transitions:
-        groups.setdefault((t.env, t.source), []).append((t.label, t.target))
-    out = set()
-    for (psi, proc), steps in groups.items():
-        out |= _erased(psi, proc, steps)
-    return frozenset(out)
-
-
-def _erased(psi, proc, steps):
-    """Canonical erased transitions of ``proc`` under ``psi`` from raw
-    (label, target) pairs."""
-    env_c, src_c, st = _canon_head(psi, proc)
-    out = set()
-    for lab, tgt in steps:
-        lab_c, _, tgt_c = _canon_step(lab, None, tgt, {}, st.fork())
-        out.add(ErasedTransition(env_c, src_c, lab_c, tgt_c))
-    return out
+    """Project provenances away, deduplicating up to alpha.  The input must
+    be canonical, as ``transitions`` returns it: then each projection is a
+    canonical ``ErasedTransition`` already."""
+    return frozenset(ErasedTransition(t.env, t.source, t.label, t.target)
+                     for t in transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +258,12 @@ def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL) -
     ``fuel`` replication unfoldings per derivation path."""
     raw = _derive(inst, _PROVENANCE, psi, proc, fuel)
     env_c, src_c, st = _canon_head(psi, proc)
-    return frozenset(Transition(env_c, src_c, *_canon_step(lab, pi, tgt, {}, st.fork()))
-                     for lab, pi, tgt in raw)
+    out = set()
+    for lab, pi, tgt in raw:
+        fork = st.fork()
+        lab_c, tgt_c = _canon_step(lab, tgt, {}, fork)
+        out.add(Transition(env_c, src_c, lab_c, _canon(pi, {}, fork), tgt_c))
+    return frozenset(out)
 
 
 def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
@@ -282,7 +274,9 @@ def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
     on the right)."""
     rules = _LEGACY_REORIENTED if reorient_in else _LEGACY_PRINTED
     raw = _derive(inst, rules, psi, proc, fuel)
-    return frozenset(_erased(psi, proc, [(lab, tgt) for lab, _, tgt in raw]))
+    env_c, src_c, st = _canon_head(psi, proc)
+    return frozenset(ErasedTransition(env_c, src_c, *_canon_step(lab, tgt, {}, st.fork()))
+                     for lab, _, tgt in raw)
 
 
 def _derive(inst, rules, psi, proc, fuel):

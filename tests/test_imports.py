@@ -1,9 +1,12 @@
 """Every imported name is read somewhere in its module, and so is every
 private top-level function, class and constant of the package (no linter
-runs).  Every parameter of a public ``CalculusInstance`` method is read by
-some definition of that method in ``params``."""
+runs).  Every public one is read somewhere in the package, the tests or the
+benchmark, outside its own definition.  Every parameter of a public
+``CalculusInstance`` method is read by some definition of that method in
+``params``."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -11,11 +14,36 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "psiwb").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+READERS = sorted([*MODULES, *(ROOT / "bench").glob("*.py")])
 
 
 def _read(tree):
     return {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _used(tree):
+    """The names ``tree`` reads: loaded names, attributes and imported
+    names."""
+    used = _read(tree)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            used.update(al.name for al in n.names)
+    return used
+
+
+def _top_level(tree):
+    """(line, name, statement) for each top-level function, class or
+    constant that ``tree`` defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name, node
+        elif isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    yield node.lineno, t.id, node
 
 
 def unused_imports(source: str):
@@ -36,17 +64,23 @@ def unread_privates(source: str):
     """(line, name) for each private top-level function, class or constant
     that its module never reads."""
     tree = ast.parse(source)
-    defined = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.append((node.lineno, node.name))
-        elif isinstance(node, ast.Assign):
-            defined += [(node.lineno, t.id) for t in node.targets
-                        if isinstance(t, ast.Name)]
     read = _read(tree)
-    return sorted((line, name) for line, name in defined
+    return sorted((line, name) for line, name, _ in _top_level(tree)
                   if name.startswith("_") and not name.endswith("__")
                   and name not in read)
+
+
+def unread_publics(sources: dict, package) -> list:
+    """(module, line, name) for each public top-level function, class or
+    constant of a ``package`` module that no top-level statement of
+    ``sources`` (module name -> source) reads, apart from the statement that
+    defines it."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    readers = collections.Counter(name for tree in trees.values()
+                                  for node in tree.body for name in _used(node))
+    return sorted((mod, line, name) for mod in package
+                  for line, name, node in _top_level(trees[mod])
+                  if not name.startswith("_") and readers[name] == (name in _used(node)))
 
 
 def unread_interface_parameters(source: str, base: str = "CalculusInstance"):
@@ -100,6 +134,22 @@ def test_unread_privates_are_found():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unread_privates(path):
     assert unread_privates(path.read_text()) == []
+
+
+def test_unread_publics_are_found():
+    # f only calls itself, K is read through an attribute, G through an
+    # import, H by the package itself; D is read nowhere
+    pkg = ("A = 1\nD = 2\nG = 3\nH = 4\n_P = H\n"
+           "def f(): return f()\n\nclass K: pass\n")
+    test = "import pkg\nfrom pkg import G\nprint(pkg.K, A)\n"
+    assert unread_publics({"pkg": pkg, "test": test}, ["pkg"]) == [
+        ("pkg", 2, "D"), ("pkg", 6, "f")]
+
+
+def test_no_unread_publics():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
+    package = [p.relative_to(ROOT).as_posix() for p in PACKAGE]
+    assert unread_publics(sources, package) == []
 
 
 def test_unread_interface_parameters_are_found():

@@ -8,6 +8,7 @@ from psiwb.process import (NIL, Assert, Bang, Case, IllFormed, Input,
                            check_well_formed, desugar_sum, hoist,
                            opened_frame, par, res, subst_process,
                            well_formed_violations)
+from psiwb.reduction import harmony_check, reductions
 
 a, b, x, y, z = (fresh_name((), h) for h in "abxyz")
 ether = EtherInstance()
@@ -232,6 +233,40 @@ def test_subst_returns_term_missing_the_domain_unchanged():
     q = Par(p, Output(x, a, NIL))
     got = subst_process(pi, q, Subst.of((x,), (b,)))
     assert got.left is p and got.right == Output(b, a, NIL)
+
+
+def test_subst_reaches_assertions():
+    # (|{x,a}|)[x := b] = (|{b,a}|)
+    got = subst_process(ether, Assert(psi(x, a)), Subst.of((x,), (b,)))
+    assert alpha_eq(got, Assert(psi(b, a)))
+
+
+def test_subst_renames_input_binder_clashing_with_the_substitution():
+    # c(y).y<x>.0 [x := y] = c(w).w<y>.0: the received y is not captured
+    c, w = fresh_name((), "c"), fresh_name((), "w")
+    got = subst_process(pi, Input(c, (y,), y, Output(y, x, NIL)), Subst.of((x,), (y,)))
+    assert alpha_eq(got, Input(c, (w,), w, Output(w, y, NIL)))
+
+
+def test_subst_reaches_case_conditions_and_branches():
+    # case x<->a : x<x>.0 [x := b] = case b<->a : b<b>.0
+    p = Case(((ether.conn(x, a), Output(x, x, NIL)),))
+    got = subst_process(ether, p, Subst.of((x,), (b,)))
+    assert alpha_eq(got, Case(((ether.conn(b, a), Output(b, b, NIL)),)))
+
+
+def test_subst_reaches_under_replication():
+    # !x<a>.0 [x := b] = !b<a>.0
+    got = subst_process(pi, Bang(Output(x, a, NIL)), Subst.of((x,), (b,)))
+    assert alpha_eq(got, Bang(Output(b, a, NIL)))
+
+
+def test_received_name_instantiates_a_replicated_continuation():
+    # a<b>.0 | a(x).!x<x>.0 reduces to !b<b>.0 alone, and harmony holds
+    p = Par(Output(a, b, NIL), Input(a, (x,), x, Bang(Output(x, x, NIL))))
+    (step,) = reductions(pi, p)
+    assert alpha_eq(step.target, Bang(Output(b, b, NIL)))
+    assert harmony_check(pi, p).ok
 
 
 # -- sums ----------------------------------------------------------------------

@@ -494,7 +494,8 @@ def test_results_are_canonical_fixed_points(inst):
     rng = random.Random(42)
     for p in corpus(inst, rng, 40):
         env = inst.random_assertion(rng, (a, b, c))
-        for t in transitions(inst, env, p) | legacy_transitions(inst, env, p):
+        ts = transitions(inst, env, p)
+        for t in ts | legacy_transitions(inst, env, p) | erase_provenance(ts):
             assert canonical(t) == t
 
 
@@ -502,7 +503,8 @@ def test_erase_provenance_matches_whole_transition_canonical():
     # hand-built, non-canonical transitions from two sources, interleaved:
     # u and v are alpha-variant extruded binders, the free scratch atom s
     # occurs in the source and in some targets, and q2 is an alpha-variant
-    # of the source q1
+    # of the source q1; erase_provenance takes canonical transitions, as
+    # transitions returns them
     u, v, s = (Name(MINT_BASE + k, h) for k, h in ((3, "u"), (7, "v"), (5, "s")))
     p = Par(Output(a, s, NIL), Input(a, (y,), y, NIL))
     q1 = Res(x, Output(a, x, NIL))
@@ -520,7 +522,7 @@ def test_erase_provenance_matches_whole_transition_canonical():
     want = frozenset(canonical(ErasedTransition(t.env, t.source, t.label, t.target))
                      for t in ts)
     assert len(want) == 4
-    assert erase_provenance(ts) == want
+    assert erase_provenance(map(canonical, ts)) == want
 
 
 def test_extruded_binders_scope_over_target_not_provenance():
