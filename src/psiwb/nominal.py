@@ -32,7 +32,9 @@ map) through a left-to-right traversal.  ``_CanonState.fork`` copies it, so a
 caller that canonicalises many values sharing a prefix (the environment and
 source of one query's transitions) can canonicalise the prefix once and fork
 the state for each value: the fork continues exactly the numbering a
-traversal of the whole value would give.
+traversal of the whole value would give.  A set has no order of its own, so
+the atoms its elements meet first are numbered in the order of the
+elements' own canonical forms, not in that of atom ids (``_canon_set``).
 
 Atom ids live in disjoint bands.  User atoms are non-negative and come from
 a global counter, which the engine never touches: each query ``mint``s its
@@ -289,15 +291,26 @@ def sort_key(x):
 
 
 class _CanonState:
-    __slots__ = ("binder_n", "free_map")
+    """The numbering of one canonical traversal.
 
-    def __init__(self):
+    ``free_map`` maps each renamable atom met free so far (in order of first
+    occurrence) to its canonical atom.  Renamable are the engine's scratch
+    atoms and the atoms of ``loose``: atoms that the caller binds outside
+    the value, which are numbered as binders, while free scratch atoms get
+    the free band.  ``ties`` is None, or an object whose ``pick(group,
+    news)`` picks one of equal-shaped set elements (see ``_canon_set``)."""
+
+    __slots__ = ("binder_n", "free_map", "loose", "ties")
+
+    def __init__(self, loose=frozenset(), ties=None):
         self.binder_n = 0
         self.free_map = {}
+        self.loose = loose
+        self.ties = ties
 
     def fork(self) -> "_CanonState":
         """A copy that continues this numbering and never writes back."""
-        st = _CanonState()
+        st = _CanonState(self.loose)
         st.binder_n = self.binder_n
         st.free_map = dict(self.free_map)
         return st
@@ -309,9 +322,41 @@ class _CanonState:
     def canon_free(self, n: Name) -> Name:
         got = self.free_map.get(n)
         if got is None:
-            got = Name(-(_CANON_FREE_BASE + len(self.free_map)), n.hint)
+            if n in self.loose:
+                got = self.new_binder(n.hint)
+            else:
+                got = Name(-(_CANON_FREE_BASE + len(self.free_map)), n.hint)
             self.free_map[n] = got
         return got
+
+
+def _canon_set(x, env, st):
+    """A set's canonical elements, numbering the atoms they meet first in an
+    order that does not depend on atom ids where it matters: while some
+    element holds renamable atoms not yet numbered, the next element is the
+    one that would number the fewest, and among those the one whose own
+    canonical form, numbered as if it came next, is least.  Among equal
+    forms ``st.ties`` picks, given the atoms each would number, or the first
+    in ``sort_key`` order is taken without one."""
+    if len(x) < 2:
+        return frozenset(_canon(e, env, st) for e in x)
+    elems = sorted(x, key=sort_key)
+    out = []
+    while elems and any(n not in env and n not in st.free_map
+                        and (n.is_scratch() or n in st.loose) for n in atoms(tuple(elems))):
+        numbered = len(st.free_map)
+        own, news = [], {}
+        for e in elems:
+            fork = st.fork()
+            form = sort_key(_canon(e, env, fork))
+            news[e] = tuple(fork.free_map)[numbered:]
+            own.append(((len(news[e]), form), e))
+        least = min(k for k, _ in own)
+        group = [e for k, e in own if k == least]
+        pick = group[0] if len(group) == 1 or st.ties is None else st.ties.pick(group, news)
+        out.append(_canon(pick, env, st))
+        elems.remove(pick)
+    return frozenset(out + [_canon(e, env, st) for e in elems])
 
 
 def _canon(x, env: dict, st: _CanonState):
@@ -319,13 +364,13 @@ def _canon(x, env: dict, st: _CanonState):
         y = env.get(x)
         if y is not None:
             return y
-        if x.is_scratch():
+        if x.is_scratch() or (st.loose and x in st.loose):
             return st.canon_free(x)
         return x
     if isinstance(x, tuple):
         return tuple(_canon(e, env, st) for e in x)
     if isinstance(x, frozenset):
-        return frozenset(_canon(e, env, st) for e in sorted(x, key=sort_key))
+        return _canon_set(x, env, st)
     lay = _LAYOUTS[type(x)]
     if lay is None:
         return x

@@ -11,13 +11,39 @@ received one under the match's substitution, beside the top-level
 assertions and everything parallel to the two positions, all under the
 hoisted binders.  The number of copies mirrors the labelled engine's
 per-path replication budget so that harmony is exact at every fuel level.
+
+Harmony compares the targets of reductions and of tau transitions by
+``congruence_key``, which is exact: two processes get one key exactly when
+hoisting the restrictions of their Par/Res spines leaves the same parts, up
+to a bijection of the live hoisted binders, a permutation of the parts and
+alpha-conversion.  The key hoists once, and then walks each part once with
+``nominal._canon``, numbering the hoisted binders and the free scratch atoms
+(the *renamable* atoms, binders and scratch atoms kept apart) by first
+occurrence inside that part.  That gives the part's *shape*, which no
+atom's id affects, and the list of the renamable atoms it holds, in order.
+Parts that share a renamable atom form a component.  Inside a component the
+parts go in the order of their shapes, and the atoms are numbered again
+along that order; only among parts of equal shape is the order searched
+for, taking the least numbering (individualisation over the ties; McKay and
+Piperno, "Practical graph isomorphism, II", 2014).  Equal-shaped elements
+of a set that would number atoms not yet numbered are ties too
+(``nominal._canon_set``): a part that meets such a tie is canonicalised once
+per choice there, and keeps its least shape with the atom list of each
+choice that gives it.  Of two tied candidates, parts or set elements alike,
+only the first is tried when swapping the new atoms of the one with those
+of the other maps everything else onto itself: that keeps symmetric inputs
+cheap.  The key is the multiset of the component keys.  Exactness assumes
+that set elements hold no sets of their own, as in every shipped instance:
+ties inside such nested sets are broken by atom ids.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
-from .nominal import Fresh, Name, canonical, field_names, sort_key, support
+from .nominal import _canon, _CanonState, Fresh, rename, sort_key, support
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, NIL, Output, Par, Process,
                       assertion_guarded, check_well_formed, hoist, par, res,
@@ -193,53 +219,245 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
 
 
 # ---------------------------------------------------------------------------
-# Structural-congruence normal forms (the harmony comparison relation)
+# Structural-congruence keys (the harmony comparison relation)
 
 
 def congruence_key(inst: CalculusInstance, p: Process):
-    """A canonical form equal for processes related by binder hoisting
-    across parallel, unit laws, parallel commutativity/associativity and
-    binder reordering.  Used to compare reduction and tau targets."""
-    return canonical(_cnorm(p))
-
-
-def _cnorm(p):
+    """A key equal for two processes exactly when they are related by
+    binder hoisting across parallel, scope garbage collection, unit laws,
+    parallel commutativity and associativity, binder reordering and
+    alpha-conversion.  Used to compare reduction and tau targets; see the
+    module docstring."""
     binders, asserts, comps = hoist(p, Fresh(p), set(support(p)))
+    loose = frozenset(binders)
     parts = [Assert(a) for a in asserts] + comps
-    parts.sort(key=lambda q: (sort_key(canonical(q)), sort_key(q)))
-    body = par(*parts)
-    used = support(body)
-    live = [b for b in binders if b in used]
-    # binder order is congruence-irrelevant; fix it by first occurrence
-    order = _first_occurrence_order(body, live)
-    return res(order, body)
+    ties = _Ties()
+    shapes, occs, tied = [], [], []
+    for q in parts:
+        st = _CanonState(loose, ties)
+        met = len(ties.widths)
+        shapes.append(_canon(q, {}, st))
+        occs.append(tuple(st.free_map))
+        tied.append(len(ties.widths) > met)
+    keys = Counter()
+    for comp in _components(occs):
+        items = [(shapes[i], (occs[i],)) for i in comp]
+        mine = [k for k, i in enumerate(comp) if tied[i]] if ties.widths else ()
+        for k in mine:
+            others = items[:k] + items[k + 1:]
+            if len(mine) > 1:
+                # each other part keeps its label, so that the atom lists
+                # pruned here and there stay related (see _Ties)
+                others = [(j, occs) for j, (_, occs) in enumerate(others)]
+            items[k] = _tied_shape(parts[comp[k]], loose, others)
+        keys[_component_key(items)] += 1
+    return frozenset(keys.items())
 
 
-def _first_occurrence_order(value, binders):
-    todo = set(binders)
-    order = []
+class _Ties:
+    """The choices of one canonical traversal at its set ties, where set
+    elements of one shape would number atoms not yet numbered (see
+    ``nominal._canon_set``).  ``script[i]`` is the option taken at the i-th
+    tie met (option 0 past its end), and ``widths[i]`` records how many
+    options it had, so that a caller can run the traversal once per
+    combination of choices.
 
-    def walk(v):
-        if not todo:
-            return
-        if isinstance(v, Name):
-            if v in todo:
-                todo.discard(v)
-                order.append(v)
-            return
-        if isinstance(v, tuple):
-            for e in v:
-                walk(e)
-        elif isinstance(v, frozenset):
-            for e in sorted(v, key=sort_key):
-                walk(e)
-        else:
-            for f in field_names(type(v)) or ():
-                walk(getattr(v, f))
+    The options are the tied elements up to automorphism: an element is
+    left out when swapping the atoms it would number with those of an
+    element already offered (``_swap``) maps the ``part`` being
+    canonicalised onto itself and ``others``, the (label, occurrence lists)
+    of the other parts of its component, onto themselves.  Both picks then
+    lead to the same shape, and to atom lists that an automorphism of the
+    component relates, so the component key may use either.  Labelled by
+    their shapes, the other parts may be permuted.  That is only sound while
+    their atom lists are complete: when the component holds another part
+    with set ties, whose lists are pruned too, each other part gets a label
+    of its own and must map onto itself.  Without a ``part`` a tie takes its
+    first element and records the width 0."""
 
-    walk(value)
-    order.extend(b for b in binders if b in todo)
-    return tuple(order)
+    __slots__ = ("script", "part", "others", "widths")
+
+    def __init__(self, script=(), part=None, others=()):
+        self.script, self.part, self.others, self.widths = script, part, others, []
+
+    def pick(self, group, news):
+        if self.part is None:
+            self.widths.append(0)
+            return group[0]
+        offered = []
+        for e in group:
+            if not any(self._alike(news[e], news[f]) for f in offered):
+                offered.append(e)
+        depth = len(self.widths)
+        self.widths.append(len(offered))
+        return offered[self.script[depth] if depth < len(self.script) else 0]
+
+    def _alike(self, mine, theirs):
+        sigma = _swap(mine, theirs)
+        return (sigma is not None and rename(sigma, self.part) == self.part
+                and _fixes(sigma, self.others))
+
+
+def _swap(xs, ys):
+    """The involution exchanging ``xs[i]`` with ``ys[i]`` for every i, or
+    None when no involution maps ``xs`` onto ``ys``."""
+    sigma = {}
+    for x, y in zip(xs, ys):
+        if x != y and (sigma.setdefault(x, y) != y or sigma.setdefault(y, x) != x):
+            return None
+    if any(sigma.get(x, x) != y for x, y in zip(xs, ys)):
+        return None
+    return sigma
+
+
+def _fixes(sigma, items):
+    """Whether the atom map ``sigma`` maps the multiset of parts given by
+    ``items`` (label, occurrence lists) onto itself: each part onto one with
+    the same label whose occurrence lists it maps onto."""
+    def seen(occ_map):
+        return Counter((label, frozenset(tuple(occ_map(n) for n in occ) for occ in occs))
+                       for label, occs in items)
+    return seen(lambda n: sigma.get(n, n)) == seen(lambda n: n)
+
+
+def _components(occs):
+    """The indices of the parts, grouped into components: two parts are in
+    one component when they share a renamable atom."""
+    parent = list(range(len(occs)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner = {}
+    for i, occ in enumerate(occs):
+        for n in occ:
+            j = owner.setdefault(n, i)
+            parent[root(j)] = root(i)
+    comps = {}
+    for i in range(len(occs)):
+        comps.setdefault(root(i), []).append(i)
+    return comps.values()
+
+
+def _tied_shape(q, loose, others):
+    """The shape of a part that meets a set tie, and its occurrence lists:
+    the least canonical form over every choice at its ties (``_Ties``, with
+    ``others`` the other parts of its component), and the renamable atoms
+    in order of first occurrence under each choice that gives it."""
+    leaves, script = [], []
+    while True:
+        ties = _Ties(script, q, others)
+        st = _CanonState(loose, ties)
+        leaves.append((_canon(q, {}, st), tuple(st.free_map)))
+        taken = [script[d] if d < len(script) else 0 for d in range(len(ties.widths))]
+        while taken and taken[-1] + 1 >= ties.widths[len(taken) - 1]:
+            taken.pop()
+        if not taken:
+            break
+        taken[-1] += 1
+        script = taken
+    least = min(leaves, key=lambda leaf: sort_key(leaf[0]))[0]
+    return least, tuple(dict.fromkeys(occ for shape, occ in leaves if shape == least))
+
+
+def _component_key(items):
+    """The key of one component from its parts' (shape, occurrence lists).
+
+    The parts go in the order of their shapes, each with the indices of its
+    renamable atoms when they are numbered by first occurrence along that
+    order.  Among parts of equal shape the order giving the least indices is
+    searched for, over the ties only."""
+    if len(items) == 1:
+        ((shape, occs),) = items
+        return ((shape, tuple(range(len(occs[0])))),)
+    # sort_key orders dataclasses by their type's name first, so only parts
+    # of one type need its walk
+    items = sorted(items, key=_type_name)
+    shapes, groups, search = [], [], False
+    for _, run in itertools.groupby(items, key=_type_name):
+        run = list(run)
+        for shape, occs in sorted(run, key=lambda it: sort_key(it[0])) if len(run) > 1 else run:
+            if shapes and shape == shapes[-1]:
+                groups[-1].append(occs)
+                search = True
+            else:
+                groups.append([occs])
+                search = search or len(occs) > 1
+            shapes.append(shape)
+    if not search:
+        numbering = {}
+        return tuple((shape, tuple(numbering.setdefault(n, len(numbering)) for n in occs[0]))
+                     for shape, (occs,) in zip(shapes, groups))
+    return tuple(zip(shapes, _least_indices(groups, {})))
+
+
+def _type_name(item):
+    return type(item[0]).__name__
+
+
+def _least_indices(groups, numbering):
+    """The least sequence of index tuples for the parts of ``groups`` (per
+    shape, in shape order, the occurrence lists of each part), given the
+    ``numbering`` of the atoms of the parts placed before.
+
+    At each step the candidates are the occurrence lists of the current
+    group that give the least indices.  Of two candidates, only the first is
+    tried when swapping the atoms in which they differ (``_swap``; they are
+    all new) maps the unplaced parts onto themselves: both then lead to the
+    same indices."""
+    out = []
+    for g, group in enumerate(groups):
+        group = list(group)
+        while group:
+            best, tried = None, []
+            for j, occs in enumerate(group):
+                for occ in occs:
+                    nxt, idx = len(numbering), []
+                    for n in occ:
+                        k = numbering.get(n)
+                        if k is None:
+                            k, nxt = nxt, nxt + 1
+                        idx.append(k)
+                    idx = tuple(idx)
+                    if best is None or idx < best:
+                        best, tried = idx, []
+                    if idx == best:
+                        tried.append((j, occ))
+            out.append(best)
+            if len(tried) > 1:
+                unplaced = [(g, occs) for occs in group]
+                unplaced += [(h, occs) for h in range(g + 1, len(groups)) for occs in groups[h]]
+                offered = []
+                for j, occ in tried:
+                    if not any(_alike(occ, other, unplaced) for _, other in offered):
+                        offered.append((j, occ))
+                tried = offered
+            if len(tried) > 1:
+                least = None
+                for j, occ in tried:
+                    numbering2 = dict(numbering)
+                    _place(occ, numbering2)
+                    rest = _least_indices([group[:j] + group[j + 1:]] + groups[g + 1:],
+                                          numbering2)
+                    if least is None or rest < least:
+                        least = rest
+                return tuple(out) + least
+            ((j, occ),) = tried
+            _place(occ, numbering)
+            del group[j]
+    return tuple(out)
+
+
+def _alike(occ, other, unplaced):
+    sigma = _swap(occ, other)
+    return sigma is not None and _fixes(sigma, unplaced)
+
+
+def _place(occ, numbering):
+    for n in occ:
+        numbering.setdefault(n, len(numbering))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +467,7 @@ def _first_occurrence_order(value, binders):
 @dataclass(frozen=True)
 class HarmonyReport:
     matched: int
-    reduction_only: tuple  # congruence keys with no matching tau
+    reduction_only: tuple  # the repr of one target per unmatched key, sorted
     tau_only: tuple
 
     @property
@@ -259,14 +477,20 @@ class HarmonyReport:
 
 def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> HarmonyReport:
     """Compare reductions with unit-environment tau transitions, matching
-    targets up to the congruence normal form, in both directions."""
-    red = {congruence_key(inst, s.target) for s in reductions(inst, p, fuel)}
-    tau = {congruence_key(inst, t.target)
-           for t in transitions(inst, inst.unit, p, fuel)
-           if isinstance(t.label, TauLabel)}
-    return HarmonyReport(matched=len(red & tau),
-                         reduction_only=tuple(sorted(map(repr, red - tau))),
-                         tau_only=tuple(sorted(map(repr, tau - red))))
+    targets up to their congruence keys, in both directions."""
+    red, tau = {}, {}
+    for s in reductions(inst, p, fuel):
+        red.setdefault(congruence_key(inst, s.target), s.target)
+    for t in transitions(inst, inst.unit, p, fuel):
+        if isinstance(t.label, TauLabel):
+            tau.setdefault(congruence_key(inst, t.target), t.target)
+    return HarmonyReport(matched=len(red.keys() & tau.keys()),
+                         reduction_only=_unmatched(red, tau),
+                         tau_only=_unmatched(tau, red))
+
+
+def _unmatched(these, those):
+    return tuple(sorted(repr(q) for key, q in these.items() if key not in those))
 
 
 def derived_par(inst: CalculusInstance, p: Process, q_guarded: Process,

@@ -141,6 +141,14 @@ def test_alpha_ineq_ordered_binder_sequences():
     assert alpha_eq(Prov((x,), (y,), m), Prov((a,), (b,), (a, b)))
 
 
+def test_canonical_numbers_scratch_atoms_of_a_set_by_element_shape():
+    # m1 and m2 are met first inside the set; numbering them in the order of
+    # their ids would tell the two apart after swapping them
+    m1, m2 = Name(MINT_BASE), Name(MINT_BASE + 1)
+    p = Assert(frozenset({(m1, a), (m2, m2)}))
+    assert alpha_eq(p, apply_perm(swap(m1, m2), p))
+
+
 def test_atoms_include_binders_and_walk_deep_terms():
     p = Res(x, Input(a, (y,), y, Output(x, y, NIL)))
     assert atoms(p) == {a, x, y}

@@ -1,13 +1,17 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from psiwb.nominal import MINT_BASE, Fresh, Name, fresh_name, support
+from psiwb import nominal, reduction
+from psiwb.nominal import (MINT_BASE, Fresh, Name, canonical, fresh_name, mint_many,
+                           rename, support)
 from psiwb.corpus import random_process, triangle_counterexample_shapes
 from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
                           TriangleInstance)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
-                           hoist, par)
+                           hoist, par, res)
 from psiwb.reduction import (congruence_key, derived_par, harmony_check,
                              reductions)
 from psiwb.semantics import TauLabel, legacy_transitions, transitions
@@ -218,3 +222,245 @@ def test_harmony_on_corpus(inst):
         assert rep.ok, (p, rep)
         count += rep.matched
     assert count > 0
+
+
+def ether_example():
+    """(nu x)(x<x>.0 | (|{x}|)) | (nu y)(y(y).0 | (|{y}|)), with its own names."""
+    x, y = fresh_name((), "x"), fresh_name((), "y")
+    return Par(Res(x, Par(Output(x, x, NIL), Assert(frozenset({x})))),
+               Res(y, Par(Input(y, (y,), y, NIL), Assert(frozenset({y})))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_harmony_on_ether_composites(n):
+    # n * n reductions and taus, all congruent: each leaves the same shape
+    rep = harmony_check(ether, par(*(ether_example() for _ in range(n))), fuel=2)
+    assert rep.ok and rep.matched == 1
+
+
+REPLICATED_RESTRICTIONS = {
+    # !(nu c)(a<c>.0 | a(b).b<a>.0)
+    "bang-res-par": (Bang(Res(c, Par(Output(a, c, NIL), Input(a, (b,), b, Output(b, a, NIL))))),
+                     (1, 2, 3)),
+    # !(nu c)a<c>.0 | !a(b).b<a>.0
+    "bang-res-bang": (Par(Bang(Res(c, Output(a, c, NIL))),
+                          Bang(Input(a, (b,), b, Output(b, a, NIL)))), (1, 4, 9)),
+    # !(nu c)(a<c>.0 | !a(b).b<a>.0)
+    "bang-res-par-bang": (Bang(Res(c, Par(Output(a, c, NIL),
+                                          Bang(Input(a, (b,), b, Output(b, a, NIL)))))),
+                          (0, 2, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLICATED_RESTRICTIONS))
+@pytest.mark.parametrize("fuel", [1, 2, 3])
+def test_harmony_on_replicated_restrictions(name, fuel):
+    # from fuel 2 on, targets hold two copies of the restricted c, which
+    # hoisting names apart in different ways on each side
+    p, matched = REPLICATED_RESTRICTIONS[name]
+    rep = harmony_check(pi, p, fuel=fuel)
+    assert rep.ok and rep.matched == matched[fuel - 1]
+
+
+def test_harmony_when_set_elements_tie():
+    # after b<b> meets b(w), the set {(b,c'),(a',a'),(b,b)} comes to the top
+    # level, where b is a hoisted binder met first inside the set:
+    # (a',a') and (b,b) have one shape, and only b occurs elsewhere
+    w1, w2 = fresh_name((), "w"), fresh_name((), "w")
+    p = Res(b, par(Output(b, b, NIL), Input(b, (w1,), w1, NIL), Assert(frozenset({(c, c)})),
+                   Res(a, Res(a, Res(c, Input(b, (w2,), w2, Assert(
+                       frozenset({(b, c), (a, a), (b, b)}))))))))
+    rep = harmony_check(pre, p, fuel=2)
+    assert rep.ok and rep.matched == 2
+
+
+def test_harmony_report_shows_one_target_per_unmatched_key(monkeypatch):
+    p = Res(c, Par(out(a, c), Input(a, (x,), x, out(x, x))))
+    (step,) = reductions(pi, p)
+    monkeypatch.setattr(reduction, "transitions", lambda *args: frozenset())
+    rep = harmony_check(pi, p)
+    assert not rep.ok and rep.matched == 0
+    assert rep.reduction_only == (repr(step.target),) and rep.tau_only == ()
+
+
+def test_harmony_sweep_on_corpus():
+    # seed 5 holds members on which a key that breaks ties by atom ids
+    # reports false mismatches
+    rng = random.Random(5)
+    count = 0
+    for inst in (pi, ether, tri, pre):
+        for size in range(6, 13):
+            for _ in range(36):
+                p = random_process(inst, rng, size, (a, b, c))
+                rep = harmony_check(inst, p, fuel=2)
+                assert rep.ok, (inst.name, p, rep)
+                count += rep.matched
+    assert count > 0
+
+
+# -- properties of the congruence key ---------------------------------------------
+
+def _parts(p):
+    """The live hoisted binders and the parts of ``p``."""
+    binders, asserts, comps = hoist(p, Fresh(p), set(support(p)))
+    parts = [Assert(psi) for psi in asserts] + comps
+    used = set().union(*(support(q) for q in parts))
+    return [n for n in binders if n in used], parts
+
+
+def _congruent_by_search(p, q):
+    """Whether some bijection of the live hoisted binders and permutation of
+    the parts map ``p`` onto ``q`` up to alpha, found by trying every
+    bijection.  Neither may hold a free scratch atom, which ``canonical``
+    would renumber part by part."""
+    bp, pp = _parts(p)
+    bq, pq = _parts(q)
+    if len(bp) != len(bq) or len(pp) != len(pq):
+        return False
+    marks = [fresh_name((), "k") for _ in bq]
+    want = Counter(canonical(rename(dict(zip(bq, marks)), r)) for r in pq)
+    return any(Counter(canonical(rename(dict(zip(order, marks)), r)) for r in pp) == want
+               for order in itertools.permutations(bp))
+
+
+def _variant(p, rng):
+    """``p`` with its binders renamed and reordered, its parts permuted and
+    re-associated, and units added."""
+    binders, parts = _parts(p)
+    # user atoms, or scratch atoms as the engine mints them, in shuffled order
+    fresh = (list(mint_many(Fresh(p), len(binders), "r")) if rng.random() < 0.5
+             else [fresh_name((), "r") for _ in binders])
+    rng.shuffle(fresh)
+    parts = [rename(dict(zip(binders, fresh)), q) for q in parts] + [NIL]
+    rng.shuffle(parts)
+    rng.shuffle(fresh)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [Par(parts[i], parts[i + 1])]
+    return res(fresh, parts[0])
+
+
+def _key_pool(inst, seed):
+    """Small terms of ``inst`` beside the replicated restrictions (pi) or
+    three ether examples (ether), their reduction and tau targets, and a
+    variant of each."""
+    rng = random.Random(seed)
+    pool = []
+    sources = ([p for p, _ in REPLICATED_RESTRICTIONS.values()] if inst is pi
+               else [par(*(ether_example() for _ in range(3)))])
+    sources += [random_process(inst, rng, size, (a, b, c))
+                for size in range(2, 9) for _ in range(30)]
+    for p in sources:
+        pool.append(p)
+        pool += [s.target for s in reductions(inst, p, 2)]
+        pool += [t.target for t in transitions(inst, inst.unit, p, 2)
+                 if isinstance(t.label, TauLabel)]
+    return pool + [_variant(p, rng) for p in pool]
+
+
+@pytest.mark.parametrize("inst", [pi, ether], ids=lambda i: i.name)
+def test_equal_congruence_keys_have_a_witness(inst):
+    by_key = {}
+    for p in _key_pool(inst, 29):
+        by_key.setdefault(congruence_key(inst, p), []).append(p)
+    pairs = 0
+    for ps in by_key.values():
+        for q in ps[1:]:
+            if q != ps[0]:
+                assert _congruent_by_search(ps[0], q), (ps[0], q)
+                pairs += 1
+    assert pairs > 200
+
+
+def test_congruence_key_tells_apart_parts_linked_differently():
+    # one component, and the same shapes: c<d>, d<e>, e<a> is a chain, while
+    # in c<d>, e<d>, d<a> two outputs send d
+    d, e = fresh_name((), "d"), fresh_name((), "e")
+    chain = res((c, d, e), par(out(c, d), out(d, e), out(e, a)))
+    fork = res((c, d, e), par(out(c, d), out(e, d), out(d, a)))
+    assert not _congruent_by_search(chain, fork)
+    assert congruence_key(pi, chain) != congruence_key(pi, fork)
+    assert congruence_key(pi, chain) == congruence_key(pi, _variant(chain, random.Random(1)))
+
+
+def test_congruence_key_of_a_set_over_linked_names():
+    # the elements of {d1, d2, d3} tie, and each name occurs in another part
+    # too: only a swap of two d's that maps those parts onto each other
+    # makes their elements interchangeable
+    d = [fresh_name((), "d") for _ in range(3)]
+    p = res(d, par(*(out(c, di) for di in d), Assert(frozenset(d))))
+    q = res(d, par(*(out(c, di) for di in d), Assert(frozenset(d[:2]))))
+    rng = random.Random(3)
+    for _ in range(5):
+        assert congruence_key(ether, _variant(p, rng)) == congruence_key(ether, p)
+    assert congruence_key(ether, q) != congruence_key(ether, p)
+
+
+def test_congruence_key_of_ties_that_do_not_swap():
+    # c<d1> and c<d2> tie, and so do the elements of {d1, d2} and (d1,a),
+    # (d2,a), but swapping d1 and d2 is no automorphism: d1<a> and d2<b>, or
+    # the fact (d1,b), tell them apart.  In whatever order a variant holds
+    # them, the key stays one
+    d1, d2 = fresh_name((), "d"), fresh_name((), "d")
+    tail = (out(d1, a), out(d2, b))
+    hub = res((c, d1, d2), par(out(c, d1), out(c, d2), *tail))
+    sets = res((d1, d2), par(Assert(frozenset({d1, d2})), *tail))
+    facts = res((d1, d2), Assert(frozenset({(d1, a), (d2, a), (d1, b)})))
+    rng = random.Random(5)
+    for p in (hub, sets, facts):
+        swapped = rename({d1: d2, d2: d1}, p)
+        for q in [swapped] + [_variant(p, rng) for _ in range(8)]:
+            assert congruence_key(tri, q) == congruence_key(tri, p), p
+
+
+@pytest.mark.parametrize("inst", [pi, ether], ids=lambda i: i.name)
+def test_congruence_key_is_invariant(inst):
+    rng = random.Random(31)
+    for p in _key_pool(inst, 37):
+        assert congruence_key(inst, _variant(p, rng)) == congruence_key(inst, p), p
+
+
+def _counting(monkeypatch, fn):
+    """Count the calls of ``fn`` through every module name bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in (nominal, reduction):
+        for name, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_congruence_key_cost_on_symmetric_inputs(monkeypatch, width):
+    # a search over every order of the symmetric parts or set elements would
+    # take width! steps.  The key takes one search step per component and at
+    # most four walks per node; a set walks each element once more per
+    # element taken before it, and a ring of facts, which no swap maps onto
+    # itself, is tried from each of its width facts.  In "linked" and "hub
+    # and set" every d occurs in two parts, so only a swap of two d's that
+    # maps the whole component onto itself shows them interchangeable
+    searches = _counting(monkeypatch, reduction._least_indices)
+    walks = _counting(monkeypatch, nominal._canon)
+    d = [fresh_name((), "d") for _ in range(width)]
+    hub = [Output(c, di, NIL) for di in d]
+    ring = frozenset((d[i], d[(i + 1) % width]) for i in range(width))
+    inputs = {
+        "hub": (res([c] + d, par(*hub)), 16 * width),
+        "equal": (Res(c, par(*(Output(c, a, NIL) for _ in range(width)))), 16 * width),
+        "linked": (res([c] + d, par(*hub, *(Output(di, a, NIL) for di in d))), 32 * width),
+        "private": (res(d, Assert(frozenset(d))), 4 * (2 + width) + 2 * width ** 2),
+        "hub and set": (res([c] + d, par(*hub, Assert(frozenset(d)))),
+                        4 * (5 * width + 2) + 2 * width ** 2),
+        "ring": (res(d, Assert(ring)), 4 * (2 + 3 * width) + 3 * width ** 3),
+    }
+    for name, (p, bound) in inputs.items():
+        searches.clear()
+        walks.clear()
+        congruence_key(tri, p)
+        assert len(searches) <= 1, name
+        assert len(walks) <= bound, name
