@@ -172,13 +172,6 @@ class _Layouts(dict):
 _LAYOUTS = _Layouts()
 
 
-def field_names(cls):
-    """The field names of dataclass type ``cls``, or None for any other type;
-    computed once per type."""
-    lay = _LAYOUTS[cls]
-    return None if lay is None else lay.names
-
-
 def support(x) -> frozenset:
     """Free names of a nominal value."""
     if isinstance(x, Name):
@@ -284,9 +277,9 @@ def sort_key(x):
         return (4, len(x), tuple(sort_key(e) for e in x))
     if isinstance(x, frozenset):
         return (5, len(x), tuple(sorted(sort_key(e) for e in x)))
-    names = field_names(type(x))
-    if names is not None:
-        return (6, type(x).__name__, tuple(sort_key(getattr(x, f)) for f in names))
+    lay = _LAYOUTS[type(x)]
+    if lay is not None:
+        return (6, type(x).__name__, tuple(sort_key(getattr(x, f)) for f in lay.names))
     return (7, repr(x))
 
 

@@ -1,11 +1,8 @@
 """Calculus parameters: the 7-tuple interface and the shipped instances.
 
-A calculus is given by its term, assertion and condition languages plus
-entailment, composition, unit and channel connectivity.  On top of the
-paper-level parameters every instance supplies finite enumerators
-(out_channels / in_channels / match_pattern / condition_basis /
-message_basis / assertion_basis) which are what make transition enumeration
-and equivalence checking effective on finite fragments.
+A calculus is given by its term, assertion and condition languages and its
+judgements: entailment, composition, unit and channel connectivity, which
+need not be symmetric or transitive (see ``CalculusInstance``).
 
 Shipped instances:
 
@@ -102,8 +99,19 @@ class Join:
     right: Name
 
 
+def _sorted_names(names):
+    return sorted(names, key=lambda n: n.id)
+
+
 class CalculusInstance:
-    """Base class; shipped instances override the instance-specific parts.
+    """Base class.  An instance gives its judgements (``unit``,
+    ``entails``, ``compose``, ``conn``), its substitutions and its finite
+    bases (``match_pattern``, ``message_basis``, ``assertion_basis``,
+    ``random_assertion``).  The channel enumerators, ``condition_basis``
+    and ``random_condition`` default to forms derived from ``conn`` and
+    ``entails``, assuming that under psi a channel M connects only to M and
+    to names of psi; an instance whose connectivity reaches further
+    overrides them, as ``_HubPi`` in ``tests/test_semantics.py`` does.
 
     Terms, assertions and conditions must be binder-free nominal values.
     All operations are pure; instances are immutable and thread-safe.
@@ -139,11 +147,13 @@ class CalculusInstance:
     # -- finite enumerators ----------------------------------------------
     def out_channels(self, psi, term):
         """Finite set of K with psi |- term -> K."""
-        raise NotImplementedError
+        return frozenset(k for k in support(psi) | {term}
+                         if self.entails(psi, self.conn(term, k)))
 
     def in_channels(self, psi, term):
         """Finite set of K with psi |- K -> term."""
-        raise NotImplementedError
+        return frozenset(k for k in support(psi) | {term}
+                         if self.entails(psi, self.conn(k, term)))
 
     def match_pattern(self, variables, pattern, message):
         """All term tuples T with pattern[variables := T] == message."""
@@ -151,7 +161,8 @@ class CalculusInstance:
 
     def condition_basis(self, psi1, psi2):
         """Conditions sufficient to separate psi1 from psi2."""
-        raise NotImplementedError
+        names = _sorted_names(support(psi1) | support(psi2))
+        return tuple(self.conn(a, b) for a in names for b in names)
 
     def message_basis(self, ctx):
         """Candidate received messages over a finite name context."""
@@ -170,14 +181,11 @@ class CalculusInstance:
         raise NotImplementedError
 
     def random_condition(self, rng, names):
-        raise NotImplementedError
+        ns = list(names)
+        return self.conn(rng.choice(ns), rng.choice(ns))
 
     def random_term(self, rng, names):
         return rng.choice(list(names))
-
-
-def _sorted_names(names):
-    return sorted(names, key=lambda n: n.id)
 
 
 class _NameTermMixin:
@@ -232,15 +240,6 @@ class PiInstance(_NameTermMixin, CalculusInstance):
     def conn(self, sender, receiver):
         return PiEq(sender, receiver)
 
-    def out_channels(self, psi, term):
-        return frozenset((term,))
-
-    def in_channels(self, psi, term):
-        return frozenset((term,))
-
-    def condition_basis(self, psi1, psi2):
-        return ()
-
     def assertion_basis(self, names):
         return (self._UNIT,)
 
@@ -250,10 +249,6 @@ class PiInstance(_NameTermMixin, CalculusInstance):
 
     def random_assertion(self, rng, names):
         return self._UNIT
-
-    def random_condition(self, rng, names):
-        ns = list(names)
-        return PiEq(rng.choice(ns), rng.choice(ns))
 
 
 class EtherInstance(_NameTermMixin, CalculusInstance):
@@ -275,16 +270,6 @@ class EtherInstance(_NameTermMixin, CalculusInstance):
     def conn(self, sender, receiver):
         return EtherConn(sender, receiver)
 
-    def out_channels(self, psi, term):
-        return frozenset(psi) if term in psi else frozenset()
-
-    def in_channels(self, psi, term):
-        return self.out_channels(psi, term)
-
-    def condition_basis(self, psi1, psi2):
-        names = _sorted_names(support(psi1) | support(psi2))
-        return tuple(EtherConn(a, b) for a in names for b in names)
-
     def assertion_basis(self, names):
         out = [frozenset()]
         out.extend(frozenset((n,)) for n in _sorted_names(names))
@@ -293,10 +278,6 @@ class EtherInstance(_NameTermMixin, CalculusInstance):
     def random_assertion(self, rng, names):
         ns = list(names)
         return frozenset(rng.sample(ns, rng.randint(0, min(2, len(ns)))))
-
-    def random_condition(self, rng, names):
-        ns = list(names)
-        return EtherConn(rng.choice(ns), rng.choice(ns))
 
 
 class TriangleInstance(_NameTermMixin, CalculusInstance):
@@ -319,16 +300,6 @@ class TriangleInstance(_NameTermMixin, CalculusInstance):
     def conn(self, sender, receiver):
         return TriConn(sender, receiver)
 
-    def out_channels(self, psi, term):
-        return frozenset(b for a, b in psi if a == term)
-
-    def in_channels(self, psi, term):
-        return frozenset(a for a, b in psi if b == term)
-
-    def condition_basis(self, psi1, psi2):
-        names = _sorted_names(support(psi1) | support(psi2))
-        return tuple(TriConn(a, b) for a in names for b in names)
-
     def assertion_basis(self, names):
         ns = _sorted_names(names)
         out = [frozenset()]
@@ -337,14 +308,8 @@ class TriangleInstance(_NameTermMixin, CalculusInstance):
 
     def random_assertion(self, rng, names):
         ns = list(names)
-        facts = set()
-        for _ in range(rng.randint(0, 3)):
-            facts.add((rng.choice(ns), rng.choice(ns)))
-        return frozenset(facts)
-
-    def random_condition(self, rng, names):
-        ns = list(names)
-        return TriConn(rng.choice(ns), rng.choice(ns))
+        return frozenset((rng.choice(ns), rng.choice(ns))
+                         for _ in range(rng.randint(0, 3)))
 
 
 class PreorderInstance(_NameTermMixin, CalculusInstance):
@@ -382,19 +347,11 @@ class PreorderInstance(_NameTermMixin, CalculusInstance):
     def conn(self, sender, receiver):
         return Join(sender, receiver)
 
-    def out_channels(self, psi, term):
-        universe = support(psi) | {term}
-        return frozenset(k for k in universe if self.entails(psi, Join(term, k)))
-
-    def in_channels(self, psi, term):
-        universe = support(psi) | {term}
-        return frozenset(k for k in universe if self.entails(psi, Join(k, term)))
-
     def condition_basis(self, psi1, psi2):
+        # Prec conditions tell apart arc sets that Join conditions cannot
         names = _sorted_names(support(psi1) | support(psi2))
-        out = [Prec(a, b) for a in names for b in names]
-        out.extend(Join(a, b) for a in names for b in names)
-        return tuple(out)
+        return (tuple(Prec(a, b) for a in names for b in names)
+                + super().condition_basis(psi1, psi2))
 
     def assertion_basis(self, names):
         ns = _sorted_names(names)
@@ -408,10 +365,8 @@ class PreorderInstance(_NameTermMixin, CalculusInstance):
 
     def random_assertion(self, rng, names):
         ns = list(names)
-        arcs = set()
-        for _ in range(rng.randint(0, 3)):
-            arcs.add((rng.choice(ns), rng.choice(ns)))
-        return frozenset(arcs)
+        return frozenset((rng.choice(ns), rng.choice(ns))
+                         for _ in range(rng.randint(0, 3)))
 
     def random_condition(self, rng, names):
         ns = list(names)

@@ -128,14 +128,14 @@ class IllFormed(ValueError):
                                    for path, msg in self.diagnostics))
 
 
-def well_formed_violations(p: Process, path=()):
+def well_formed_violations(p: Process):
     """All violations of the syntactic invariants, with subterm paths, in
     pre-order (a node's own diagnostics before those of its subterms, left
     before right).  Walks with an explicit stack, so neither depth nor width
     meets the recursion limit."""
     out = []
     # (subterm, its path, whether it is a case branch)
-    todo = [(p, path, False)]
+    todo = [(p, (), False)]
     while todo:
         q, path, branch = todo.pop()
         if branch and not assertion_guarded(q):

@@ -222,7 +222,7 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
 # Structural-congruence keys (the harmony comparison relation)
 
 
-def congruence_key(inst: CalculusInstance, p: Process):
+def congruence_key(p: Process):
     """A key equal for two processes exactly when they are related by
     binder hoisting across parallel, scope garbage collection, unit laws,
     parallel commutativity and associativity, binder reordering and
@@ -480,10 +480,10 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     targets up to their congruence keys, in both directions."""
     red, tau = {}, {}
     for s in reductions(inst, p, fuel):
-        red.setdefault(congruence_key(inst, s.target), s.target)
+        red.setdefault(congruence_key(s.target), s.target)
     for t in transitions(inst, inst.unit, p, fuel):
         if isinstance(t.label, TauLabel):
-            tau.setdefault(congruence_key(inst, t.target), t.target)
+            tau.setdefault(congruence_key(t.target), t.target)
     return HarmonyReport(matched=len(red.keys() & tau.keys()),
                          reduction_only=_unmatched(red, tau),
                          tau_only=_unmatched(tau, red))
@@ -498,8 +498,8 @@ def derived_par(inst: CalculusInstance, p: Process, q_guarded: Process,
     """The derived rule: every reduction of P survives in P | Q_G."""
     if not assertion_guarded(q_guarded):
         raise ValueError("derived_par requires an assertion-guarded right component")
-    lhs = {congruence_key(inst, Par(s.target, q_guarded))
+    lhs = {congruence_key(Par(s.target, q_guarded))
            for s in reductions(inst, p, fuel)}
-    rhs = {congruence_key(inst, s.target)
+    rhs = {congruence_key(s.target)
            for s in reductions(inst, Par(p, q_guarded), fuel)}
     return lhs <= rhs

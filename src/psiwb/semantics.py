@@ -63,7 +63,7 @@ import itertools
 from dataclasses import dataclass
 
 from .nominal import (_canon, _CanonState, Fresh, mint_many, names_of, rename,
-                      sort_key, support)
+                      support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, Output, Par, Process,
                       Res, check_well_formed, open_frame, res, subst_process)
@@ -307,7 +307,7 @@ def _step(inst, rules, env, p, frame, budget, fresh):
 
     if isinstance(p, Output):
         out = []
-        for k in sorted(inst.out_channels(env, p.channel), key=sort_key):
+        for k in inst.out_channels(env, p.channel):
             out.append((OutLabel(k, (), p.message), Prov((), (), p.channel), p.cont))
         return out
 
@@ -321,8 +321,7 @@ def _step(inst, rules, env, p, frame, budget, fresh):
             variables, pattern, cont = opened, rename(m, pattern), rename(m, cont)
         prov = Prov((), (), p.channel)
         return [(_LateIn(k, variables, pattern), prov, cont)
-                for k in sorted(getattr(inst, rules.in_subjects)(env, p.channel),
-                                key=sort_key)]
+                for k in getattr(inst, rules.in_subjects)(env, p.channel)]
 
     if isinstance(p, Case):
         return [t for phi, q in p.branches if inst.entails(env, phi)

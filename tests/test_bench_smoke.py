@@ -3,14 +3,20 @@ that the harness does not rot between full runs, and one traced quick run,
 whose tracer wraps functions of every psiwb module by name and so fails when
 one of them is deleted or renamed.  Each case runs ``bench/run.py`` in a
 fresh interpreter; ``bench/smoke.py`` covers every workload, traced too,
-outside this suite."""
+outside this suite.  The tracer wraps instance methods only where a
+``CalculusInstance`` subclass of ``params`` defines them, so a last test
+checks that every instance takes its traced methods from such a class."""
 
+import importlib.util
+import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from psiwb import params
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -38,3 +44,16 @@ def test_bench_traced_quick_mode():
     result, stderr = run_quick("conservativity", 1)
     assert result["correct"], stderr
     assert set(result["metrics"]) == {m["name"] for m in SPEC["per_layer"]}
+
+
+def test_tracer_reaches_every_instance_method():
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    # the classes bench/run.py hands to the tracer
+    classes = {cls for cls in vars(params).values()
+               if isinstance(cls, type) and issubclass(cls, params.CalculusInstance)}
+    methods = [m for ms in layers.METHODS.values() for m in ms]
+    for cls, meth in itertools.product(classes, methods):
+        owner = next(k for k in cls.__mro__ if meth in vars(k))
+        assert owner in classes, (cls.__name__, meth, owner.__name__)

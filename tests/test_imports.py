@@ -1,8 +1,9 @@
 """Every imported name is read somewhere in its module, and so is every
 private top-level function, class and constant of the package (no linter
 runs).  Every public one is read somewhere in the package, the tests or the
-benchmark, outside its own definition.  Every parameter of a public
-``CalculusInstance`` method is read by some definition of that method in
+benchmark, outside its own definition.  Every parameter of a top-level
+function of the package is read in its body, and every parameter of a
+public ``CalculusInstance`` method by some definition of that method in
 ``params``."""
 
 import ast
@@ -83,6 +84,21 @@ def unread_publics(sources: dict, package) -> list:
                   if not name.startswith("_") and readers[name] == (name in _used(node)))
 
 
+def unread_parameters(source: str):
+    """(line, function, parameter) for each parameter of a top-level function
+    that the function never reads."""
+    tree = ast.parse(source)
+    unread = []
+    for f in tree.body:
+        if isinstance(f, ast.FunctionDef):
+            a = f.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *filter(None, (a.vararg, a.kwarg))]
+            read = _read(f)
+            unread += [(f.lineno, f.name, p.arg) for p in params if p.arg not in read]
+    return unread
+
+
 def unread_interface_parameters(source: str, base: str = "CalculusInstance"):
     """(method, parameter) for each parameter of a public method of the class
     ``base`` that no definition of that method in ``source`` reads.  A
@@ -150,6 +166,21 @@ def test_no_unread_publics():
     sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
     package = [p.relative_to(ROOT).as_posix() for p in PACKAGE]
     assert unread_publics(sources, package) == []
+
+
+def test_unread_parameters_are_found():
+    # g reads y only in a nested function, h reads *rest but not **opts;
+    # methods are not top-level functions
+    src = ("def f(x, y=0, *, z): return x + z\n"
+           "def g(y):\n    def inner(): return y\n    return inner\n"
+           "def h(*rest, **opts): return rest\n"
+           "class C:\n    def m(self, u): pass\n")
+    assert unread_parameters(src) == [(1, "f", "y"), (5, "h", "opts")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def test_unread_interface_parameters_are_found():

@@ -174,8 +174,9 @@ def test_static_equiv_preserved_by_composition(inst):
 def test_channel_enumerators_sound_and_complete(inst):
     rng = random.Random(9)
     universe = NAMES[:4]
-    for _ in range(25):
-        psi = inst.random_assertion(rng, universe)
+    asserts = _random_assertions(inst, rng, 25)
+    composed = [inst.compose(p1, p2) for p1, p2 in zip(asserts, asserts[1:])]
+    for psi in asserts + composed:
         for m in universe:
             outs = inst.out_channels(psi, m)
             ins = inst.in_channels(psi, m)

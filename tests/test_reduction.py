@@ -39,7 +39,7 @@ def test_pi_handshake_reduces_to_nil():
     steps = reductions(pi, p)
     assert len(steps) == 1
     (s,) = steps
-    assert congruence_key(pi, s.target) == congruence_key(pi, NIL)
+    assert congruence_key(s.target) == congruence_key(NIL)
     assert s.witness.sender == out(a, x)
 
 
@@ -184,7 +184,7 @@ def test_hoisting_keeps_same_named_sibling_binders_apart():
     assert len(set(binders)) == 2
     assert reductions(pi, p) == frozenset()
     assert harmony_check(pi, p).ok
-    assert congruence_key(pi, p) != congruence_key(pi, shared)
+    assert congruence_key(p) != congruence_key(shared)
 
 
 def test_harmony_when_a_hoisted_binder_is_bound_again_below_an_input():
@@ -196,7 +196,7 @@ def test_harmony_when_a_hoisted_binder_is_bound_again_below_an_input():
     p = Par(Output(n, n, NIL), Res(n, Par(Output(c, m, NIL), Input(c, (x,), x, inner))))
     (step,) = reductions(pi, p)
     want = Par(Output(n, n, NIL), Res(y, Res(z, Input(d, (x,), x, Output(z, x, NIL)))))
-    assert congruence_key(pi, step.target) == congruence_key(pi, want)
+    assert congruence_key(step.target) == congruence_key(want)
     rep = harmony_check(pi, p)
     assert rep.ok and rep.matched == 1
 
@@ -207,7 +207,7 @@ def test_congruence_key_of_binder_bound_again_by_a_mint_atom():
     m0 = Name(MINT_BASE)
     p = Par(Assert(frozenset({a})), Res(a, Res(m0, Output(a, m0, NIL))))
     q = Par(Assert(frozenset({a})), Res(x, Res(y, Output(x, y, NIL))))
-    assert congruence_key(ether, p) == congruence_key(ether, q)
+    assert congruence_key(p) == congruence_key(q)
 
 
 @pytest.mark.parametrize("inst", [pi, ether, tri, pre], ids=lambda i: i.name)
@@ -362,7 +362,7 @@ def _key_pool(inst, seed):
 def test_equal_congruence_keys_have_a_witness(inst):
     by_key = {}
     for p in _key_pool(inst, 29):
-        by_key.setdefault(congruence_key(inst, p), []).append(p)
+        by_key.setdefault(congruence_key(p), []).append(p)
     pairs = 0
     for ps in by_key.values():
         for q in ps[1:]:
@@ -379,8 +379,8 @@ def test_congruence_key_tells_apart_parts_linked_differently():
     chain = res((c, d, e), par(out(c, d), out(d, e), out(e, a)))
     fork = res((c, d, e), par(out(c, d), out(e, d), out(d, a)))
     assert not _congruent_by_search(chain, fork)
-    assert congruence_key(pi, chain) != congruence_key(pi, fork)
-    assert congruence_key(pi, chain) == congruence_key(pi, _variant(chain, random.Random(1)))
+    assert congruence_key(chain) != congruence_key(fork)
+    assert congruence_key(chain) == congruence_key(_variant(chain, random.Random(1)))
 
 
 def test_congruence_key_of_a_set_over_linked_names():
@@ -392,8 +392,8 @@ def test_congruence_key_of_a_set_over_linked_names():
     q = res(d, par(*(out(c, di) for di in d), Assert(frozenset(d[:2]))))
     rng = random.Random(3)
     for _ in range(5):
-        assert congruence_key(ether, _variant(p, rng)) == congruence_key(ether, p)
-    assert congruence_key(ether, q) != congruence_key(ether, p)
+        assert congruence_key(_variant(p, rng)) == congruence_key(p)
+    assert congruence_key(q) != congruence_key(p)
 
 
 def test_congruence_key_of_ties_that_do_not_swap():
@@ -410,14 +410,14 @@ def test_congruence_key_of_ties_that_do_not_swap():
     for p in (hub, sets, facts):
         swapped = rename({d1: d2, d2: d1}, p)
         for q in [swapped] + [_variant(p, rng) for _ in range(8)]:
-            assert congruence_key(tri, q) == congruence_key(tri, p), p
+            assert congruence_key(q) == congruence_key(p), p
 
 
 @pytest.mark.parametrize("inst", [pi, ether], ids=lambda i: i.name)
 def test_congruence_key_is_invariant(inst):
     rng = random.Random(31)
     for p in _key_pool(inst, 37):
-        assert congruence_key(inst, _variant(p, rng)) == congruence_key(inst, p), p
+        assert congruence_key(_variant(p, rng)) == congruence_key(p), p
 
 
 def _counting(monkeypatch, fn):
@@ -461,6 +461,6 @@ def test_congruence_key_cost_on_symmetric_inputs(monkeypatch, width):
     for name, (p, bound) in inputs.items():
         searches.clear()
         walks.clear()
-        congruence_key(tri, p)
+        congruence_key(p)
         assert len(searches) <= 1, name
         assert len(walks) <= bound, name

@@ -1,12 +1,13 @@
 import functools
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, canonical,
                            fresh_name, names_of, swap)
-from psiwb.params import (EtherInstance, PiEq, PiInstance, PreorderInstance,
-                          TriangleInstance)
+from psiwb.params import (CalculusInstance, EtherInstance, PiEq, PiInstance,
+                          PreorderInstance, TriangleInstance, _NameTermMixin)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
                            opened_frame, par)
 from psiwb.semantics import (BOT, ErasedTransition, InLabel,
@@ -14,6 +15,7 @@ from psiwb.semantics import (BOT, ErasedTransition, InLabel,
                              erase_provenance, legacy_transitions,
                              prov_append, prov_pushdown, prov_scope,
                              transitions)
+from psiwb.reduction import harmony_check
 
 from naive_engine import naive_transitions
 
@@ -459,6 +461,56 @@ def test_provenance_term_naming_an_inner_binder_meets_no_subject():
         assert any(isinstance(t.label, OutLabel) and t.prov.inner for t in ts)
         assert erase_provenance(ts) == naive_transitions(hub, hub.unit, p, fuel=1)
         assert taus(legacy_transitions(hub, hub.unit, p, fuel=1))
+
+
+@dataclass(frozen=True)
+class _Link:
+    left: Name
+    right: Name
+
+
+class _ReflexiveEther(_NameTermMixin, CalculusInstance):
+    """A minimal name-term instance: it gives its judgements and assertion
+    bases only, and takes the channel enumerators, the condition basis and
+    random conditions from ``CalculusInstance``.  Assertions are name sets;
+    a name is connected to itself and to every other member of the set."""
+
+    name = "reflexive-ether"
+
+    @property
+    def unit(self):
+        return frozenset()
+
+    def entails(self, psi, phi):
+        return isinstance(phi, _Link) and (
+            phi.left == phi.right or {phi.left, phi.right} <= psi)
+
+    def compose(self, p1, p2):
+        return p1 | p2
+
+    def conn(self, sender, receiver):
+        return _Link(sender, receiver)
+
+    def assertion_basis(self, names):
+        return (frozenset(), frozenset(names))
+
+    def random_assertion(self, rng, names):
+        return frozenset(n for n in names if rng.random() < 0.5)
+
+
+def test_instance_of_judgements_alone():
+    inst = _ReflexiveEther()
+    # a sends to b only under an assertion naming both
+    p = Par(Output(a, a, NIL), Input(b, (x,), x, NIL))
+    linked = Par(p, Assert(frozenset({a, b})))
+    assert not taus(transitions(inst, inst.unit, p))
+    assert len(taus(transitions(inst, inst.unit, linked))) == 1
+    rng = random.Random(12)
+    for q in [p, linked] + corpus(inst, rng, 20, size=6, names=(a, b)):
+        for env in (inst.unit, inst.random_assertion(rng, (a, b))):
+            assert (erase_provenance(transitions(inst, env, q, fuel=1))
+                    == naive_transitions(inst, env, q, fuel=1))
+        assert harmony_check(inst, q, fuel=1).ok
 
 
 def test_frames_opened_once_per_query(monkeypatch):
