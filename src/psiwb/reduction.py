@@ -16,7 +16,9 @@ Harmony compares the targets of reductions and of tau transitions by
 ``congruence_key``, which is exact: two processes get one key exactly when
 hoisting the restrictions of their Par/Res spines leaves the same parts, up
 to a bijection of the live hoisted binders, a permutation of the parts and
-alpha-conversion.  The key hoists once, and then walks each part once with
+alpha-conversion.  The key is alpha-invariant, so harmony keys the raw tau
+targets of the engine's derivation, with no canonical form in between.
+The key hoists once, and then walks each part once with
 ``nominal._canon``, numbering the hoisted binders and the free scratch atoms
 (the *renamable* atoms, binders and scratch atoms kept apart) by first
 occurrence inside that part.  That gives the part's *shape*, which no
@@ -43,12 +45,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .nominal import _canon, _CanonState, Fresh, rename, sort_key, support
+from .nominal import (_canon, _CanonState, canonical, Fresh, rename, sort_key,
+                      support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, NIL, Output, Par, Process,
                       assertion_guarded, check_well_formed, hoist, par, res,
                       subst_process)
-from .semantics import DEFAULT_FUEL, TauLabel, transitions
+from .semantics import _derive, _PROVENANCE, DEFAULT_FUEL, TauLabel
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +470,7 @@ def _place(occ, numbering):
 @dataclass(frozen=True)
 class HarmonyReport:
     matched: int
-    reduction_only: tuple  # the repr of one target per unmatched key, sorted
+    reduction_only: tuple  # the repr of one target per unmatched key, canonical, sorted
     tau_only: tuple
 
     @property
@@ -477,20 +480,23 @@ class HarmonyReport:
 
 def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> HarmonyReport:
     """Compare reductions with unit-environment tau transitions, matching
-    targets up to their congruence keys, in both directions."""
+    targets up to their congruence keys, in both directions.  The tau
+    targets are the engine's raw ones: the key is alpha-invariant, so they
+    need no canonical form.  Only a target reported unmatched is
+    canonicalised, so that no scratch atom's id shows in the report."""
     red, tau = {}, {}
     for s in reductions(inst, p, fuel):
         red.setdefault(congruence_key(s.target), s.target)
-    for t in transitions(inst, inst.unit, p, fuel):
-        if isinstance(t.label, TauLabel):
-            tau.setdefault(congruence_key(t.target), t.target)
+    for lab, _, target in _derive(inst, _PROVENANCE, inst.unit, p, fuel):
+        if isinstance(lab, TauLabel):
+            tau.setdefault(congruence_key(target), target)
     return HarmonyReport(matched=len(red.keys() & tau.keys()),
                          reduction_only=_unmatched(red, tau),
                          tau_only=_unmatched(tau, red))
 
 
 def _unmatched(these, those):
-    return tuple(sorted(repr(q) for key, q in these.items() if key not in those))
+    return tuple(sorted(repr(canonical(q)) for key, q in these.items() if key not in those))
 
 
 def derived_par(inst: CalculusInstance, p: Process, q_guarded: Process,

@@ -1,11 +1,12 @@
 """The benchmark's quick mode on the two workloads BENCHMARK.json lists, so
-that the harness does not rot between full runs, and one traced quick run,
-whose tracer wraps functions of every psiwb module by name and so fails when
-one of them is deleted or renamed.  Each case runs ``bench/run.py`` in a
-fresh interpreter; ``bench/smoke.py`` covers every workload, traced too,
-outside this suite.  The tracer wraps instance methods only where a
-``CalculusInstance`` subclass of ``params`` defines them, so a last test
-checks that every instance takes its traced methods from such a class."""
+that the harness does not rot between full runs, and a traced quick run of
+each, whose tracer wraps functions of every psiwb module by name and so
+fails when one of them is deleted or renamed.  Each case runs
+``bench/run.py`` in a fresh interpreter; ``bench/smoke.py`` covers every
+workload, traced too, outside this suite.  The tracer wraps instance
+methods only where a ``CalculusInstance`` subclass of ``params`` defines
+them, so a last test checks that every instance takes its traced methods
+from such a class."""
 
 import importlib.util
 import itertools
@@ -39,11 +40,20 @@ def test_bench_quick_mode(workload):
     assert set(result["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
 
 
-def test_bench_traced_quick_mode():
-    # conservativity is the one listed workload that runs both engines
-    result, stderr = run_quick("conservativity", 1)
+def check_traced(workload):
+    result, stderr = run_quick(workload, 1)
     assert result["correct"], stderr
     assert set(result["metrics"]) == {m["name"] for m in SPEC["per_layer"]}
+
+
+def test_bench_traced_quick_mode():
+    # conservativity is the one listed workload that runs both engines
+    check_traced("conservativity")
+
+
+def test_bench_traced_quick_mode_of_composites():
+    # composites is the one listed workload that runs harmony_check
+    check_traced("composites")
 
 
 def test_tracer_reaches_every_instance_method():

@@ -14,7 +14,8 @@ from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
                            hoist, par, res)
 from psiwb.reduction import (congruence_key, derived_par, harmony_check,
                              reductions)
-from psiwb.semantics import TauLabel, legacy_transitions, transitions
+from psiwb.semantics import (_derive, _PROVENANCE, TauLabel, legacy_transitions,
+                             transitions)
 
 a, b, c, x, y, z = (fresh_name((), h) for h in "abcxyz")
 pi = PiInstance()
@@ -277,10 +278,54 @@ def test_harmony_when_set_elements_tie():
 def test_harmony_report_shows_one_target_per_unmatched_key(monkeypatch):
     p = Res(c, Par(out(a, c), Input(a, (x,), x, out(x, x))))
     (step,) = reductions(pi, p)
-    monkeypatch.setattr(reduction, "transitions", lambda *args: frozenset())
+    monkeypatch.setattr(reduction, "_derive", lambda *args: [])
     rep = harmony_check(pi, p)
     assert not rep.ok and rep.matched == 0
-    assert rep.reduction_only == (repr(step.target),) and rep.tau_only == ()
+    assert rep.reduction_only == (repr(canonical(step.target)),) and rep.tau_only == ()
+
+
+def test_harmony_report_shows_a_canonical_tau_target(monkeypatch):
+    # the raw tau target binds scratch atoms; the report shows its
+    # canonical form, which holds none
+    p = Res(c, Par(out(a, c), Input(a, (x,), x, out(x, x))))
+    (t,) = [t for t in transitions(pi, pi.unit, p) if isinstance(t.label, TauLabel)]
+    monkeypatch.setattr(reduction, "reductions", lambda *args: frozenset())
+    rep = harmony_check(pi, p)
+    assert not rep.ok and rep.matched == 0
+    assert rep.reduction_only == () and rep.tau_only == (repr(canonical(t.target)),)
+    assert "Name(-1," in rep.tau_only[0] and f"Name({MINT_BASE}" not in rep.tau_only[0]
+
+
+def _reference_harmony(inst, p, fuel):
+    """Harmony's counts from the public results: the canonical tau targets
+    of ``transitions`` and the targets of ``reductions``, both keyed."""
+    red = {congruence_key(s.target) for s in reductions(inst, p, fuel)}
+    tau = {congruence_key(t.target) for t in transitions(inst, inst.unit, p, fuel)
+           if isinstance(t.label, TauLabel)}
+    return len(red & tau), len(red - tau), len(tau - red)
+
+
+def _oracle_inputs():
+    rng = random.Random(41)
+    for inst in (pi, ether, tri, pre):
+        for size in range(3, 11):
+            for _ in range(12):
+                yield inst, random_process(inst, rng, size, (a, b, c))
+    for n in range(1, 5):
+        yield ether, par(*(ether_example() for _ in range(n)))
+    for p in triangle_counterexample_shapes(a, b, c):
+        yield tri, p
+
+
+def test_harmony_on_raw_targets_agrees_with_public_results():
+    checked = 0
+    for inst, p in _oracle_inputs():
+        for fuel in (1, 2):
+            rep = harmony_check(inst, p, fuel)
+            got = (rep.matched, len(rep.reduction_only), len(rep.tau_only))
+            assert got == _reference_harmony(inst, p, fuel), (inst.name, p, fuel)
+            checked += rep.matched
+    assert checked > 0
 
 
 def test_harmony_sweep_on_corpus():
@@ -420,15 +465,16 @@ def test_congruence_key_is_invariant(inst):
         assert congruence_key(_variant(p, rng)) == congruence_key(p), p
 
 
-def _counting(monkeypatch, fn):
-    """Count the calls of ``fn`` through every module name bound to it."""
+def _counting(monkeypatch, fn, modules=(nominal, reduction)):
+    """Count the calls of ``fn`` through every name of ``modules`` bound to
+    it."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return fn(*args, **kwargs)
 
-    for mod in (nominal, reduction):
+    for mod in modules:
         for name, value in list(vars(mod).items()):
             if value is fn:
                 monkeypatch.setattr(mod, name, counted)
@@ -464,3 +510,33 @@ def test_congruence_key_cost_on_symmetric_inputs(monkeypatch, width):
         congruence_key(p)
         assert len(searches) <= 1, name
         assert len(walks) <= bound, name
+
+
+def test_congruence_key_walks_engine_targets_once(monkeypatch):
+    # a raw tau target and a reduction target: one walk per part
+    p = par(*(ether_example() for _ in range(3)))
+    raw_tau = next(tgt for lab, _, tgt in _derive(ether, _PROVENANCE, ether.unit, p, 2)
+                   if isinstance(lab, TauLabel))
+    reduced = next(iter(reductions(ether, p))).target
+    walks = _counting(monkeypatch, nominal._canon, (reduction,))
+    for target in (raw_tau, reduced):
+        _, asserts, comps = hoist(target, Fresh(target), set(support(target)))
+        walks.clear()
+        congruence_key(target)
+        assert len(walks) == len(asserts) + len(comps) > 1
+
+
+@pytest.mark.parametrize("clash, shared, variant", [
+    # a<a>.0 | (nu a)a<a>.0 against (nu a)(a<a>.0 | a<a>.0), in pi
+    (Par(out(a), Res(a, out(a))), Res(a, Par(out(a), out(a))),
+     Par(out(a), Res(b, out(b)))),
+    # (|{a}|) | (nu a)(|{a}|) against (nu a)((|{a}|) | (|{a}|)), in ether
+    (Par(Assert(frozenset({a})), Res(a, Assert(frozenset({a})))),
+     Res(a, Par(Assert(frozenset({a})), Assert(frozenset({a})))),
+     Par(Assert(frozenset({a})), Res(b, Assert(frozenset({b}))))),
+], ids=["output", "assertion"])
+def test_congruence_key_tells_a_clash_from_a_shared_scope(clash, shared, variant):
+    # the free a and the bound a of the clash are two names
+    key = congruence_key(clash)
+    assert key != congruence_key(shared)
+    assert key == congruence_key(variant)
