@@ -1,4 +1,5 @@
-"""Deterministic pseudo-random process corpora for the property suites."""
+"""Process corpora for the property suites: deterministic pseudo-random
+ones, and every process up to a size."""
 
 from __future__ import annotations
 
@@ -66,6 +67,59 @@ def random_process(inst: CalculusInstance, rng: random.Random, size: int,
     p = build(size)
     check_well_formed(p)
     return p
+
+
+def all_processes(inst: CalculusInstance, size: int, names):
+    """Every well-formed process of exactly ``size`` operators over
+    ``names``, each once up to alpha-conversion.
+
+    Nil has size 0 and an assertion size 1; every other operator adds 1 to
+    the sizes of its operands, and both sides of a Par have size 1 or more.
+    The binder of an input or a restriction is the atom of its depth (the
+    number of binders above it), so no alpha-variant comes twice.  Terms
+    are the names in scope, the given ones and the binders above, as in
+    every shipped instance, and an input binds one variable, its pattern.
+    An assertion is drawn from ``inst.assertion_basis(names)``, and a case
+    has one branch, under a condition of ``inst.condition_basis(names,
+    ())``.  Subterms of one size, depth and guardedness are built once and
+    shared between the processes."""
+    names = tuple(names)
+    asserts = [Assert(psi) for psi in inst.assertion_basis(names)]
+    conds = inst.condition_basis(names, ())
+    binders, built = [], {}
+
+    def terms(sz, depth, guarded):
+        key = sz, depth, guarded
+        if key not in built:
+            built[key] = list(build(sz, depth, guarded))
+        return built[key]
+
+    def build(sz, depth, guarded):
+        if sz == 0:
+            yield NIL
+            return
+        if sz == 1 and not guarded:
+            yield from asserts
+        if len(binders) == depth:
+            binders.append(fresh_name(names, "x"))
+        v, scope = binders[depth], names + tuple(binders[:depth])
+        for ch in scope:
+            for msg in scope:
+                for cont in terms(sz - 1, depth, False):
+                    yield Output(ch, msg, cont)
+            for cont in terms(sz - 1, depth + 1, False):
+                yield Input(ch, (v,), v, cont)
+        for body in terms(sz - 1, depth + 1, guarded):
+            yield Res(v, body)
+        for body in terms(sz - 1, depth, True):
+            yield Bang(body)
+            yield from (Case(((phi, body),)) for phi in conds)
+        for left in range(1, sz - 1):
+            for p in terms(left, depth, guarded):
+                for q in terms(sz - 1 - left, depth, guarded):
+                    yield Par(p, q)
+
+    return terms(size, 0, False)
 
 
 def triangle_counterexample_shapes(a, b, c):

@@ -286,13 +286,16 @@ def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, fresh=None) 
 def hoist(p: Process, fresh: Fresh, taken: set):
     """Hoist the restrictions on the Par/Res spine of ``p`` outward.
 
-    Returns the hoisted binders (outermost first), the unguarded assertions
-    and the other components, all in pre-order, left before right.  A binder
-    keeps its name unless ``taken`` (the free names in scope and the binders
-    hoisted before) already holds it; then it is renamed in its body to the
-    next atom of ``fresh``, a supply over a process that contains ``p``.
-    Each hoisted binder is added to ``taken``.  Walks with an explicit stack, so
-    neither depth nor width meets the recursion limit."""
+    Returns the hoisted binders (outermost first), the unguarded ``Assert``
+    nodes and the other components, all in pre-order, left before right.
+    The nodes are returned as they are, not rebuilt, so that a caller that
+    hoists many processes sharing subterms (the targets of one query) meets
+    each shared part as one object.  A binder keeps its name unless
+    ``taken`` (the free names in scope and the binders hoisted before)
+    already holds it; then it is renamed in its body to the next atom of
+    ``fresh``, a supply over a process that contains ``p``.  Each hoisted
+    binder is added to ``taken``.  Walks with an explicit stack, so neither
+    depth nor width meets the recursion limit."""
     binders, asserts, comps = [], [], []
     todo = [p]
     while todo:
@@ -300,7 +303,7 @@ def hoist(p: Process, fresh: Fresh, taken: set):
         if isinstance(q, Nil):
             continue
         if isinstance(q, Assert):
-            asserts.append(q.assertion)
+            asserts.append(q)
         elif isinstance(q, Par):
             todo += (q.right, q.left)
         elif isinstance(q, Res):

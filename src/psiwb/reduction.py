@@ -37,6 +37,17 @@ of the other maps everything else onto itself: that keeps symmetric inputs
 cheap.  The key is the multiset of the component keys.  Exactness assumes
 that set elements hold no sets of their own, as in every shipped instance:
 ties inside such nested sets are broken by atom ids.
+
+A part's shape depends only on the part and on which of its atoms are
+hoisted binders, so the keys of one query share one memo of part shapes,
+looked up by the part's identity (hash-consing's sharing by identity;
+Filliâtre and Conchon, "Type-safe modular hash-consing", 2006, scoped to
+one query).  The targets of one query are built from the same objects:
+``hoist`` hands back the source's own nodes, the reduction targets keep
+every untouched part as it is, and the engine's tau targets share the parts
+they leave untouched.  So harmony walks each part once, not once per
+target.  The memo lives in the query and not on the nodes: it dies with
+the query, and a repeated query pays for its walks again.
 """
 
 from __future__ import annotations
@@ -45,10 +56,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .nominal import (_canon, _CanonState, canonical, Fresh, rename, sort_key,
-                      support)
+from .nominal import (_canon, _CanonState, atoms, canonical, Fresh, rename,
+                      sort_key, support)
 from .params import CalculusInstance, Subst
-from .process import (Assert, Bang, Case, Input, NIL, Output, Par, Process,
+from .process import (Bang, Case, Input, NIL, Output, Par, Process,
                       assertion_guarded, check_well_formed, hoist, par, res,
                       subst_process)
 from .semantics import _derive, _PROVENANCE, DEFAULT_FUEL, TauLabel
@@ -184,8 +195,9 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
     ``fuel`` replication copies along any position's path."""
     check_well_formed(p)
     root = _expand(p, fuel, Fresh(p), set(support(p)))
+    assertions = tuple(a.assertion for a in root.asserts)
     env = inst.unit
-    for a in root.asserts:
+    for a in assertions:
         env = inst.compose(env, a)
 
     positions = [pos for pos in _positions(root) if pos[3] <= fuel]
@@ -211,10 +223,9 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
             for ts in matches:
                 sigma = Subst.of(i_prefix.variables, ts)
                 received = subst_process(inst, i_prefix.cont, sigma)
-                target = res(bs, par(*(Assert(a) for a in root.asserts),
-                                     o_prefix.cont, received, rest))
+                target = res(bs, par(*root.asserts, o_prefix.cont, received, rest))
                 witness = ReductionWitness(
-                    binders=bs, assertions=root.asserts,
+                    binders=bs, assertions=assertions,
                     sender=o_prefix, receiver=i_prefix,
                     substitution=tuple(zip(i_prefix.variables, ts)))
                 steps.append(ReductionStep(p, target, witness))
@@ -225,27 +236,31 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
 # Structural-congruence keys (the harmony comparison relation)
 
 
-def congruence_key(p: Process):
+def congruence_key(p: Process, _memo=None):
     """A key equal for two processes exactly when they are related by
     binder hoisting across parallel, scope garbage collection, unit laws,
     parallel commutativity and associativity, binder reordering and
     alpha-conversion.  Used to compare reduction and tau targets; see the
-    module docstring."""
+    module docstring.
+
+    ``_memo`` is a dict that the keys of one query share, and a fresh one
+    when it is left out: it holds the shape of each part walked so far, so
+    that a part that many targets share is walked once (``_part_shape``).
+    It is not kept on the nodes, where it would outlive the query."""
     binders, asserts, comps = hoist(p, Fresh(p), set(support(p)))
     loose = frozenset(binders)
-    parts = [Assert(a) for a in asserts] + comps
-    ties = _Ties()
+    parts = list(asserts) + comps
+    memo = {} if _memo is None else _memo
     shapes, occs, tied = [], [], []
     for q in parts:
-        st = _CanonState(loose, ties)
-        met = len(ties.widths)
-        shapes.append(_canon(q, {}, st))
-        occs.append(tuple(st.free_map))
-        tied.append(len(ties.widths) > met)
+        shape, occ, tie = _part_shape(q, loose, memo)
+        shapes.append(shape)
+        occs.append(occ)
+        tied.append(tie)
     keys = Counter()
     for comp in _components(occs):
         items = [(shapes[i], (occs[i],)) for i in comp]
-        mine = [k for k, i in enumerate(comp) if tied[i]] if ties.widths else ()
+        mine = [k for k, i in enumerate(comp) if tied[i]]
         for k in mine:
             others = items[:k] + items[k + 1:]
             if len(mine) > 1:
@@ -255,6 +270,25 @@ def congruence_key(p: Process):
             items[k] = _tied_shape(parts[comp[k]], loose, others)
         keys[_component_key(items)] += 1
     return frozenset(keys.items())
+
+
+def _part_shape(q, loose, memo):
+    """The shape of the part ``q`` under the hoisted binders ``loose``, its
+    renamable atoms in order of first occurrence, and whether it met a set
+    tie.  Looked up in ``memo`` by the part's identity: the entry holds the
+    part, so that its id is not reused while the memo lives, and the
+    hoisted binders among its atoms, the only thing outside the part that
+    its shape depends on.  A tied part's entry still goes through
+    ``_tied_shape`` for each component it is in."""
+    live = loose.intersection(atoms(q))
+    got = memo.get(id(q))
+    if got is not None and got[1] == live:
+        return got[2]
+    ties = _Ties()
+    st = _CanonState(loose, ties)
+    out = _canon(q, {}, st), tuple(st.free_map), bool(ties.widths)
+    memo[id(q)] = q, live, out
+    return out
 
 
 class _Ties:
@@ -482,14 +516,16 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     """Compare reductions with unit-environment tau transitions, matching
     targets up to their congruence keys, in both directions.  The tau
     targets are the engine's raw ones: the key is alpha-invariant, so they
-    need no canonical form.  Only a target reported unmatched is
-    canonicalised, so that no scratch atom's id shows in the report."""
-    red, tau = {}, {}
+    need no canonical form.  Every key of the query shares one memo of part
+    shapes, so a part that many targets hold is walked once.  Only a target
+    reported unmatched is canonicalised, so that no scratch atom's id shows
+    in the report."""
+    red, tau, memo = {}, {}, {}
     for s in reductions(inst, p, fuel):
-        red.setdefault(congruence_key(s.target), s.target)
+        red.setdefault(congruence_key(s.target, memo), s.target)
     for lab, _, target in _derive(inst, _PROVENANCE, inst.unit, p, fuel):
         if isinstance(lab, TauLabel):
-            tau.setdefault(congruence_key(target), target)
+            tau.setdefault(congruence_key(target, memo), target)
     return HarmonyReport(matched=len(red.keys() & tau.keys()),
                          reduction_only=_unmatched(red, tau),
                          tau_only=_unmatched(tau, red))
@@ -504,8 +540,9 @@ def derived_par(inst: CalculusInstance, p: Process, q_guarded: Process,
     """The derived rule: every reduction of P survives in P | Q_G."""
     if not assertion_guarded(q_guarded):
         raise ValueError("derived_par requires an assertion-guarded right component")
-    lhs = {congruence_key(Par(s.target, q_guarded))
+    memo = {}
+    lhs = {congruence_key(Par(s.target, q_guarded), memo)
            for s in reductions(inst, p, fuel)}
-    rhs = {congruence_key(s.target)
+    rhs = {congruence_key(s.target, memo)
            for s in reductions(inst, Par(p, q_guarded), fuel)}
     return lhs <= rhs

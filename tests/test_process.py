@@ -168,7 +168,7 @@ def hoisted(p):
 
 
 def reassemble(binders, asserts, rest):
-    return res(binders, par(*(Assert(a) for a in asserts), rest))
+    return res(binders, par(*asserts, rest))
 
 
 def test_normal_form_of_guarded_process():
@@ -181,7 +181,7 @@ def test_normal_form_hoists_and_splits():
     p = Par(Assert(psi(a)), Res(x, Assert(psi(x))))
     binders, asserts, rest = hoisted(p)
     assert len(binders) == 1
-    assert asserts == (psi(a), psi(binders[0]))
+    assert asserts == (Assert(psi(a)), Assert(psi(binders[0])))
     assert rest == NIL
 
 

@@ -348,7 +348,7 @@ def test_harmony_sweep_on_corpus():
 def _parts(p):
     """The live hoisted binders and the parts of ``p``."""
     binders, asserts, comps = hoist(p, Fresh(p), set(support(p)))
-    parts = [Assert(psi) for psi in asserts] + comps
+    parts = list(asserts) + comps
     used = set().union(*(support(q) for q in parts))
     return [n for n in binders if n in used], parts
 
@@ -540,3 +540,103 @@ def test_congruence_key_tells_a_clash_from_a_shared_scope(clash, shared, variant
     key = congruence_key(clash)
     assert key != congruence_key(shared)
     assert key == congruence_key(variant)
+
+
+# -- one memo per query -------------------------------------------------------------
+
+def _checking_memo_keys(monkeypatch):
+    """Check every key that ``reduction`` asks for: it comes with a memo,
+    and it equals the one-shot key of the same process.  Returns the list
+    that counts the keys checked."""
+    one_shot, compared = reduction.congruence_key, []
+
+    def checked(p, _memo=None):
+        got = one_shot(p, _memo)
+        assert _memo is not None and got == one_shot(p), p
+        compared.append(1)
+        return got
+
+    monkeypatch.setattr(reduction, "congruence_key", checked)
+    return compared
+
+
+def _memo_inputs():
+    rng = random.Random(43)
+    for inst in (pi, ether, tri, pre):
+        for size in range(3, 11):
+            for _ in range(30):
+                yield inst, random_process(inst, rng, size, (a, b, c))
+    for n in range(1, 6):
+        yield ether, par(*(ether_example() for _ in range(n)))
+    for p in triangle_counterexample_shapes(a, b, c):
+        yield tri, p
+
+
+def test_harmony_memo_keys_equal_one_shot_keys(monkeypatch):
+    # one memo serves every key of a query, in harmony's own order
+    compared = _checking_memo_keys(monkeypatch)
+    for inst, p in _memo_inputs():
+        for fuel in (1, 2):
+            harmony_check(inst, p, fuel)
+    assert len(compared) > 500
+
+
+def test_derived_par_memo_keys_equal_one_shot_keys(monkeypatch):
+    compared = _checking_memo_keys(monkeypatch)
+    rng = random.Random(47)
+    for inst in (pi, ether):
+        for _ in range(20):
+            p = random_process(inst, rng, 6, (a, b, c))
+            assert derived_par(inst, p, out(b, z))
+    assert compared
+
+
+def _keys_through_one_memo(ps):
+    memo = {}
+    return [congruence_key(p, memo) for p in ps]
+
+
+def test_memo_entry_follows_the_hoisted_binders():
+    # one part object, a<a>.0, keyed with a hoisted and then with a free,
+    # and the other way round: the entry of the one may not serve the other
+    q = out(a)
+    for ps in ([Res(a, q), q, Par(q, Res(a, q))], [q, Res(a, q), Res(a, Par(q, q))]):
+        assert _keys_through_one_memo(ps) == [congruence_key(p) for p in ps]
+    bound, free = _keys_through_one_memo([Res(a, q), q])
+    assert bound != free
+
+
+@pytest.mark.parametrize("part", [out(a), Assert(frozenset({a}))], ids=["output", "assertion"])
+def test_memo_keys_of_a_clash_and_a_shared_scope(part):
+    # the inputs of test_congruence_key_tells_a_clash_from_a_shared_scope,
+    # built from one part object, keyed through one memo in every order
+    other = rename({a: b}, part)
+    triple = (Par(part, Res(a, part)), Res(a, Par(part, part)), Par(part, Res(b, other)))
+    want = {p: congruence_key(p) for p in triple}
+    assert want[triple[0]] != want[triple[1]] and want[triple[0]] == want[triple[2]]
+    for order in itertools.permutations(triple):
+        assert _keys_through_one_memo(order) == [want[p] for p in order]
+
+
+def test_memo_keys_of_tied_parts(monkeypatch):
+    # the input of test_harmony_when_set_elements_tie: a tied part is
+    # searched again for each key, and keying a target twice changes nothing
+    w1, w2 = fresh_name((), "w"), fresh_name((), "w")
+    p = Res(b, par(Output(b, b, NIL), Input(b, (w1,), w1, NIL), Assert(frozenset({(c, c)})),
+                   Res(a, Res(a, Res(c, Input(b, (w2,), w2, Assert(
+                       frozenset({(b, c), (a, a), (b, b)}))))))))
+    targets = [s.target for s in reductions(pre, p, 2)]
+    assert _keys_through_one_memo(targets + targets) == [congruence_key(t) for t in targets] * 2
+    compared = _checking_memo_keys(monkeypatch)
+    assert harmony_check(pre, p, fuel=2).ok and compared
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_harmony_walks_each_part_once(monkeypatch, n):
+    # n^2 reductions and n^2 taus of 4n - 2 parts each, all but two of them
+    # the source's own: the source's 4n parts are walked once, and so are
+    # the sender's and the receiver's opened assertions, n of each
+    p = par(*(ether_example() for _ in range(n)))
+    walks = _counting(monkeypatch, nominal._canon, (reduction,))
+    assert harmony_check(ether, p, fuel=2).ok
+    assert len(walks) == 6 * n
