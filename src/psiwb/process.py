@@ -283,7 +283,7 @@ def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, fresh=None) 
 # Hoisting
 
 
-def hoist(p: Process, fresh: Fresh, taken: set):
+def hoist(p: Process, fresh: Fresh, taken=None):
     """Hoist the restrictions on the Par/Res spine of ``p`` outward.
 
     Returns the hoisted binders (outermost first), the unguarded ``Assert``
@@ -295,27 +295,41 @@ def hoist(p: Process, fresh: Fresh, taken: set):
     already holds it; then it is renamed in its body to the next atom of
     ``fresh``, a supply over a process that contains ``p``.  Each hoisted
     binder is added to ``taken``.  Walks with an explicit stack, so neither
-    depth nor width meets the recursion limit."""
+    depth nor width meets the recursion limit.
+
+    Without ``taken``, the walk carries the binders in scope down the spine
+    instead of reading the free names of ``p`` first: it needs them only on
+    a clash, where a binder is hoisted twice or a part holds a hoisted
+    binder free outside that binder's scope.  Then ``p`` is hoisted again
+    with ``taken`` its free names.  Without a clash, that ``taken`` would
+    rename no binder either."""
+    scoped = taken is None
+    if scoped:
+        taken, free = set(), set()  # free: the free names of p met so far
     binders, asserts, comps = [], [], []
-    todo = [p]
+    todo = [(p, frozenset())]
     while todo:
-        q = todo.pop()
+        q, scope = todo.pop()
         if isinstance(q, Nil):
             continue
-        if isinstance(q, Assert):
-            asserts.append(q)
-        elif isinstance(q, Par):
-            todo += (q.right, q.left)
+        if isinstance(q, Par):
+            todo += ((q.right, scope), (q.left, scope))
         elif isinstance(q, Res):
             name, body = q.name, q.body
             if name in taken:
+                if scoped:
+                    return hoist(p, fresh, set(support(p)))
                 name = mint(fresh, name.hint or "b")
                 body = rename({q.name: name}, body)
             taken.add(name)
             binders.append(name)
-            todo.append(body)
+            todo.append((body, scope | {name} if scoped else scope))
         else:
-            comps.append(q)
+            (asserts if isinstance(q, Assert) else comps).append(q)
+            if scoped and not support(q) <= scope:
+                free.update(support(q) - scope)
+    if scoped and not free.isdisjoint(taken):
+        return hoist(p, fresh, set(support(p)))
     return tuple(binders), tuple(asserts), comps
 
 

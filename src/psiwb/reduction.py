@@ -39,15 +39,25 @@ that set elements hold no sets of their own, as in every shipped instance:
 ties inside such nested sets are broken by atom ids.
 
 A part's shape depends only on the part and on which of its atoms are
-hoisted binders, so the keys of one query share one memo of part shapes,
-looked up by the part's identity (hash-consing's sharing by identity;
-Filliâtre and Conchon, "Type-safe modular hash-consing", 2006, scoped to
-one query).  The targets of one query are built from the same objects:
-``hoist`` hands back the source's own nodes, the reduction targets keep
-every untouched part as it is, and the engine's tau targets share the parts
-they leave untouched.  So harmony walks each part once, not once per
-target.  The memo lives in the query and not on the nodes: it dies with
-the query, and a repeated query pays for its walks again.
+hoisted binders, so the keys of one query share one memo, which holds an
+entry per part, looked up by the part's identity (hash-consing's sharing by
+identity; Filliâtre and Conchon, "Type-safe modular hash-consing", 2006,
+scoped to one query).  A component's key depends only on its parts'
+entries, so the memo also holds the key of each component, looked up by
+the identities of those entries; a component key computes its hash once.
+The targets of one query are built from the same objects: ``hoist`` hands
+back the source's own nodes, the reduction targets keep every untouched
+part as it is, and the engine's tau targets share the parts they leave
+untouched.  So harmony walks each part once and keys each component once,
+not once per target: a target costs its own walk down the Par/Res spine
+and a lookup per part and per component.  The memo lives in the query and
+not on the nodes: it dies with the query, and a repeated query pays for its
+walks again.
+
+Hoisting renames a binder only on a clash, when the binder is hoisted
+twice or is free in a part outside its scope.  The key's ``hoist`` finds a
+clash on its own spine walk, from the binders in scope of each part, and
+reads the free names of the whole target only then.
 """
 
 from __future__ import annotations
@@ -244,51 +254,81 @@ def congruence_key(p: Process, _memo=None):
     module docstring.
 
     ``_memo`` is a dict that the keys of one query share, and a fresh one
-    when it is left out: it holds the shape of each part walked so far, so
-    that a part that many targets share is walked once (``_part_shape``).
-    It is not kept on the nodes, where it would outlive the query."""
-    binders, asserts, comps = hoist(p, Fresh(p), set(support(p)))
+    when it is left out.  It holds an entry for each part walked so far
+    (``_part_entry``) and the key of each component keyed so far
+    (``_keyed_component``), so that a part or a component that many
+    targets share is walked or keyed once.  It is not kept on the nodes,
+    where it would outlive the query."""
+    binders, asserts, comps = hoist(p, Fresh(p))
     loose = frozenset(binders)
-    parts = list(asserts) + comps
     memo = {} if _memo is None else _memo
-    shapes, occs, tied = [], [], []
-    for q in parts:
-        shape, occ, tie = _part_shape(q, loose, memo)
-        shapes.append(shape)
-        occs.append(occ)
-        tied.append(tie)
+    entries = [_part_entry(q, loose, memo) for q in (*asserts, *comps)]
     keys = Counter()
-    for comp in _components(occs):
-        items = [(shapes[i], (occs[i],)) for i in comp]
-        mine = [k for k, i in enumerate(comp) if tied[i]]
-        for k in mine:
-            others = items[:k] + items[k + 1:]
-            if len(mine) > 1:
-                # each other part keeps its label, so that the atom lists
-                # pruned here and there stay related (see _Ties)
-                others = [(j, occs) for j, (_, occs) in enumerate(others)]
-            items[k] = _tied_shape(parts[comp[k]], loose, others)
-        keys[_component_key(items)] += 1
+    for comp in _components([occ for _, _, _, occ, _ in entries]):
+        keys[_keyed_component([entries[i] for i in comp], memo)] += 1
     return frozenset(keys.items())
 
 
-def _part_shape(q, loose, memo):
-    """The shape of the part ``q`` under the hoisted binders ``loose``, its
-    renamable atoms in order of first occurrence, and whether it met a set
-    tie.  Looked up in ``memo`` by the part's identity: the entry holds the
-    part, so that its id is not reused while the memo lives, and the
-    hoisted binders among its atoms, the only thing outside the part that
-    its shape depends on.  A tied part's entry still goes through
-    ``_tied_shape`` for each component it is in."""
+def _part_entry(q, loose, memo):
+    """The memo entry of the part ``q`` under the hoisted binders ``loose``:
+    the part, the hoisted binders among its atoms, its shape, its renamable
+    atoms in order of first occurrence, and whether it met a set tie.
+    Looked up in ``memo`` by the part's identity: the entry holds the part,
+    so that its id is not reused while the memo lives, and the hoisted
+    binders among its atoms, the only thing outside the part that its shape
+    depends on."""
     live = loose.intersection(atoms(q))
     got = memo.get(id(q))
     if got is not None and got[1] == live:
-        return got[2]
+        return got
     ties = _Ties()
-    st = _CanonState(loose, ties)
-    out = _canon(q, {}, st), tuple(st.free_map), bool(ties.widths)
-    memo[id(q)] = q, live, out
-    return out
+    st = _CanonState(live, ties)
+    entry = memo[id(q)] = q, live, _canon(q, {}, st), tuple(st.free_map), bool(ties.widths)
+    return entry
+
+
+def _keyed_component(entries, memo):
+    """The key of the component whose parts have the memo ``entries``.
+
+    The entries fix the key: a part, the hoisted binders among its atoms,
+    and through them its shape, its atom list and, for a part that meets a
+    set tie, its search (``_tied_shape``, with the other parts of the
+    component).  So the key is looked up in ``memo`` by the identities of
+    the entries, as a multiset, in an entry that holds them, so that no id
+    among them is reused while the memo lives.  A component that a target
+    has merged with another, or split, has other entries and is keyed
+    afresh."""
+    ident = tuple(sorted(map(id, entries)))
+    got = memo.get(ident)
+    if got is not None:
+        return got[1]
+    items = [(shape, (occ,)) for _, _, shape, occ, _ in entries]
+    mine = [k for k, (*_, tied) in enumerate(entries) if tied]
+    for k in mine:
+        others = items[:k] + items[k + 1:]
+        if len(mine) > 1:
+            # each other part keeps its label, so that the atom lists
+            # pruned here and there stay related (see _Ties)
+            others = [(j, occs) for j, (_, occs) in enumerate(others)]
+        q, live = entries[k][:2]
+        items[k] = _tied_shape(q, live, others)
+    key = _Hashed(_component_key(items))
+    memo[ident] = entries, key
+    return key
+
+
+class _Hashed(tuple):
+    """A component key that computes its hash once: the shapes in it are
+    dataclasses, whose hash walks them, and a query hashes each component
+    key once per target that holds the component."""
+
+    def __new__(cls, items):
+        key = super().__new__(cls, items)
+        key.hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self.hash
 
 
 class _Ties:
@@ -516,10 +556,10 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     """Compare reductions with unit-environment tau transitions, matching
     targets up to their congruence keys, in both directions.  The tau
     targets are the engine's raw ones: the key is alpha-invariant, so they
-    need no canonical form.  Every key of the query shares one memo of part
-    shapes, so a part that many targets hold is walked once.  Only a target
-    reported unmatched is canonicalised, so that no scratch atom's id shows
-    in the report."""
+    need no canonical form.  Every key of the query shares one memo, so a
+    part or a component that many targets hold is walked or keyed once.
+    Only a target reported unmatched is canonicalised, so that no scratch
+    atom's id shows in the report."""
     red, tau, memo = {}, {}, {}
     for s in reductions(inst, p, fuel):
         red.setdefault(congruence_key(s.target, memo), s.target)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from psiwb import nominal, reduction
+from psiwb import nominal, process, reduction
 from psiwb.nominal import (MINT_BASE, Fresh, Name, canonical, fresh_name, mint_many,
                            rename, support)
 from psiwb.corpus import random_process, triangle_counterexample_shapes
@@ -176,11 +176,15 @@ def test_harmony_replicated_sender_and_receiver(fuel, matched):
     assert rep.ok and rep.matched == matched
 
 
+# (nu x)x<a>.0 | (nu x)x(y).y, and its shared-scope variant
+SIBLING_BINDERS = (Par(Res(x, Output(x, a, NIL)), Res(x, Input(x, (y,), y, NIL))),
+                   Res(x, Par(Output(x, a, NIL), Input(x, (y,), y, NIL))))
+
+
 def test_hoisting_keeps_same_named_sibling_binders_apart():
-    # (nu x)x<a>.0 | (nu x)x(y).y: the second x is renamed when hoisted, so
-    # the two private channels stay distinct and nothing communicates
-    p = Par(Res(x, Output(x, a, NIL)), Res(x, Input(x, (y,), y, NIL)))
-    shared = Res(x, Par(Output(x, a, NIL), Input(x, (y,), y, NIL)))
+    # the second x is renamed when hoisted, so the two private channels stay
+    # distinct and nothing communicates
+    p, shared = SIBLING_BINDERS
     binders, _, _ = hoist(p, Fresh(p), set(support(p)))
     assert len(set(binders)) == 2
     assert reductions(pi, p) == frozenset()
@@ -526,7 +530,7 @@ def test_congruence_key_walks_engine_targets_once(monkeypatch):
         assert len(walks) == len(asserts) + len(comps) > 1
 
 
-@pytest.mark.parametrize("clash, shared, variant", [
+CLASHES = [
     # a<a>.0 | (nu a)a<a>.0 against (nu a)(a<a>.0 | a<a>.0), in pi
     (Par(out(a), Res(a, out(a))), Res(a, Par(out(a), out(a))),
      Par(out(a), Res(b, out(b)))),
@@ -534,12 +538,32 @@ def test_congruence_key_walks_engine_targets_once(monkeypatch):
     (Par(Assert(frozenset({a})), Res(a, Assert(frozenset({a})))),
      Res(a, Par(Assert(frozenset({a})), Assert(frozenset({a})))),
      Par(Assert(frozenset({a})), Res(b, Assert(frozenset({b}))))),
-], ids=["output", "assertion"])
+]
+
+
+@pytest.mark.parametrize("clash, shared, variant", CLASHES, ids=["output", "assertion"])
 def test_congruence_key_tells_a_clash_from_a_shared_scope(clash, shared, variant):
     # the free a and the bound a of the clash are two names
     key = congruence_key(clash)
     assert key != congruence_key(shared)
     assert key == congruence_key(variant)
+
+
+def test_hoist_reads_the_free_names_only_on_a_clash(monkeypatch):
+    # the key hoists without the free names, and only a clash sends hoist
+    # down the route that reads them and renames: once for each clash
+    # input, never for its shared-scope or renamed variants, nor in
+    # composites harmony, where every part's free names are in its scope
+    renamed = _counting(monkeypatch, process.hoist, (process,))
+    sibling, shared = SIBLING_BINDERS
+    for clash, *apart in CLASHES + [(sibling, shared)]:
+        for p, want in [(clash, 1)] + [(q, 0) for q in apart]:
+            renamed.clear()
+            congruence_key(p)
+            assert len(renamed) == want, p
+    for n in range(2, 7):
+        assert harmony_check(ether, par(*(ether_example() for _ in range(n))), fuel=2).ok
+    assert not renamed
 
 
 # -- one memo per query -------------------------------------------------------------
@@ -618,9 +642,35 @@ def test_memo_keys_of_a_clash_and_a_shared_scope(part):
         assert _keys_through_one_memo(order) == [want[p] for p in order]
 
 
+@pytest.mark.parametrize("link", ["binder", "scratch atom"])
+def test_memo_keys_of_components_linked_later(link):
+    # two part objects, d<l>.0 and e<l>.0, first in components of their
+    # own, and then in one process where l links them into one component.
+    # Keyed through one memo in every order, no component key of the parts
+    # apart may serve them linked
+    d, e = fresh_name((), "d"), fresh_name((), "e")
+    if link == "binder":
+        # c apart while it is free, linking once it is hoisted
+        one, other = out(d, c), out(e, c)
+        apart, linked = [res((d, e), par(one, other))], res((c, d, e), par(one, other))
+    else:
+        # a free scratch atom links every part of a process that holds it
+        m = Name(MINT_BASE)
+        one, other = out(d, m), out(e, m)
+        apart, linked = [Res(d, one), Res(e, other)], res((d, e), par(one, other))
+
+    def components(p):
+        return sum(count for _, count in congruence_key(p))
+
+    assert sum(map(components, apart)) == 2 and components(linked) == 1
+    for order in itertools.permutations(apart + [linked]):
+        assert _keys_through_one_memo(order) == [congruence_key(p) for p in order]
+
+
 def test_memo_keys_of_tied_parts(monkeypatch):
-    # the input of test_harmony_when_set_elements_tie: a tied part is
-    # searched again for each key, and keying a target twice changes nothing
+    # the input of test_harmony_when_set_elements_tie: a component with a
+    # tied part is searched once per query, and keying a target twice
+    # changes nothing
     w1, w2 = fresh_name((), "w"), fresh_name((), "w")
     p = Res(b, par(Output(b, b, NIL), Input(b, (w1,), w1, NIL), Assert(frozenset({(c, c)})),
                    Res(a, Res(a, Res(c, Input(b, (w2,), w2, Assert(
@@ -640,3 +690,14 @@ def test_harmony_walks_each_part_once(monkeypatch, n):
     walks = _counting(monkeypatch, nominal._canon, (reduction,))
     assert harmony_check(ether, p, fuel=2).ok
     assert len(walks) == 6 * n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_harmony_keys_each_component_once(monkeypatch, n):
+    # the source's 2n components, and those the targets change: the
+    # sender's and the receiver's assertion alone in a reduction target, and
+    # each of them opened in a tau target, n of each
+    p = par(*(ether_example() for _ in range(n)))
+    keyed = _counting(monkeypatch, reduction._component_key, (reduction,))
+    assert harmony_check(ether, p, fuel=2).ok
+    assert len(keyed) == 6 * n
