@@ -45,6 +45,10 @@ identity; Filliâtre and Conchon, "Type-safe modular hash-consing", 2006,
 scoped to one query).  A component's key depends only on its parts'
 entries, so the memo also holds the key of each component, looked up by
 the identities of those entries; a component key computes its hash once.
+The memo also interns the component keys: equal keys, say of two copies
+of one process, are one object, so the counters, sets and dicts of the
+query find them equal by identity instead of comparing them field by
+field.
 The targets of one query are built from the same objects: ``hoist`` hands
 back the source's own nodes, the reduction targets keep every untouched
 part as it is, and the engine's tau targets share the parts they leave
@@ -297,7 +301,8 @@ def _keyed_component(entries, memo):
     the entries, as a multiset, in an entry that holds them, so that no id
     among them is reused while the memo lives.  A component that a target
     has merged with another, or split, has other entries and is keyed
-    afresh."""
+    afresh.  A key equal to one the memo holds already is handed back as
+    that object."""
     ident = tuple(sorted(map(id, entries)))
     got = memo.get(ident)
     if got is not None:
@@ -313,6 +318,9 @@ def _keyed_component(entries, memo):
         q, live = entries[k][:2]
         items[k] = _tied_shape(q, live, others)
     key = _Hashed(_component_key(items))
+    # one object per distinct key: the counters, sets and dicts of the
+    # query then find equal keys by identity, not field by field
+    key = memo.setdefault(("interned", key), key)
     memo[ident] = entries, key
     return key
 

@@ -2,37 +2,53 @@
 transitions under two rule sets: the provenance rules, and the legacy
 In-Old / Out-Old / Com-Old rules used for conservativity experiments.
 
-Rule-by-rule summary of the provenance rules:
+Rule-by-rule summary of the provenance rules.  The label subject of an
+input or output is a *partner* channel: one prefix may have many, since
+connectivity need not be symmetric or transitive.  Inside the engine a
+premise keeps all of them, as one set, and each rule filters that set; a
+subject is picked only where a rule needs one, by Com and at the root.
+This is the symbolic treatment of the subject (Hennessy and Lin,
+"Symbolic bisimulations", 1995), and it derives one premise per prefix
+instead of one per partner:
 
-* In/Out fire at prefixes; the label subject is the *partner* prefix drawn
-  from the instance's channel enumerators, the provenance is the own prefix.
+* In/Out fire at prefixes; the label subjects are the partner channels
+  that the instance's channel enumerators give, the provenance is the own
+  prefix.
+* Scope and Open drop the subjects that mention the restricted name, and
+  then apply by the rest of the label: Scope where the name is not in it,
+  Open where it is in an output's object.  A premise left with no subject,
+  or with the name in an input's pattern, is dropped.
 * Par shifts the sibling frame into the environment and bookkeeps the
   sibling's binders into the provenance (appended on the left premise,
   prepended on the right one, so provenance binders track frame binders in
-  order).  Frames are opened once per query and handed down: the opened
-  frame of a process (``process.open_frame``) holds those of its Par
-  children and restriction bodies, so a Par reads its children's frames off
-  the tree, and a Res that an enclosing opening covers reuses that opening's
-  binder and renamed body instead of minting again.  Only what no enclosing
-  opening covers is opened where it is met: the query's root, a Case branch
-  and each replication unfolding.
-* Com fires when the label subject of each premise equals the other
-  premise's provenance term, with frame binders opened consistently.  It
-  joins an output and an input premise that Par has already derived, so
-  every process is derived once, and the receiving premise has passed
-  Scope's and Par's freshness checks like any premise.
+  order).  Its conclusion keeps the subjects that mention no sibling
+  binder, and is dropped where no subject is left or where the object or
+  pattern mentions one.  Frames are opened once per query and handed
+  down: the opened frame of a process (``process.open_frame``) holds those
+  of its Par children and restriction bodies, so a Par reads its
+  children's frames off the tree, and a Res that an enclosing opening
+  covers reuses that opening's binder and renamed body instead of minting
+  again.  Only what no enclosing opening covers is opened where it is met:
+  the query's root, a Case branch and each replication unfolding.
+* Com fires once per pair of an output and an input premise, when each
+  premise's provenance term, with frame binders opened consistently, is
+  among the other's subjects: that picks the subject of each.  It joins
+  premises that Par has already derived, so every process is derived once,
+  and the receiving premise has passed Scope's and Par's freshness checks
+  like any premise.
+* At the root each premise gives one transition per subject that is
+  left: a public ``OutLabel`` or ``InLabel`` has exactly one subject.
 * Case and Rep demote frame binders to the provenance's inner sequence;
   Scope and Open wrap the provenance.
 
 The legacy rules (``legacy_transitions``) share every rule but three: In-Old
 draws its label subjects from ``out_channels`` in the printed orientation
 (``in_channels`` when reoriented); Com-Old ignores provenances and instead
-requires the environment composed with both frames to entail that the
-sender's label subject connects to the receiver's, whose receiving premise
-may then have any label subject In-Old gives; and their results drop
-the provenance, which the engine computes all the same.  The private
-``_Rules`` value that carries these differences is threaded through the
-derivation.
+fires once per pair of premises when the environment composed with both
+frames entails that some subject of the sender connects to some subject
+of the receiver; and their results drop the provenance, which the engine
+computes all the same.  The private ``_Rules`` value that carries these
+differences is threaded through the derivation.
 
 Every binder is opened to a scratch atom of the query's one supply
 (``nominal.Fresh`` over the environment, the source and the message basis),
@@ -60,7 +76,7 @@ The provenance comes last, so the first four fields of a canonical
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .nominal import (_canon, _CanonState, Fresh, mint_many, names_of, rename,
                       support)
@@ -88,12 +104,25 @@ class InLabel:
 
 
 @dataclass(frozen=True)
-class _LateIn:
-    """The label of an input premise whose pattern variables are still
-    open: it receives ``pattern`` under any instantiation of ``variables``,
-    which are free in the premise's target."""
+class _Out:
+    """The label of an output premise: an ``OutLabel`` on each of
+    ``subjects``, the partner channels that no rule has ruled out yet."""
 
-    subject: object
+    subjects: frozenset
+    extruded: tuple  # tuple[Name, ...], bind into the object (and the target)
+    obj: object
+
+    _binders = ("extruded",)
+
+
+@dataclass(frozen=True)
+class _LateIn:
+    """The label of an input premise on each of ``subjects`` whose pattern
+    variables are still open: it receives ``pattern`` under any
+    instantiation of ``variables``, which are free in the premise's
+    target."""
+
+    subjects: frozenset
     variables: tuple  # tuple[Name, ...], bind into the pattern
     pattern: object
 
@@ -280,36 +309,46 @@ def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
 
 
 def _derive(inst, rules, psi, proc, fuel):
-    """Raw (label, provenance, target) triples of ``proc`` under ``psi``; an
-    input still open at the root receives every message of the basis."""
+    """Raw (label, provenance, target) triples of ``proc`` under ``psi``.
+    Here each premise picks its subjects: it gives one ``OutLabel`` or
+    ``InLabel`` per subject, and an input still open at the root receives
+    every message of the basis."""
     check_well_formed(proc)
     msgs = inst.message_basis(names_of(psi, proc))
     fresh = Fresh(psi, proc, msgs)
     out = []
     for lab, pi, tgt in _step(inst, rules, psi, proc, open_frame(inst, proc, fresh),
                               fuel, fresh):
-        if not isinstance(lab, _LateIn):
+        if isinstance(lab, _Out):
+            out.extend((OutLabel(k, lab.extruded, lab.obj), pi, tgt) for k in lab.subjects)
+        elif isinstance(lab, _LateIn):
+            received = []
+            for ms in itertools.product(msgs, repeat=len(lab.variables)):
+                sigma = Subst.of(lab.variables, ms)
+                received.append((inst.subst_term(lab.pattern, sigma),
+                                 subst_process(inst, tgt, sigma)))
+            out.extend((InLabel(k, obj), pi, t) for k in lab.subjects for obj, t in received)
+        else:
             out.append((lab, pi, tgt))
-            continue
-        for ms in itertools.product(msgs, repeat=len(lab.variables)):
-            sigma = Subst.of(lab.variables, ms)
-            out.append((InLabel(lab.subject, inst.subst_term(lab.pattern, sigma)), pi,
-                        subst_process(inst, tgt, sigma)))
     return out
 
 
 def _step(inst, rules, env, p, frame, budget, fresh):
-    """Raw (label, provenance, target) triples for one process, with every
-    input late (a ``_LateIn`` label).  ``frame`` is the opened frame of ``p``
-    (``open_frame``); ``fresh`` is the query's supply, which opened it."""
+    """The premises of one process: raw (label, provenance, target)
+    triples.  A prefix gives at most one premise, whose label (``_Out``,
+    or ``_LateIn`` for an input, which is late) holds every subject the
+    enumerators give; Scope, Open and Par narrow that set, and only Com
+    (``_coms``) and the root (``_derive``) pick a subject from it.
+    ``frame`` is the opened frame of ``p`` (``open_frame``); ``fresh`` is
+    the query's supply, which opened it."""
     if isinstance(p, (Nil, Assert)):
         return []
 
     if isinstance(p, Output):
-        out = []
-        for k in inst.out_channels(env, p.channel):
-            out.append((OutLabel(k, (), p.message), Prov((), (), p.channel), p.cont))
-        return out
+        subjects = inst.out_channels(env, p.channel)
+        if not subjects:
+            return []
+        return [(_Out(subjects, (), p.message), Prov((), (), p.channel), p.cont)]
 
     if isinstance(p, Input):
         variables, pattern, cont = p.variables, p.pattern, p.cont
@@ -319,9 +358,10 @@ def _step(inst, rules, env, p, frame, budget, fresh):
             opened = mint_many(fresh, len(variables), "x")
             m = dict(zip(variables, opened))
             variables, pattern, cont = opened, rename(m, pattern), rename(m, cont)
-        prov = Prov((), (), p.channel)
-        return [(_LateIn(k, variables, pattern), prov, cont)
-                for k in getattr(inst, rules.in_subjects)(env, p.channel)]
+        subjects = getattr(inst, rules.in_subjects)(env, p.channel)
+        if not subjects:
+            return []
+        return [(_LateIn(subjects, variables, pattern), Prov((), (), p.channel), cont)]
 
     if isinstance(p, Case):
         return [t for phi, q in p.branches if inst.entails(env, phi)
@@ -329,17 +369,20 @@ def _step(inst, rules, env, p, frame, budget, fresh):
 
     if isinstance(p, Res):
         name, (body_frame,) = frame.name, frame.parts
+        bound = frozenset((name,))
         out = []
         for lab, pi, tgt in _step(inst, rules, env, frame.body, body_frame, budget,
                                   fresh):
+            lab = _narrow(lab, bound)
+            if lab is None:
+                continue  # the name escapes through every subject
             if name not in support(lab):
                 out.append((lab, prov_scope((name,), pi), Res(name, tgt)))
-            elif (isinstance(lab, OutLabel)
-                  and name not in support(lab.subject)
-                  and name in support(lab.obj) - frozenset(lab.extruded)):
-                opened = OutLabel(lab.subject, (name,) + lab.extruded, lab.obj)
+            elif isinstance(lab, _Out):
+                # the name is in the object
+                opened = _Out(lab.subjects, (name,) + lab.extruded, lab.obj)
                 out.append((opened, prov_scope((name,), pi), tgt))
-            # otherwise the name escapes through the subject: no rule applies
+            # otherwise the name is in an input's pattern: no rule applies
         return out
 
     if isinstance(p, Bang):
@@ -356,18 +399,19 @@ def _step(inst, rules, env, p, frame, budget, fresh):
         right_trans = _step(inst, rules, env_r, right, f_r, budget, fresh)
 
         # the opened sibling binders must be fresh for the conclusion label:
-        # premise transitions mentioning them feed Com only
+        # it keeps the subjects that mention none of them, and a premise
+        # whose object or pattern mentions one feeds Com only
         out = []
         b_l, b_r = f_l.binders, f_r.binders
         b_r_set, b_l_set = frozenset(b_r), frozenset(b_l)
         for lab, pi, tgt in left_trans:
-            if support(lab) & b_r_set:
-                continue
-            out.append((lab, prov_append(pi, b_r), Par(tgt, right)))
+            lab = _narrow(lab, b_r_set)
+            if lab is not None and b_r_set.isdisjoint(support(lab)):
+                out.append((lab, prov_append(pi, b_r), Par(tgt, right)))
         for lab, pi, tgt in right_trans:
-            if support(lab) & b_l_set:
-                continue
-            out.append((lab, prov_scope(b_l, pi), Par(left, tgt)))
+            lab = _narrow(lab, b_l_set)
+            if lab is not None and b_l_set.isdisjoint(support(lab)):
+                out.append((lab, prov_scope(b_l, pi), Par(left, tgt)))
 
         three_way = (inst.compose(env, inst.compose(f_l.assertion, f_r.assertion))
                      if rules.legacy else None)
@@ -393,32 +437,46 @@ def _coms(inst, rules, three_way, sender_trans, receiver_trans, f_send, f_recv,
           swapped):
     """Com instances joining the sender's output premises ``sender_trans``
     with the receiver's input premises ``receiver_trans``; ``f_send`` and
-    ``f_recv`` are their opened frames.  The receiver's target receives the
-    match of its pattern against the sent message.  ``three_way`` is the
-    assertion Com-Old checks connectivity under (None for the provenance
-    rules)."""
+    ``f_recv`` are their opened frames.  Each pair of premises fires at
+    most once per match: under the provenance rules it picks as the
+    sender's subject the receiver's opened provenance, and the other way
+    round, and under Com-Old it needs some pair of subjects connected.  The
+    receiver's target receives the match of its pattern against the sent
+    message.  ``three_way`` is the assertion Com-Old checks connectivity
+    under (None for the provenance rules)."""
     ins = [t for t in receiver_trans if isinstance(t[0], _LateIn)]
     if not ins:
         return []
     out = []
     for lab, pi, s_tgt in sender_trans:
-        if not isinstance(lab, OutLabel):
+        if not isinstance(lab, _Out):
             continue
         k_open = None if rules.legacy else _open_prov(pi, f_send.binders)
         for lab2, pi2, r_tgt in ins:
             if rules.legacy:
-                # the receiver may use any of its label subjects
-                if not inst.entails(three_way, inst.conn(lab.subject, lab2.subject)):
+                # any pair of the two premises' subjects may connect
+                if not any(inst.entails(three_way, inst.conn(k, k2))
+                           for k in lab.subjects for k2 in lab2.subjects):
                     continue
             # None, where the sender's term cannot be opened, is no subject
-            elif (lab2.subject != k_open
-                  or _open_prov(pi2, f_recv.binders) != lab.subject):
+            elif (k_open not in lab2.subjects
+                  or _open_prov(pi2, f_recv.binders) not in lab.subjects):
                 continue
             for ts in inst.match_pattern(lab2.variables, lab2.pattern, lab.obj):
                 received = subst_process(inst, r_tgt, Subst.of(lab2.variables, ts))
                 pair = Par(received, s_tgt) if swapped else Par(s_tgt, received)
                 out.append((TAU, BOT, res(lab.extruded, pair)))
     return out
+
+
+def _narrow(lab, names):
+    """``lab`` with only the subjects that mention none of ``names``, or
+    None where no subject is left.  A label with no subjects, tau, is kept
+    as it is: it mentions no name."""
+    if names.isdisjoint(support(lab)):
+        return lab
+    subjects = frozenset(k for k in lab.subjects if names.isdisjoint(support(k)))
+    return replace(lab, subjects=subjects) if subjects else None
 
 
 def _open_prov(pi, frame_binders):

@@ -1,5 +1,7 @@
 """The exhaustive small-term enumerator, and a sweep of every small term:
-harmony on every instance, and on pi the naive derivation oracle too."""
+harmony on every instance, and the naive derivation oracle too."""
+
+import functools
 
 import pytest
 
@@ -7,9 +9,10 @@ from naive_engine import naive_transitions
 from psiwb.corpus import all_processes
 from psiwb.nominal import canonical, fresh_name
 from psiwb.params import EtherInstance, PiInstance, PreorderInstance, TriangleInstance
-from psiwb.process import NIL, Assert, Bang, Case, Input, Output, Res, check_well_formed
+from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
+                           check_well_formed)
 from psiwb.reduction import harmony_check
-from psiwb.semantics import erase_provenance, transitions
+from psiwb.semantics import erase_provenance, legacy_transitions, transitions
 
 a, b = fresh_name((), "a"), fresh_name((), "b")
 pi, ether, tri, pre = PiInstance(), EtherInstance(), TriangleInstance(), PreorderInstance()
@@ -59,3 +62,24 @@ def test_naive_oracle_on_every_small_pi_term():
         for p in all_processes(pi, size, (a, b)):
             got = erase_provenance(transitions(pi, pi.unit, p, 2))
             assert got == naive_transitions(pi, pi.unit, p, 2), p
+
+
+@pytest.mark.parametrize("inst", [ether, tri, pre], ids=lambda i: i.name)
+def test_naive_oracle_on_every_small_term_under_every_basis_assertion(inst):
+    # under the unit nothing connects below size 5 in ether and triangle;
+    # under each assertion of the basis, and under their composition, a
+    # prefix has label subjects, several of them under the composition.
+    # Com needs a Par of two prefixes, size 3; the Pars of size 3 run under
+    # the composition alone, which keeps the sweep near a second.  On
+    # ether, Com-Old fires once per pair of premises, and the legacy rules
+    # give the same transitions as the provenance rules
+    basis = inst.assertion_basis((a, b))
+    every = functools.reduce(inst.compose, basis)
+    sweep = [(p, basis + (every,)) for size in (1, 2) for p in all_processes(inst, size, (a, b))]
+    sweep += [(p, (every,)) for p in all_processes(inst, 3, (a, b)) if isinstance(p, Par)]
+    for p, envs in sweep:
+        for env in envs:
+            got = erase_provenance(transitions(inst, env, p, 2))
+            assert got == naive_transitions(inst, env, p, 2), (p, env)
+            if inst is ether:
+                assert got == legacy_transitions(inst, env, p, 2), (p, env)

@@ -701,3 +701,11 @@ def test_harmony_keys_each_component_once(monkeypatch, n):
     keyed = _counting(monkeypatch, reduction._component_key, (reduction,))
     assert harmony_check(ether, p, fuel=2).ok
     assert len(keyed) == 6 * n
+
+
+def test_memo_interns_equal_component_keys():
+    # the components of two ether copies, keyed through one memo: each key
+    # of the one copy is the very object of the other's equal key
+    one, other = _keys_through_one_memo([ether_example(), ether_example()])
+    assert one == other and len(one) == 2
+    assert {id(key) for key, _ in one} == {id(key) for key, _ in other}

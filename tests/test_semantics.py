@@ -409,6 +409,37 @@ def test_step_runs_once_per_node(monkeypatch):
     assert len(calls) == 99
 
 
+def _ether_copies(n):
+    """n copies of (nu x)(x<x>.0 | (|{x}|)) | (nu y)(y(y).0 | (|{y}|)), each
+    with its own names."""
+    copies = []
+    for _ in range(n):
+        u, v = fresh_name((), "x"), fresh_name((), "y")
+        copies.append(Par(Res(u, Par(Output(u, u, NIL), Assert(frozenset({u})))),
+                          Res(v, Par(Input(v, (v,), v, NIL), Assert(frozenset({v}))))))
+    return par(*copies)
+
+
+@pytest.mark.parametrize("n, premises", [(2, 22), (3, 44), (4, 75), (5, 117), (6, 172)])
+def test_step_keeps_one_premise_per_prefix(monkeypatch, n, premises):
+    # through the shared medium each prefix of n ether copies has 2n label
+    # subjects; it is one premise all the same, up every Par and Res, and
+    # Com and the root pick its subjects.  One premise per subject made
+    # 58 / 150 / 293 / 493 / 756 premises at n = 2..6
+    from psiwb import semantics
+    made = []
+    original = semantics._step
+
+    def counting_step(*args):
+        got = original(*args)
+        made.append(len(got))
+        return got
+
+    monkeypatch.setattr(semantics, "_step", counting_step)
+    semantics._derive(ether, semantics._PROVENANCE, ether.unit, _ether_copies(n), 2)
+    assert sum(made) == premises
+
+
 def test_com_between_case_branches_that_open_the_same_atom():
     # each side opens its case branch's restriction against the same avoid
     # set, so s and z become one scratch atom; receiving s must not capture z
@@ -461,6 +492,19 @@ def test_provenance_term_naming_an_inner_binder_meets_no_subject():
         assert any(isinstance(t.label, OutLabel) and t.prov.inner for t in ts)
         assert erase_provenance(ts) == naive_transitions(hub, hub.unit, p, fuel=1)
         assert taus(legacy_transitions(hub, hub.unit, p, fuel=1))
+
+
+def test_com_needs_the_receivers_provenance_among_the_senders_subjects():
+    # hub<a>.0 | a(x).0: the receiver offers hub, the sender's provenance,
+    # among its subjects, but the sender's one subject is hub, not a, the
+    # receiver's provenance, so the provenance rules make no Com; Com-Old
+    # sees hub -> hub
+    hub = _HubPi()
+    p = Par(Output(HUB, a, NIL), Input(a, (x,), x, NIL))
+    ts = transitions(hub, hub.unit, p, fuel=1)
+    assert not taus(ts)
+    assert erase_provenance(ts) == naive_transitions(hub, hub.unit, p, fuel=1)
+    assert taus(legacy_transitions(hub, hub.unit, p, fuel=1))
 
 
 @dataclass(frozen=True)
