@@ -38,8 +38,8 @@ cheap.  The key is the multiset of the component keys.  Exactness assumes
 that set elements hold no sets of their own, as in every shipped instance:
 ties inside such nested sets are broken by atom ids.
 
-A part's shape depends only on the part and on which of its atoms are
-hoisted binders, so the keys of one query share one memo, which holds an
+A part's shape depends only on the part and on which of its free names
+are hoisted binders, so the keys of one query share one memo, which holds an
 entry per part, looked up by the part's identity (hash-consing's sharing by
 identity; Filliâtre and Conchon, "Type-safe modular hash-consing", 2006,
 scoped to one query).  A component's key depends only on its parts'
@@ -49,14 +49,27 @@ The memo also interns the component keys: equal keys, say of two copies
 of one process, are one object, so the counters, sets and dicts of the
 query find them equal by identity instead of comparing them field by
 field.
-The targets of one query are built from the same objects: ``hoist`` hands
-back the source's own nodes, the reduction targets keep every untouched
-part as it is, and the engine's tau targets share the parts they leave
-untouched.  So harmony walks each part once and keys each component once,
-not once per target: a target costs its own walk down the Par/Res spine
-and a lookup per part and per component.  The memo lives in the query and
-not on the nodes: it dies with the query, and a repeated query pays for its
-walks again.
+The engine's tau targets share the parts they leave untouched, so harmony
+walks each part once and keys each component once, not once per target: a
+tau target costs its own walk down the Par/Res spine and a lookup per part
+and per component.  The memo lives in the query and not on the nodes: it
+dies with the query, and a repeated query pays for its walks again.
+
+A reduction target is keyed without building it, as a delta from its
+source (``_reduction_key``).  ``reductions`` and harmony read one
+enumeration of the pairs that fire (``_fired``).  At the first of them
+harmony keys the source's hoisted form by component (``_Summary``).  A
+firing replaces the top-level parts that hold its two prefixes by its new
+parts: the two continuations and the rest of a touched case or bang,
+hoisted.  Its key is the source's, without the components of the replaced
+parts, and with the components that the rest of their parts and the new
+parts form.  That is exact.  An untouched component keeps its parts, and
+each of them its live hoisted binders, for the target keeps every binder
+of the source, and a binder new in the target is free in no part of the
+source.  No new part shares a renamable atom with an untouched component:
+each of its renamable atoms is free in a replaced part or new in the
+target.  A replaced part may have held its component together, so the
+rest of it is grouped again.
 
 Hoisting renames a binder only on a clash, when the binder is hoisted
 twice or is free in a part outside its scope.  The key's ``hoist`` finds a
@@ -69,11 +82,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .nominal import (_canon, _CanonState, atoms, canonical, Fresh, rename,
-                      sort_key, support)
+from .nominal import (_canon, _CanonState, canonical, Fresh, rename, sort_key,
+                      support)
 from .params import CalculusInstance, Subst
-from .process import (Bang, Case, Input, NIL, Output, Par, Process,
+from .process import (Bang, Case, Input, NIL, Nil, Output, Par, Process,
                       assertion_guarded, check_well_formed, hoist, par, res,
                       subst_process)
 from .semantics import _derive, _PROVENANCE, DEFAULT_FUEL, TauLabel
@@ -182,40 +196,74 @@ def _rebuild(node, paths):
         j = js.pop()
         return _rebuild(node.branches[j][1], [path[1:] for path in paths])
     if isinstance(node, _ParN):
-        binders, kids, tail = list(node.binders), node.children, ()
+        binders, kids, tail = node.binders, node.children, ()
     elif isinstance(node, _BangN):
         last = max(path[0] for path in paths)
-        binders, kids, tail = [], node.copies[:last + 1], (node.original,)
+        binders, kids, tail = (), node.copies[:last + 1], (node.original,)
     else:
         return (), NIL  # the prefix at a position
-    rests = []
-    for i, kid in enumerate(kids):
-        mine = [path[1:] for path in paths if path[0] == i]
-        if not mine:
-            rests.append(_original(kid))
-            continue
-        bs, rest = _rebuild(kid, mine)
-        binders.extend(bs)
-        rests.append(rest)
-    return tuple(binders), par(*rests, *tail)
+    touched = _touched(kids, paths)
+    return binders + _binders_of(touched), _rest(kids, touched, tail)
+
+
+def _touched(kids, paths):
+    """(index, binders, rest) of each of ``kids`` that holds one of the
+    positions, in order, each from ``_rebuild``."""
+    return tuple((i, *_rebuild(kids[i], [path[1:] for path in paths if path[0] == i]))
+                 for i in sorted({path[0] for path in paths}))
+
+
+def _binders_of(touched):
+    return tuple(b for _, bs, _ in touched for b in bs)
+
+
+def _rest(kids, touched, tail=()):
+    """The process parallel to the positions among ``kids``: each untouched
+    kid as it is, each touched one as its rest."""
+    rests = {i: rest for i, _, rest in touched}
+    return par(*(rests[i] if i in rests else _original(kid) for i, kid in enumerate(kids)),
+               *tail)
 
 
 # ---------------------------------------------------------------------------
 # The reduction relation
 
 
-def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozenset:
-    """All reduction steps licensed by Struct, Scope and Ctxt, with at most
-    ``fuel`` replication copies along any position's path."""
-    check_well_formed(p)
-    root = _expand(p, fuel, Fresh(p), set(support(p)))
-    assertions = tuple(a.assertion for a in root.asserts)
+class _Source:
+    """The hoisted form of a query's source, which its firings share: the
+    expansion ``root``, ``taken`` (the free names of the source and every
+    binder hoisted in ``root``) and the top-level ``assertions``."""
+
+    __slots__ = ("root", "taken", "assertions")
+
+    def __init__(self, p, fuel):
+        taken = set(support(p))
+        self.root = _expand(p, fuel, Fresh(p), taken)
+        self.taken = frozenset(taken)
+        self.assertions = tuple(a.assertion for a in self.root.asserts)
+
+
+class _Fired(NamedTuple):
+    """A pair of prefixes that fires, with one pattern-match witness."""
+    source: _Source
+    sender: Output
+    receiver: Input
+    substitution: tuple  # (variable, term) pairs
+    received: Process    # the receiver's continuation under the substitution
+    kids: tuple          # _touched: the top-level children holding the two prefixes
+
+
+def _fired(inst, p, fuel):
+    """Every pair of an output and an input prefix of ``p`` that fires, with
+    at most ``fuel`` replication copies along either position's path: the
+    one enumeration that ``reductions`` and ``harmony_check`` read.  Does not
+    check that ``p`` is well formed."""
+    source = _Source(p, fuel)
     env = inst.unit
-    for a in assertions:
+    for a in source.assertions:
         env = inst.compose(env, a)
 
-    positions = [pos for pos in _positions(root) if pos[3] <= fuel]
-    steps = []
+    positions = [pos for pos in _positions(source.root) if pos[3] <= fuel]
     for o_path, o_prefix, o_guards, _ in positions:
         if not isinstance(o_prefix, Output):
             continue
@@ -231,18 +279,37 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
             if not matches:
                 continue
             try:
-                bs, rest = _rebuild(root, [o_path, i_path])
+                kids = _touched(source.root.children, [o_path, i_path])
             except _DifferentBranches:
                 continue
             for ts in matches:
-                sigma = Subst.of(i_prefix.variables, ts)
-                received = subst_process(inst, i_prefix.cont, sigma)
-                target = res(bs, par(*root.asserts, o_prefix.cont, received, rest))
-                witness = ReductionWitness(
-                    binders=bs, assertions=assertions,
-                    sender=o_prefix, receiver=i_prefix,
-                    substitution=tuple(zip(i_prefix.variables, ts)))
-                steps.append(ReductionStep(p, target, witness))
+                received = subst_process(inst, i_prefix.cont,
+                                         Subst.of(i_prefix.variables, ts))
+                yield _Fired(source, o_prefix, i_prefix, tuple(zip(i_prefix.variables, ts)),
+                             received, kids)
+
+
+def _target(f):
+    """The hoisted binders and the target of the firing ``f``: the two
+    continuations beside the top-level assertions and everything parallel
+    to the two positions, all under the binders."""
+    root = f.source.root
+    bs = root.binders + _binders_of(f.kids)
+    return bs, res(bs, par(*root.asserts, f.sender.cont, f.received,
+                           _rest(root.children, f.kids)))
+
+
+def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozenset:
+    """All reduction steps licensed by Struct, Scope and Ctxt, with at most
+    ``fuel`` replication copies along any position's path."""
+    check_well_formed(p)
+    steps = set()
+    for f in _fired(inst, p, fuel):
+        bs, target = _target(f)
+        witness = ReductionWitness(
+            binders=bs, assertions=f.source.assertions,
+            sender=f.sender, receiver=f.receiver, substitution=f.substitution)
+        steps.add(ReductionStep(p, target, witness))
     return frozenset(steps)
 
 
@@ -266,22 +333,20 @@ def congruence_key(p: Process, _memo=None):
     binders, asserts, comps = hoist(p, Fresh(p))
     loose = frozenset(binders)
     memo = {} if _memo is None else _memo
-    entries = [_part_entry(q, loose, memo) for q in (*asserts, *comps)]
+    entries = [_part_entry(q, loose.intersection(support(q)), memo) for q in (*asserts, *comps)]
     keys = Counter()
     for comp in _components([occ for _, _, _, occ, _ in entries]):
         keys[_keyed_component([entries[i] for i in comp], memo)] += 1
     return frozenset(keys.items())
 
 
-def _part_entry(q, loose, memo):
-    """The memo entry of the part ``q`` under the hoisted binders ``loose``:
-    the part, the hoisted binders among its atoms, its shape, its renamable
-    atoms in order of first occurrence, and whether it met a set tie.
-    Looked up in ``memo`` by the part's identity: the entry holds the part,
-    so that its id is not reused while the memo lives, and the hoisted
-    binders among its atoms, the only thing outside the part that its shape
-    depends on."""
-    live = loose.intersection(atoms(q))
+def _part_entry(q, live, memo):
+    """The memo entry of the part ``q`` in which the hoisted binders
+    ``live`` are free: the part, ``live``, its shape, its renamable atoms in
+    order of first occurrence, and whether it met a set tie.  Looked up in
+    ``memo`` by the part's identity: the entry holds the part, so that its
+    id is not reused while the memo lives, and ``live``, the only thing
+    outside the part that its shape depends on."""
     got = memo.get(id(q))
     if got is not None and got[1] == live:
         return got
@@ -294,7 +359,7 @@ def _part_entry(q, loose, memo):
 def _keyed_component(entries, memo):
     """The key of the component whose parts have the memo ``entries``.
 
-    The entries fix the key: a part, the hoisted binders among its atoms,
+    The entries fix the key: a part, the hoisted binders free in it,
     and through them its shape, its atom list and, for a part that meets a
     set tie, its search (``_tied_shape``, with the other parts of the
     component).  So the key is looked up in ``memo`` by the identities of
@@ -564,19 +629,89 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     """Compare reductions with unit-environment tau transitions, matching
     targets up to their congruence keys, in both directions.  The tau
     targets are the engine's raw ones: the key is alpha-invariant, so they
-    need no canonical form.  Every key of the query shares one memo, so a
+    need no canonical form.  A reduction is keyed from its firing by delta
+    (``_reduction_key``), and its target is built only for the first firing
+    of each key, in enumeration order: that is the target a report shows
+    for an unmatched key.  Every key of the query shares one memo, so a
     part or a component that many targets hold is walked or keyed once.
     Only a target reported unmatched is canonicalised, so that no scratch
     atom's id shows in the report."""
+    check_well_formed(p)
     red, tau, memo = {}, {}, {}
-    for s in reductions(inst, p, fuel):
-        red.setdefault(congruence_key(s.target, memo), s.target)
+    for f in _fired(inst, p, fuel):
+        key = _reduction_key(f, memo)
+        if key not in red:
+            red[key] = _target(f)[1]
     for lab, _, target in _derive(inst, _PROVENANCE, inst.unit, p, fuel):
         if isinstance(lab, TauLabel):
             tau.setdefault(congruence_key(target, memo), target)
     return HarmonyReport(matched=len(red.keys() & tau.keys()),
                          reduction_only=_unmatched(red, tau),
                          tau_only=_unmatched(tau, red))
+
+
+def _reduction_key(f, memo):
+    """``congruence_key`` of the target of the firing ``f``, from the
+    source's key kept by component (``_Summary``, made at the query's first
+    firing and kept in ``memo``): the key without the components that the
+    firing touches, with the components that its regrouped parts form.
+
+    The touched components are those of the replaced parts.  Every
+    renamable atom of a new part is free in a replaced part, or a binder
+    that the source does not hoist, so no new part links an untouched
+    component.  The new parts are hoisted as the source was, with its free
+    names and its hoisted binders taken, and a clashing binder is renamed
+    to an atom fresh for the new parts too: the substitution may have
+    renamed a received binder to a scratch atom of its own supply, which
+    the source's supply would hand out again."""
+    s = memo.get(f.source)
+    if s is None:
+        s = memo[f.source] = _Summary(f.source, memo)
+    gone = {s.first_kid + i for i, _, _ in f.kids}
+    affected = {s.comp_of[i] for i in gone}
+    regrouped = [s.entries[i] for c in affected for i in s.comps[c] if i not in gone]
+    news = par(f.sender.cont, f.received, *(rest for _, _, rest in f.kids))
+    if not isinstance(news, Nil):
+        taken = f.source.taken
+        binders, asserts, comps = hoist(news, Fresh(news, taken), set(taken))
+        extra = frozenset(_binders_of(f.kids) + binders)
+        for q in (*asserts, *comps):
+            free = support(q)
+            regrouped.append(_part_entry(
+                q, s.loose.intersection(free) | extra.intersection(free), memo))
+    keys = dict(s.counts)
+    for c in affected:
+        k = s.keys[c]
+        keys[k] -= 1
+        if not keys[k]:
+            del keys[k]
+    for comp in _components([occ for _, _, _, occ, _ in regrouped]):
+        k = _keyed_component([regrouped[i] for i in comp], memo)
+        keys[k] = keys.get(k, 0) + 1
+    return frozenset(keys.items())
+
+
+class _Summary:
+    """The key of a query's source, kept by component, from which
+    ``_reduction_key`` keys each target: the hoisted binders ``loose``, the
+    memo ``entries`` of the top-level parts (the assertions, then the
+    children from ``first_kid`` on), their ``comps``, each part's component
+    (``comp_of``), and the component ``keys`` and their multiset
+    ``counts``."""
+
+    __slots__ = ("loose", "entries", "first_kid", "comps", "comp_of", "keys", "counts")
+
+    def __init__(self, source, memo):
+        root = source.root
+        self.loose = frozenset(root.binders)
+        parts = (*root.asserts, *map(_original, root.children))
+        self.entries = [_part_entry(q, self.loose.intersection(support(q)), memo) for q in parts]
+        self.first_kid = len(root.asserts)
+        self.comps = list(_components([occ for _, _, _, occ, _ in self.entries]))
+        self.comp_of = {i: c for c, comp in enumerate(self.comps) for i in comp}
+        self.keys = [_keyed_component([self.entries[i] for i in comp], memo)
+                     for comp in self.comps]
+        self.counts = Counter(self.keys)
 
 
 def _unmatched(these, those):

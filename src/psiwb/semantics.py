@@ -285,6 +285,7 @@ _LEGACY_REORIENTED = _Rules("in_channels", legacy=True)
 def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL) -> frozenset:
     """Every transition derivable from the rules, with at most
     ``fuel`` replication unfoldings per derivation path."""
+    check_well_formed(proc)
     raw = _derive(inst, _PROVENANCE, psi, proc, fuel)
     env_c, src_c, st = _canon_head(psi, proc)
     out = set()
@@ -301,6 +302,7 @@ def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
     ``reorient_in`` flips the channel judgement in the input rule from the
     printed orientation (prefix on the left) to the consistent one (prefix
     on the right)."""
+    check_well_formed(proc)
     rules = _LEGACY_REORIENTED if reorient_in else _LEGACY_PRINTED
     raw = _derive(inst, rules, psi, proc, fuel)
     env_c, src_c, st = _canon_head(psi, proc)
@@ -312,8 +314,8 @@ def _derive(inst, rules, psi, proc, fuel):
     """Raw (label, provenance, target) triples of ``proc`` under ``psi``.
     Here each premise picks its subjects: it gives one ``OutLabel`` or
     ``InLabel`` per subject, and an input still open at the root receives
-    every message of the basis."""
-    check_well_formed(proc)
+    every message of the basis.  The caller checks that ``proc`` is well
+    formed."""
     msgs = inst.message_basis(names_of(psi, proc))
     fresh = Fresh(psi, proc, msgs)
     out = []

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from psiwb import nominal, process, reduction
+from psiwb import nominal, process, reduction, semantics
 from psiwb.nominal import (MINT_BASE, Fresh, Name, canonical, fresh_name, mint_many,
                            rename, support)
 from psiwb.corpus import random_process, triangle_counterexample_shapes
@@ -293,7 +293,7 @@ def test_harmony_report_shows_a_canonical_tau_target(monkeypatch):
     # canonical form, which holds none
     p = Res(c, Par(out(a, c), Input(a, (x,), x, out(x, x))))
     (t,) = [t for t in transitions(pi, pi.unit, p) if isinstance(t.label, TauLabel)]
-    monkeypatch.setattr(reduction, "reductions", lambda *args: frozenset())
+    monkeypatch.setattr(reduction, "_fired", lambda *args: ())
     rep = harmony_check(pi, p)
     assert not rep.ok and rep.matched == 0
     assert rep.reduction_only == () and rep.tau_only == (repr(canonical(t.target)),)
@@ -570,9 +570,10 @@ def test_hoist_reads_the_free_names_only_on_a_clash(monkeypatch):
 
 def _checking_memo_keys(monkeypatch):
     """Check every key that ``reduction`` asks for: it comes with a memo,
-    and it equals the one-shot key of the same process.  Returns the list
+    and it equals the one-shot key of the same process, or, for a key
+    taken by delta from a firing, of the firing's target.  Returns the list
     that counts the keys checked."""
-    one_shot, compared = reduction.congruence_key, []
+    one_shot, by_delta, compared = reduction.congruence_key, reduction._reduction_key, []
 
     def checked(p, _memo=None):
         got = one_shot(p, _memo)
@@ -580,7 +581,15 @@ def _checking_memo_keys(monkeypatch):
         compared.append(1)
         return got
 
+    def checked_delta(f, memo):
+        got = by_delta(f, memo)
+        _, target = reduction._target(f)
+        assert got == one_shot(target), target
+        compared.append(1)
+        return got
+
     monkeypatch.setattr(reduction, "congruence_key", checked)
+    monkeypatch.setattr(reduction, "_reduction_key", checked_delta)
     return compared
 
 
@@ -709,3 +718,109 @@ def test_memo_interns_equal_component_keys():
     one, other = _keys_through_one_memo([ether_example(), ether_example()])
     assert one == other and len(one) == 2
     assert {id(key) for key, _ in one} == {id(key) for key, _ in other}
+
+
+# -- reduction keys by delta ------------------------------------------------------
+
+# a<b>.0 | a(x).((nu b)x<b>.0 | (nu a)a<a>.0): the substitution renames the
+# received (nu b) to a scratch atom of its own supply, and hoisting the
+# received continuation then renames the clashing (nu a) to a scratch atom
+# too, which must not be the first
+RECEIVED_RENAMED = Par(out(a, b), Input(a, (x,), x, Par(Res(b, out(x, b)), Res(a, out(a)))))
+
+# (nu c)c<c>.0 | (nu c)(c<c>.0 | a<c>.(nu a)a<a>.0) | a(x).0: hoisting
+# renames the second c to a scratch atom, and hoisting the sent
+# continuation renames its a, which may not become that atom, free in the
+# rest of the sender's component
+ROOT_BINDER_RENAMED = par(Res(c, out(c)), Res(c, Par(out(c), out(a, c, Res(a, out(a))))),
+                          Input(a, (x,), x, NIL))
+
+
+def _delta_inputs():
+    rng = random.Random(53)
+    for inst in (pi, ether, tri, pre):
+        for size in range(3, 13):
+            for _ in range(40):
+                p = random_process(inst, rng, size, (a, b, c), allow_bang=inst is pi)
+                yield inst, p, (1, 2)
+    for n in range(1, 7):
+        yield ether, par(*(ether_example() for _ in range(n))), (2,)
+    for p, _ in REPLICATED_RESTRICTIONS.values():
+        yield pi, p, (1, 2, 3)
+    for inst, (clash, *apart) in zip((pi, ether), CLASHES):
+        for p in (clash, *apart):
+            yield inst, p, (1, 2)
+    for p in SIBLING_BINDERS + (RECEIVED_RENAMED, ROOT_BINDER_RENAMED):
+        yield pi, p, (1, 2)
+    w1, w2 = fresh_name((), "w"), fresh_name((), "w")
+    yield pre, Res(b, par(Output(b, b, NIL), Input(b, (w1,), w1, NIL),
+                          Assert(frozenset({(c, c)})),
+                          Res(a, Res(a, Res(c, Input(b, (w2,), w2, Assert(
+                              frozenset({(b, c), (a, a), (b, b)})))))))), (2,)
+    for p in triangle_counterexample_shapes(a, b, c):
+        yield tri, p, (1, 2)
+
+
+def test_reduction_key_by_delta_equals_the_key_of_the_target():
+    # each firing of a query is keyed through the query's one memo, from
+    # the source's key, and compared with the one-shot key of its target
+    checked = 0
+    for inst, p, fuels in _delta_inputs():
+        for fuel in fuels:
+            memo = {}
+            for f in reduction._fired(inst, p, fuel):
+                _, target = reduction._target(f)
+                assert reduction._reduction_key(f, memo) == congruence_key(target), (p, fuel)
+                checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("p, parts", [(RECEIVED_RENAMED, 2), (ROOT_BINDER_RENAMED, 3)],
+                         ids=["received", "root binder"])
+def test_renamed_binders_stay_apart(p, parts):
+    # each part of the target is a component of its own
+    (step,) = reductions(pi, p)
+    assert sum(count for _, count in congruence_key(step.target)) == parts
+    assert harmony_check(pi, p).ok
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reduction_keys_regroup_only_what_a_step_touches(monkeypatch, n):
+    # the source's 4n parts are grouped once; each of the n^2 steps then
+    # regroups what is left of the sender's and the receiver's components,
+    # their two assertions, and no other part
+    p = par(*(ether_example() for _ in range(n)))
+    grouped = []
+    components = reduction._components
+
+    def counted(occs):
+        grouped.append(len(occs))
+        return components(occs)
+
+    monkeypatch.setattr(reduction, "_components", counted)
+    monkeypatch.setattr(reduction, "_derive", lambda *args: [])
+    harmony_check(ether, p, fuel=2)
+    assert grouped[0] == 4 * n and len(grouped) == 1 + n * n
+    assert max(grouped[1:]) <= 4
+
+
+def test_reduction_side_keys_nothing_without_a_firing(monkeypatch):
+    # neither triangle shape reduces, and its source is never keyed
+    walked = _counting(monkeypatch, reduction._part_entry, (reduction,))
+    monkeypatch.setattr(reduction, "_derive", lambda *args: [])
+    for p in triangle_counterexample_shapes(a, b, c):
+        assert harmony_check(tri, p, fuel=2).ok
+    assert not walked
+
+
+def test_well_formedness_is_checked_once_per_query(monkeypatch):
+    p = par(*(ether_example() for _ in range(2)))
+    checks = _counting(monkeypatch, process.check_well_formed, (process, semantics, reduction))
+    for query in (lambda q: harmony_check(ether, q), lambda q: transitions(ether, ether.unit, q),
+                  lambda q: legacy_transitions(ether, ether.unit, q),
+                  lambda q: reductions(ether, q)):
+        checks.clear()
+        query(p)
+        assert len(checks) == 1
+        with pytest.raises(process.IllFormed):
+            query(Bang(Assert(frozenset({a}))))
