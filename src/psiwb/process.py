@@ -283,7 +283,7 @@ def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, fresh=None) 
 # Hoisting
 
 
-def hoist(p: Process, fresh: Fresh, taken=None):
+def hoist(p: Process, fresh: Fresh, taken=None, closed=None):
     """Hoist the restrictions on the Par/Res spine of ``p`` outward.
 
     Returns the hoisted binders (outermost first), the unguarded ``Assert``
@@ -302,7 +302,12 @@ def hoist(p: Process, fresh: Fresh, taken=None):
     a clash, where a binder is hoisted twice or a part holds a hoisted
     binder free outside that binder's scope.  Then ``p`` is hoisted again
     with ``taken`` its free names.  Without a clash, that ``taken`` would
-    rename no binder either."""
+    rename no binder either.
+
+    A node whose id ``closed`` holds, a closed Par or Res node of the
+    caller's, is returned as a component as it is, and not descended into:
+    it has no free name, so neither its binders nor its parts can clash
+    with the rest of ``p`` or share an atom with it."""
     scoped = taken is None
     if scoped:
         taken, free = set(), set()  # free: the free names of p met so far
@@ -312,13 +317,15 @@ def hoist(p: Process, fresh: Fresh, taken=None):
         q, scope = todo.pop()
         if isinstance(q, Nil):
             continue
-        if isinstance(q, Par):
+        if closed and id(q) in closed:
+            comps.append(q)
+        elif isinstance(q, Par):
             todo += ((q.right, scope), (q.left, scope))
         elif isinstance(q, Res):
             name, body = q.name, q.body
             if name in taken:
                 if scoped:
-                    return hoist(p, fresh, set(support(p)))
+                    return hoist(p, fresh, set(support(p)), closed)
                 name = mint(fresh, name.hint or "b")
                 body = rename({q.name: name}, body)
             taken.add(name)
@@ -329,7 +336,7 @@ def hoist(p: Process, fresh: Fresh, taken=None):
             if scoped and not support(q) <= scope:
                 free.update(support(q) - scope)
     if scoped and not free.isdisjoint(taken):
-        return hoist(p, fresh, set(support(p)))
+        return hoist(p, fresh, set(support(p)), closed)
     return tuple(binders), tuple(asserts), comps
 
 

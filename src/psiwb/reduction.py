@@ -50,10 +50,22 @@ of one process, are one object, so the counters, sets and dicts of the
 query find them equal by identity instead of comparing them field by
 field.
 The engine's tau targets share the parts they leave untouched, so harmony
-walks each part once and keys each component once, not once per target: a
-tau target costs its own walk down the Par/Res spine and a lookup per part
-and per component.  The memo lives in the query and not on the nodes: it
-dies with the query, and a repeated query pays for its walks again.
+walks each part once and keys each component once, not once per target.
+The memo lives in the query and not on the nodes: it dies with the query,
+and a repeated query pays for its walks again.
+
+A tau target also holds whole the subtrees of the source that its Com left
+alone, as the source's own nodes.  So at the query's first tau target
+harmony records, in the memo, the key counts of the source's closed Par and
+Res nodes (``_record_closed``), and the key's ``hoist`` takes a recorded
+node whole, as its counts, instead of walking into it.  That is exact for
+any process: a closed subtree c of the spine has no free name, so
+T ≡ c | T[c := 0], and no renamable atom links a part of c to another
+part, whence key(T) = key(c) ⊎ key(T[c := 0]).  The cut reads only the
+identity of the source's nodes, never anything the engine made, so the
+oracle stays independent of the engine.  A tau target then costs its walk
+down to the nodes the Com touched, and a lookup per part and per component
+there.
 
 A reduction target is keyed without building it, as a delta from its
 source (``_reduction_key``).  ``reductions`` and harmony read one
@@ -87,7 +99,7 @@ from typing import NamedTuple
 from .nominal import (_canon, _CanonState, canonical, Fresh, rename, sort_key,
                       support)
 from .params import CalculusInstance, Subst
-from .process import (Bang, Case, Input, NIL, Nil, Output, Par, Process,
+from .process import (Bang, Case, Input, NIL, Nil, Output, Par, Process, Res,
                       assertion_guarded, check_well_formed, hoist, par, res,
                       subst_process)
 from .semantics import _derive, _PROVENANCE, DEFAULT_FUEL, TauLabel
@@ -328,16 +340,61 @@ def congruence_key(p: Process, _memo=None):
     when it is left out.  It holds an entry for each part walked so far
     (``_part_entry``) and the key of each component keyed so far
     (``_keyed_component``), so that a part or a component that many
-    targets share is walked or keyed once.  It is not kept on the nodes,
-    where it would outlive the query."""
-    binders, asserts, comps = hoist(p, Fresh(p))
-    loose = frozenset(binders)
+    targets share is walked or keyed once.  Where it holds the counts of
+    the source's closed nodes (``_record_closed``), the walk takes such a
+    node whole and adds its counts: a closed node has no free name, so its
+    key is its own, whatever surrounds it.  A clash, which restarts the
+    walk, drops what the walk had taken.  The memo is not kept on the
+    nodes, where it would outlive the query."""
     memo = {} if _memo is None else _memo
-    entries = [_part_entry(q, loose.intersection(support(q)), memo) for q in (*asserts, *comps)]
-    keys = Counter()
+    closed = memo.get(_CLOSED)
+    binders, asserts, comps = hoist(p, Fresh(p), closed=closed)
+    loose = frozenset(binders)
+    keys, entries = {}, []
+    for q in (*asserts, *comps):
+        if isinstance(q, (Par, Res)):
+            _add_counts(keys, closed[id(q)][1])  # a closed node of the source, cut
+        else:
+            entries.append(_part_entry(q, loose.intersection(support(q)), memo))
     for comp in _components([occ for _, _, _, occ, _ in entries]):
-        keys[_keyed_component([entries[i] for i in comp], memo)] += 1
+        k = _keyed_component([entries[i] for i in comp], memo)
+        keys[k] = keys.get(k, 0) + 1
     return frozenset(keys.items())
+
+
+def _add_counts(keys, counts):
+    for k, n in counts.items():
+        keys[k] = keys.get(k, 0) + n
+
+
+_CLOSED = "closed"  # the memo's entry for the source's closed nodes
+
+
+def _record_closed(p, memo):
+    """Record in ``memo`` the key counts of the closed Par and Res nodes
+    below ``p`` that a walk down its Par nodes meets, by the ids of the
+    nodes, each with its node, so that no id is reused while the memo
+    lives.  No node below a Res is recorded, nor ``p`` itself: a tau
+    target holds a restriction's body only renamed, as new nodes, and never
+    the whole source.  The walk goes bottom-up with an explicit stack: a
+    node's ``support`` finds those of its Par children cached, and a Par's
+    counts are its children's."""
+    closed = memo[_CLOSED] = {}
+    todo = [(p, False)]
+    while todo:
+        q, below = todo.pop()
+        if isinstance(q, Par) and not below:
+            todo += ((q, True), (q.right, False), (q.left, False))
+        elif q is not p and isinstance(q, (Par, Res)) and not support(q):
+            if isinstance(q, Par):
+                # a Par binds nothing: its counts are its children's
+                counts = {}
+                for kid in (q.left, q.right):
+                    got = closed.get(id(kid))
+                    _add_counts(counts, got[1] if got else dict(congruence_key(kid, memo)))
+            else:
+                counts = dict(congruence_key(q, memo))
+            closed[id(q)] = q, counts
 
 
 def _part_entry(q, live, memo):
@@ -634,8 +691,11 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     of each key, in enumeration order: that is the target a report shows
     for an unmatched key.  Every key of the query shares one memo, so a
     part or a component that many targets hold is walked or keyed once.
-    Only a target reported unmatched is canonicalised, so that no scratch
-    atom's id shows in the report."""
+    At the first tau target the memo records the key counts of the
+    source's closed nodes, and only the source's: a tau target's key takes
+    each of them whole where the target holds it (see the module
+    docstring).  Only a target reported unmatched is canonicalised, so that
+    no scratch atom's id shows in the report."""
     check_well_formed(p)
     red, tau, memo = {}, {}, {}
     for f in _fired(inst, p, fuel):
@@ -644,6 +704,8 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
             red[key] = _target(f)[1]
     for lab, _, target in _derive(inst, _PROVENANCE, inst.unit, p, fuel):
         if isinstance(lab, TauLabel):
+            if _CLOSED not in memo:
+                _record_closed(p, memo)
             tau.setdefault(congruence_key(target, memo), target)
     return HarmonyReport(matched=len(red.keys() & tau.keys()),
                          reduction_only=_unmatched(red, tau),

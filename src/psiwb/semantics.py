@@ -15,7 +15,7 @@ instead of one per partner:
   that the instance's channel enumerators give, the provenance is the own
   prefix.
 * Scope and Open drop the subjects that mention the restricted name, and
-  then apply by the rest of the label: Scope where the name is not in it,
+  then apply by the object or pattern: Scope where the name is not in it,
   Open where it is in an output's object.  A premise left with no subject,
   or with the name in an input's pattern, is dropped.
 * Par shifts the sibling frame into the environment and bookkeeps the
@@ -30,12 +30,18 @@ instead of one per partner:
   covers reuses that opening's binder and renamed body instead of minting
   again.  Only what no enclosing opening covers is opened where it is met:
   the query's root, a Case branch and each replication unfolding.
+* Scope, Open and Par narrow the subjects alike (``_narrow``): the Name
+  subjects go by one set difference, and only a compound subject, which
+  a label keeps apart, has its support read.  No subject is left that
+  mentions a narrowed name, so the rest of the rule reads only the object
+  or pattern (``mentions``), never the whole label.
 * Com fires once per pair of an output and an input premise, when each
   premise's provenance term, with frame binders opened consistently, is
   among the other's subjects: that picks the subject of each.  It joins
   premises that Par has already derived, so every process is derived once,
   and the receiving premise has passed Scope's and Par's freshness checks
-  like any premise.
+  like any premise.  Each receiving premise's provenance is opened once
+  per join, not once per sending premise.
 * At the root each premise gives one transition per subject that is
   left: a public ``OutLabel`` or ``InLabel`` has exactly one subject.
 * Case and Rep demote frame binders to the provenance's inner sequence;
@@ -68,7 +74,7 @@ and source, so ``transitions`` and ``legacy_transitions`` canonicalise
 ``(psi, proc)`` once and fork the canonicalisation state for each raw
 triple; the fork replays exactly the numbering of canonicalising the whole
 transition, so every result equals ``canonical(Transition(psi, proc, ...))``.
-The provenance comes last, so the first four fields of a canonical
+A query that derives nothing canonicalises nothing.  The provenance comes last, so the first four fields of a canonical
 ``Transition`` are a canonical ``ErasedTransition``, and
 ``erase_provenance`` is a plain projection.
 """
@@ -76,9 +82,9 @@ The provenance comes last, so the first four fields of a canonical
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .nominal import (_canon, _CanonState, Fresh, mint_many, names_of, rename,
+from .nominal import (_canon, _CanonState, Fresh, mint_many, Name, names_of, rename,
                       support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, Output, Par, Process,
@@ -109,10 +115,18 @@ class _Out:
     ``subjects``, the partner channels that no rule has ruled out yet."""
 
     subjects: frozenset
+    compound: frozenset  # the subjects that are not Names
     extruded: tuple  # tuple[Name, ...], bind into the object (and the target)
     obj: object
 
     _binders = ("extruded",)
+
+    def narrowed(self, subjects, compound):
+        return _Out(subjects, compound, self.extruded, self.obj)
+
+    def mentions(self):
+        """The free names of the label outside its subjects."""
+        return support(self.obj).difference(self.extruded)
 
 
 @dataclass(frozen=True)
@@ -123,15 +137,25 @@ class _LateIn:
     target."""
 
     subjects: frozenset
+    compound: frozenset  # the subjects that are not Names
     variables: tuple  # tuple[Name, ...], bind into the pattern
     pattern: object
 
     _binders = ("variables",)
 
+    def narrowed(self, subjects, compound):
+        return _LateIn(subjects, compound, self.variables, self.pattern)
+
+    def mentions(self):
+        """The free names of the label outside its subjects."""
+        return support(self.pattern).difference(self.variables)
+
 
 @dataclass(frozen=True)
 class TauLabel:
-    pass
+    def mentions(self):
+        """Tau mentions no name (see ``_Out.mentions``)."""
+        return frozenset()
 
 
 TAU = TauLabel()
@@ -287,6 +311,8 @@ def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL) -
     ``fuel`` replication unfoldings per derivation path."""
     check_well_formed(proc)
     raw = _derive(inst, _PROVENANCE, psi, proc, fuel)
+    if not raw:
+        return frozenset()
     env_c, src_c, st = _canon_head(psi, proc)
     out = set()
     for lab, pi, tgt in raw:
@@ -305,6 +331,8 @@ def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
     check_well_formed(proc)
     rules = _LEGACY_REORIENTED if reorient_in else _LEGACY_PRINTED
     raw = _derive(inst, rules, psi, proc, fuel)
+    if not raw:
+        return frozenset()
     env_c, src_c, st = _canon_head(psi, proc)
     return frozenset(ErasedTransition(env_c, src_c, *_canon_step(lab, tgt, {}, st.fork()))
                      for lab, _, tgt in raw)
@@ -350,7 +378,8 @@ def _step(inst, rules, env, p, frame, budget, fresh):
         subjects = inst.out_channels(env, p.channel)
         if not subjects:
             return []
-        return [(_Out(subjects, (), p.message), Prov((), (), p.channel), p.cont)]
+        return [(_Out(subjects, _compound(subjects), (), p.message), Prov((), (), p.channel),
+                 p.cont)]
 
     if isinstance(p, Input):
         variables, pattern, cont = p.variables, p.pattern, p.cont
@@ -363,7 +392,8 @@ def _step(inst, rules, env, p, frame, budget, fresh):
         subjects = getattr(inst, rules.in_subjects)(env, p.channel)
         if not subjects:
             return []
-        return [(_LateIn(subjects, variables, pattern), Prov((), (), p.channel), cont)]
+        return [(_LateIn(subjects, _compound(subjects), variables, pattern),
+                 Prov((), (), p.channel), cont)]
 
     if isinstance(p, Case):
         return [t for phi, q in p.branches if inst.entails(env, phi)
@@ -378,11 +408,11 @@ def _step(inst, rules, env, p, frame, budget, fresh):
             lab = _narrow(lab, bound)
             if lab is None:
                 continue  # the name escapes through every subject
-            if name not in support(lab):
+            if name not in lab.mentions():
                 out.append((lab, prov_scope((name,), pi), Res(name, tgt)))
             elif isinstance(lab, _Out):
                 # the name is in the object
-                opened = _Out(lab.subjects, (name,) + lab.extruded, lab.obj)
+                opened = _Out(lab.subjects, lab.compound, (name,) + lab.extruded, lab.obj)
                 out.append((opened, prov_scope((name,), pi), tgt))
             # otherwise the name is in an input's pattern: no rule applies
         return out
@@ -408,11 +438,11 @@ def _step(inst, rules, env, p, frame, budget, fresh):
         b_r_set, b_l_set = frozenset(b_r), frozenset(b_l)
         for lab, pi, tgt in left_trans:
             lab = _narrow(lab, b_r_set)
-            if lab is not None and b_r_set.isdisjoint(support(lab)):
+            if lab is not None and b_r_set.isdisjoint(lab.mentions()):
                 out.append((lab, prov_append(pi, b_r), Par(tgt, right)))
         for lab, pi, tgt in right_trans:
             lab = _narrow(lab, b_l_set)
-            if lab is not None and b_l_set.isdisjoint(support(lab)):
+            if lab is not None and b_l_set.isdisjoint(lab.mentions()):
                 out.append((lab, prov_scope(b_l, pi), Par(left, tgt)))
 
         three_way = (inst.compose(env, inst.compose(f_l.assertion, f_r.assertion))
@@ -446,23 +476,23 @@ def _coms(inst, rules, three_way, sender_trans, receiver_trans, f_send, f_recv,
     receiver's target receives the match of its pattern against the sent
     message.  ``three_way`` is the assertion Com-Old checks connectivity
     under (None for the provenance rules)."""
+    outs = [t for t in sender_trans if isinstance(t[0], _Out)]
     ins = [t for t in receiver_trans if isinstance(t[0], _LateIn)]
-    if not ins:
+    if not outs or not ins:
         return []
+    # the receivers' provenances, opened once per join (Com-Old reads none)
+    opened = [None if rules.legacy else _open_prov(pi, f_recv.binders) for _, pi, _ in ins]
     out = []
-    for lab, pi, s_tgt in sender_trans:
-        if not isinstance(lab, _Out):
-            continue
+    for lab, pi, s_tgt in outs:
         k_open = None if rules.legacy else _open_prov(pi, f_send.binders)
-        for lab2, pi2, r_tgt in ins:
+        for (lab2, _, r_tgt), k2_open in zip(ins, opened):
             if rules.legacy:
                 # any pair of the two premises' subjects may connect
                 if not any(inst.entails(three_way, inst.conn(k, k2))
                            for k in lab.subjects for k2 in lab2.subjects):
                     continue
-            # None, where the sender's term cannot be opened, is no subject
-            elif (k_open not in lab2.subjects
-                  or _open_prov(pi2, f_recv.binders) not in lab.subjects):
+            # None, where a term cannot be opened, is no subject
+            elif k_open not in lab2.subjects or k2_open not in lab.subjects:
                 continue
             for ts in inst.match_pattern(lab2.variables, lab2.pattern, lab.obj):
                 received = subst_process(inst, r_tgt, Subst.of(lab2.variables, ts))
@@ -473,12 +503,23 @@ def _coms(inst, rules, three_way, sender_trans, receiver_trans, f_send, f_recv,
 
 def _narrow(lab, names):
     """``lab`` with only the subjects that mention none of ``names``, or
-    None where no subject is left.  A label with no subjects, tau, is kept
-    as it is: it mentions no name."""
-    if names.isdisjoint(support(lab)):
+    None where no subject is left.  A Name subject goes by one set
+    difference; only a compound subject has its support read.  A label
+    with no subjects, tau, is kept as it is: it mentions no name."""
+    if isinstance(lab, TauLabel):
         return lab
-    subjects = frozenset(k for k in lab.subjects if names.isdisjoint(support(k)))
-    return replace(lab, subjects=subjects) if subjects else None
+    subjects, compound = lab.subjects - names, lab.compound
+    if compound:
+        gone = frozenset(k for k in compound if not names.isdisjoint(support(k)))
+        subjects, compound = subjects - gone, compound - gone
+    if len(subjects) == len(lab.subjects):
+        return lab
+    return lab.narrowed(subjects, compound) if subjects else None
+
+
+def _compound(subjects):
+    """The subjects that are not Names (see ``_narrow``)."""
+    return frozenset(k for k in subjects if not isinstance(k, Name))
 
 
 def _open_prov(pi, frame_binders):

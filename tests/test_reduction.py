@@ -824,3 +824,129 @@ def test_well_formedness_is_checked_once_per_query(monkeypatch):
         assert len(checks) == 1
         with pytest.raises(process.IllFormed):
             query(Bang(Assert(frozenset({a}))))
+
+
+# -- tau keys take the source's closed subtrees whole ------------------------------
+
+# closed processes: a target that holds one is keyed as its key beside
+# the rest.  (nu c)(c<c>.0 | (|{c}|)) in ether, (nu c)(c<c>.0 | c<c>.0) in pi
+CLOSED = Res(c, Par(out(c), Assert(frozenset({c}))))
+CLOSED_PI = Res(c, Par(out(c), out(c)))
+
+
+def _cut_inputs():
+    rng = random.Random(59)
+    for size in range(3, 9):
+        for _ in range(12):
+            # a Com in either copy leaves the other one whole
+            yield ether, par(ether_example(), random_process(ether, rng, size, (a, b, c)),
+                             ether_example())
+            p = random_process(pi, rng, size, (a, b, c))
+            yield pi, par(CLOSED_PI, p) if size % 2 else par(p, CLOSED_PI)
+    m = Name(MINT_BASE)
+    for p in (
+        # one closed object twice
+        par(CLOSED_PI, CLOSED_PI, out(b), inp(b)),
+        # the walk cuts CLOSED_PI and then meets a free c, which it hoists as
+        # a binder too: a clash, which restarts hoist
+        par(CLOSED_PI, Par(Res(c, out(c)), out(c)), out(b), inp(b)),
+        # a scratch atom, free in an untouched node, links it to the
+        # received continuation
+        par(Par(out(a, m), out(a, m)), out(b, b), Input(b, (x,), x, out(m))),
+    ):
+        yield pi, p
+
+
+def test_harmony_cut_keys_equal_one_shot_keys(monkeypatch):
+    # every key harmony asks for, those that record the source's closed
+    # nodes included, equals its one-shot key; the tau keys cut nodes
+    compared = _checking_memo_keys(monkeypatch)
+    cut, hoisted = [], reduction.hoist
+
+    def counted(*args, **kwargs):
+        got = hoisted(*args, **kwargs)
+        cut.extend(q for q in got[2] if isinstance(q, (Par, Res)))
+        return got
+
+    monkeypatch.setattr(reduction, "hoist", counted)
+    for inst, p in _cut_inputs():
+        for fuel in (1, 2):
+            assert harmony_check(inst, p, fuel).ok, p
+    assert len(compared) > 500 and len(cut) > 500
+
+
+def _keys_after_recording(source, targets):
+    memo = {}
+    reduction._record_closed(source, memo)
+    return [congruence_key(t, memo) for t in targets]
+
+
+def test_cut_keys_of_hand_built_targets():
+    # targets that hold the source's nodes in other places than a tau
+    # target would: only the closed ones are cut, and every key equals the
+    # one-shot key
+    open_node = Par(out(a), out(a))
+    source = par(CLOSED, open_node, out(b))
+    targets = [
+        # CLOSED's binder is also bound outside it, and so is open_node's
+        # free a
+        Res(c, Par(CLOSED, out(c))),
+        Res(a, Par(open_node, CLOSED)),
+        # one closed object twice
+        Par(CLOSED, CLOSED),
+        Res(c, par(CLOSED, CLOSED, out(c))),
+        # CLOSED is cut before a clash restarts hoist: c is hoisted twice,
+        # or is free outside its binder's scope
+        par(CLOSED, Res(c, out(c)), Res(c, out(c))),
+        par(CLOSED, Res(c, out(c)), out(c)),
+        par(Res(a, CLOSED), CLOSED, Res(c, Par(CLOSED, out(c)))),
+    ]
+    assert _keys_after_recording(source, targets) == [congruence_key(t) for t in targets]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tau_keys_take_the_sources_closed_subtrees_whole(monkeypatch, n):
+    # each of the n^2 tau targets holds its sender's and its receiver's
+    # opened assertions, and the source's closed nodes for the rest: two
+    # part lookups, where keying each of its 4n - 2 parts made 4n - 2
+    p = par(*(ether_example() for _ in range(n)))
+    targets, derive, key = {}, reduction._derive, reduction.congruence_key
+    lookups = _counting(monkeypatch, reduction._part_entry, (reduction,))
+    per_target = []
+
+    def kept(*args):
+        got = derive(*args)
+        targets.update((id(t), t) for lab, _, t in got if isinstance(lab, TauLabel))
+        return got
+
+    def keyed(q, _memo=None):
+        before = len(lookups)
+        got = key(q, _memo)
+        if targets.get(id(q)) is q:
+            per_target.append(len(lookups) - before)
+        return got
+
+    monkeypatch.setattr(reduction, "_derive", kept)
+    monkeypatch.setattr(reduction, "congruence_key", keyed)
+    assert harmony_check(ether, p, fuel=2).ok
+    assert per_target == [2] * (n * n)
+
+
+def test_tau_side_records_nothing_without_a_tau(monkeypatch):
+    # neither triangle shape has a tau, and its source is never recorded;
+    # a composite is recorded once per query
+    recorded = _counting(monkeypatch, reduction._record_closed, (reduction,))
+    for p in triangle_counterexample_shapes(a, b, c):
+        assert harmony_check(tri, p, fuel=2).ok
+    assert not recorded
+    assert harmony_check(ether, par(*(ether_example() for _ in range(3))), fuel=2).ok
+    assert len(recorded) == 1
+
+
+def test_cut_keys_meet_no_depth_limit():
+    # support recurses, and a 2,000-wide Par of ether copies is too deep
+    # for it; the recording and the key walk with stacks
+    copies = [ether_example() for _ in range(2000)]
+    target = par(*copies[:999], ether_example(), *copies[1000:])
+    (key,) = _keys_after_recording(par(*copies), [target])
+    assert key == congruence_key(target)

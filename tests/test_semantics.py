@@ -440,6 +440,39 @@ def test_step_keeps_one_premise_per_prefix(monkeypatch, n, premises):
     assert sum(made) == premises
 
 
+def test_narrowing_drops_the_subjects_that_mention_a_narrowed_name():
+    # Name subjects go by set difference; a compound subject, here a tuple,
+    # goes where its support meets the narrowed names, and stays otherwise
+    from psiwb import semantics
+    subjects = frozenset({a, b, (a, c), (b, c)})
+    compound = semantics._compound(subjects)
+    assert compound == {(a, c), (b, c)}
+    for lab in (semantics._Out(subjects, compound, (), z),
+                semantics._LateIn(subjects, compound, (x,), x)):
+        got = semantics._narrow(lab, frozenset({a}))
+        assert got.subjects == {b, (b, c)} and got.compound == {(b, c)}
+        assert type(got) is type(lab) and got.mentions() == lab.mentions()
+        assert semantics._narrow(lab, frozenset({c})).subjects == {a, b}
+        assert semantics._narrow(lab, frozenset({y})) is lab
+        assert semantics._narrow(lab, frozenset({a, b})) is None
+    assert semantics._narrow(TAU, frozenset({a})) is TAU
+
+
+def test_stuck_process_is_not_canonicalised(monkeypatch):
+    # with nothing derived there is no result to canonicalise the
+    # environment and the source for
+    from psiwb import semantics
+
+    def refused(*args):
+        raise AssertionError("canonicalised the head of a query with no result")
+
+    monkeypatch.setattr(semantics, "_canon_head", refused)
+    p = Res(a, Par(Output(a, b, NIL), Input(b, (x,), x, NIL)))
+    assert transitions(ether, ether.unit, p) == frozenset()
+    for reorient in (False, True):
+        assert legacy_transitions(ether, ether.unit, p, reorient_in=reorient) == frozenset()
+
+
 def test_com_between_case_branches_that_open_the_same_atom():
     # each side opens its case branch's restriction against the same avoid
     # set, so s and z become one scratch atom; receiving s must not capture z
