@@ -39,33 +39,24 @@ that set elements hold no sets of their own, as in every shipped instance:
 ties inside such nested sets are broken by atom ids.
 
 A part's shape depends only on the part and on which of its free names
-are hoisted binders, so the keys of one query share one memo, which holds an
-entry per part, looked up by the part's identity (hash-consing's sharing by
-identity; Filliâtre and Conchon, "Type-safe modular hash-consing", 2006,
-scoped to one query).  A component's key depends only on its parts'
-entries, so the memo also holds the key of each component, looked up by
-the identities of those entries; a component key computes its hash once.
-The memo also interns the component keys: equal keys, say of two copies
-of one process, are one object, so the counters, sets and dicts of the
-query find them equal by identity instead of comparing them field by
-field.
+are hoisted binders, and a component's key only on its parts, so the keys
+of one query share one table of parts and of component keys, looked up by
+identity (``_Keys``; hash-consing's sharing by identity, Filliâtre and
+Conchon, "Type-safe modular hash-consing", 2006, scoped to one query).
 The engine's tau targets share the parts they leave untouched, so harmony
 walks each part once and keys each component once, not once per target.
-The memo lives in the query and not on the nodes: it dies with the query,
-and a repeated query pays for its walks again.
 
 A tau target also holds whole the subtrees of the source that its Com left
 alone, as the source's own nodes.  So at the query's first tau target
-harmony records, in the memo, the key counts of the source's closed Par and
-Res nodes (``_record_closed``), and the key's ``hoist`` takes a recorded
-node whole, as its counts, instead of walking into it.  That is exact for
-any process: a closed subtree c of the spine has no free name, so
-T ≡ c | T[c := 0], and no renamable atom links a part of c to another
-part, whence key(T) = key(c) ⊎ key(T[c := 0]).  The cut reads only the
-identity of the source's nodes, never anything the engine made, so the
-oracle stays independent of the engine.  A tau target then costs its walk
-down to the nodes the Com touched, and a lookup per part and per component
-there.
+harmony records the key counts of the source's closed Par and Res nodes
+(``_record_closed``), and the key's ``hoist`` takes a recorded node whole,
+as its counts, instead of walking into it.  That is exact for any process:
+a closed subtree c of the spine has no free name, so T ≡ c | T[c := 0], and
+no renamable atom links a part of c to another part, whence
+key(T) = key(c) ⊎ key(T[c := 0]).  The cut reads only the identity of the
+source's nodes, never anything the engine made, so the oracle stays
+independent of the engine.  A tau target then costs its walk down to the
+nodes the Com touched, and a lookup per part and per component there.
 
 A reduction target is keyed without building it, as a delta from its
 source (``_reduction_key``).  ``reductions`` and harmony read one
@@ -329,57 +320,84 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
 # Structural-congruence keys (the harmony comparison relation)
 
 
-def congruence_key(p: Process, _memo=None):
+class _Part(NamedTuple):
+    """A part's entry in ``_Keys.parts``: the part, the hoisted binders
+    ``live`` free in it (all that its shape reads from outside it), its
+    shape, its renamable atoms in order, and whether it met a set tie."""
+    node: Process
+    live: frozenset
+    shape: object
+    atoms: tuple
+    tied: bool
+
+
+class _Keys:
+    """The tables that the keys of one query share:
+
+    * ``parts``: the id of a part -> its ``_Part`` (``_part_entry``);
+    * ``components``: the sorted ids of the ``_Part`` entries of a
+      component -> (those entries, its key) (``_keyed_component``);
+    * ``interned``: a component key -> the one object for it, so that the
+      query's counters, sets and dicts find equal keys equal by identity;
+    * ``closed``: the id of a closed node of the source -> (the node, its
+      key counts), set by ``_record_closed`` and None until then;
+    * ``summary``: the source's ``_Summary``, made at the query's first
+      firing (``_reduction_key``).
+
+    Each entry of a table looked up by ids holds the objects whose ids key
+    it, so that no id is reused while the table lives.  The tables live in
+    the query and not on the nodes: they die with the query, and a repeated
+    query pays for its walks again."""
+
+    __slots__ = ("parts", "components", "interned", "closed", "summary")
+
+    def __init__(self):
+        self.parts, self.components, self.interned = {}, {}, {}
+        self.closed = self.summary = None
+
+
+def congruence_key(p: Process, keys=None):
     """A key equal for two processes exactly when they are related by
     binder hoisting across parallel, scope garbage collection, unit laws,
     parallel commutativity and associativity, binder reordering and
     alpha-conversion.  Used to compare reduction and tau targets; see the
     module docstring.
 
-    ``_memo`` is a dict that the keys of one query share, and a fresh one
-    when it is left out.  It holds an entry for each part walked so far
-    (``_part_entry``) and the key of each component keyed so far
-    (``_keyed_component``), so that a part or a component that many
-    targets share is walked or keyed once.  Where it holds the counts of
-    the source's closed nodes (``_record_closed``), the walk takes such a
-    node whole and adds its counts: a closed node has no free name, so its
-    key is its own, whatever surrounds it.  A clash, which restarts the
-    walk, drops what the walk had taken.  The memo is not kept on the
-    nodes, where it would outlive the query."""
-    memo = {} if _memo is None else _memo
-    closed = memo.get(_CLOSED)
+    ``keys`` is a query's ``_Keys``, and a fresh one when it is left out:
+    what it holds is not walked or keyed again, and a closed node of the
+    source in it is taken whole.  A clash, which restarts the walk, drops
+    what the walk had taken.  Harmony calls this function by its module
+    name, so that a wrapper bound there (the benchmark's per-layer tracer,
+    a test's check) sees every key of a query."""
+    keys = _Keys() if keys is None else keys
+    closed = keys.closed
     binders, asserts, comps = hoist(p, Fresh(p), closed=closed)
     loose = frozenset(binders)
-    keys, entries = {}, []
+    counts, parts = {}, []
     for q in (*asserts, *comps):
         if isinstance(q, (Par, Res)):
-            _add_counts(keys, closed[id(q)][1])  # a closed node of the source, cut
+            _add_counts(counts, closed[id(q)][1])  # a closed node of the source, cut
         else:
-            entries.append(_part_entry(q, loose.intersection(support(q)), memo))
-    for comp in _components([occ for _, _, _, occ, _ in entries]):
-        k = _keyed_component([entries[i] for i in comp], memo)
-        keys[k] = keys.get(k, 0) + 1
-    return frozenset(keys.items())
+            parts.append(_part_entry(q, loose.intersection(support(q)), keys))
+    for comp in _components([e.atoms for e in parts]):
+        k = _keyed_component([parts[i] for i in comp], keys)
+        counts[k] = counts.get(k, 0) + 1
+    return frozenset(counts.items())
 
 
-def _add_counts(keys, counts):
-    for k, n in counts.items():
-        keys[k] = keys.get(k, 0) + n
+def _add_counts(counts, more):
+    for k, n in more.items():
+        counts[k] = counts.get(k, 0) + n
 
 
-_CLOSED = "closed"  # the memo's entry for the source's closed nodes
-
-
-def _record_closed(p, memo):
-    """Record in ``memo`` the key counts of the closed Par and Res nodes
-    below ``p`` that a walk down its Par nodes meets, by the ids of the
-    nodes, each with its node, so that no id is reused while the memo
-    lives.  No node below a Res is recorded, nor ``p`` itself: a tau
-    target holds a restriction's body only renamed, as new nodes, and never
-    the whole source.  The walk goes bottom-up with an explicit stack: a
-    node's ``support`` finds those of its Par children cached, and a Par's
-    counts are its children's."""
-    closed = memo[_CLOSED] = {}
+def _record_closed(p, keys):
+    """Set ``keys.closed`` to the key counts of the closed Par and Res nodes
+    below ``p`` that a walk down its Par nodes meets.  No node below a Res
+    is recorded, nor ``p`` itself: a tau target holds a restriction's body
+    only renamed, as new nodes, and never the whole source.  The walk goes
+    bottom-up with an explicit stack: a node's ``support`` finds those of
+    its Par children cached, and a Par's counts are its children's."""
+    closed = keys.closed = {}
     todo = [(p, False)]
     while todo:
         q, below = todo.pop()
@@ -391,59 +409,49 @@ def _record_closed(p, memo):
                 counts = {}
                 for kid in (q.left, q.right):
                     got = closed.get(id(kid))
-                    _add_counts(counts, got[1] if got else dict(congruence_key(kid, memo)))
+                    _add_counts(counts, got[1] if got else dict(congruence_key(kid, keys)))
             else:
-                counts = dict(congruence_key(q, memo))
+                counts = dict(congruence_key(q, keys))
             closed[id(q)] = q, counts
 
 
-def _part_entry(q, live, memo):
-    """The memo entry of the part ``q`` in which the hoisted binders
-    ``live`` are free: the part, ``live``, its shape, its renamable atoms in
-    order of first occurrence, and whether it met a set tie.  Looked up in
-    ``memo`` by the part's identity: the entry holds the part, so that its
-    id is not reused while the memo lives, and ``live``, the only thing
-    outside the part that its shape depends on."""
-    got = memo.get(id(q))
-    if got is not None and got[1] == live:
+def _part_entry(q, live, keys):
+    """The ``_Part`` of ``q`` with the hoisted binders ``live`` free in it,
+    from ``keys.parts`` when it holds one for ``q`` and ``live``."""
+    got = keys.parts.get(id(q))
+    if got is not None and got.live == live:
         return got
-    ties = _Ties()
-    st = _CanonState(live, ties)
-    entry = memo[id(q)] = q, live, _canon(q, {}, st), tuple(st.free_map), bool(ties.widths)
-    return entry
+    st = _CanonState(live, _Ties())
+    got = keys.parts[id(q)] = _Part(q, live, _canon(q, {}, st), tuple(st.free_map),
+                                    bool(st.ties.widths))
+    return got
 
 
-def _keyed_component(entries, memo):
-    """The key of the component whose parts have the memo ``entries``.
+def _keyed_component(parts, keys):
+    """The key of the component of the ``_Part`` entries ``parts``: the one
+    that ``keys.components`` holds for them, or a new one, interned.
 
-    The entries fix the key: a part, the hoisted binders free in it,
-    and through them its shape, its atom list and, for a part that meets a
-    set tie, its search (``_tied_shape``, with the other parts of the
-    component).  So the key is looked up in ``memo`` by the identities of
-    the entries, as a multiset, in an entry that holds them, so that no id
-    among them is reused while the memo lives.  A component that a target
-    has merged with another, or split, has other entries and is keyed
-    afresh.  A key equal to one the memo holds already is handed back as
-    that object."""
-    ident = tuple(sorted(map(id, entries)))
-    got = memo.get(ident)
+    The entries fix the key: a part, the hoisted binders free in it, and
+    through them its shape, its atom list and, for a part that meets a set
+    tie, its search (``_tied_shape``, with the other parts of the
+    component).  A component that a target has merged with another, or
+    split, has other entries and is keyed afresh."""
+    ident = tuple(sorted(map(id, parts)))
+    got = keys.components.get(ident)
     if got is not None:
         return got[1]
-    items = [(shape, (occ,)) for _, _, shape, occ, _ in entries]
-    mine = [k for k, (*_, tied) in enumerate(entries) if tied]
+    items = [(e.shape, (e.atoms,)) for e in parts]
+    mine = [k for k, e in enumerate(parts) if e.tied]
     for k in mine:
         others = items[:k] + items[k + 1:]
         if len(mine) > 1:
             # each other part keeps its label, so that the atom lists
             # pruned here and there stay related (see _Ties)
             others = [(j, occs) for j, (_, occs) in enumerate(others)]
-        q, live = entries[k][:2]
-        items[k] = _tied_shape(q, live, others)
+        items[k] = _tied_shape(parts[k].node, parts[k].live, others)
     key = _Hashed(_component_key(items))
-    # one object per distinct key: the counters, sets and dicts of the
-    # query then find equal keys by identity, not field by field
-    key = memo.setdefault(("interned", key), key)
-    memo[ident] = entries, key
+    key = keys.interned.setdefault(key, key)
+    keys.components[ident] = parts, key
     return key
 
 
@@ -689,49 +697,44 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     need no canonical form.  A reduction is keyed from its firing by delta
     (``_reduction_key``), and its target is built only for the first firing
     of each key, in enumeration order: that is the target a report shows
-    for an unmatched key.  Every key of the query shares one memo, so a
-    part or a component that many targets hold is walked or keyed once.
-    At the first tau target the memo records the key counts of the
-    source's closed nodes, and only the source's: a tau target's key takes
-    each of them whole where the target holds it (see the module
-    docstring).  Only a target reported unmatched is canonicalised, so that
-    no scratch atom's id shows in the report."""
+    for an unmatched key.  Every key of the query shares one ``_Keys``, in
+    which the first tau target records the source's closed nodes, and only
+    the source's (see the module docstring).  Only a target reported
+    unmatched is canonicalised, so that no scratch atom's id shows in the
+    report."""
     check_well_formed(p)
-    red, tau, memo = {}, {}, {}
+    red, tau, keys = {}, {}, _Keys()
     for f in _fired(inst, p, fuel):
-        key = _reduction_key(f, memo)
+        key = _reduction_key(f, keys)
         if key not in red:
             red[key] = _target(f)[1]
     for lab, _, target in _derive(inst, _PROVENANCE, inst.unit, p, fuel):
         if isinstance(lab, TauLabel):
-            if _CLOSED not in memo:
-                _record_closed(p, memo)
-            tau.setdefault(congruence_key(target, memo), target)
+            if keys.closed is None:
+                _record_closed(p, keys)
+            tau.setdefault(congruence_key(target, keys), target)
     return HarmonyReport(matched=len(red.keys() & tau.keys()),
                          reduction_only=_unmatched(red, tau),
                          tau_only=_unmatched(tau, red))
 
 
-def _reduction_key(f, memo):
+def _reduction_key(f, keys):
     """``congruence_key`` of the target of the firing ``f``, from the
-    source's key kept by component (``_Summary``, made at the query's first
-    firing and kept in ``memo``): the key without the components that the
-    firing touches, with the components that its regrouped parts form.
+    source's key kept by component (``keys.summary``): the key without the
+    components of the replaced parts, with the components that the rest of
+    them and the new parts form (see the module docstring).
 
-    The touched components are those of the replaced parts.  Every
-    renamable atom of a new part is free in a replaced part, or a binder
-    that the source does not hoist, so no new part links an untouched
-    component.  The new parts are hoisted as the source was, with its free
-    names and its hoisted binders taken, and a clashing binder is renamed
-    to an atom fresh for the new parts too: the substitution may have
-    renamed a received binder to a scratch atom of its own supply, which
-    the source's supply would hand out again."""
-    s = memo.get(f.source)
+    The new parts are hoisted as the source was, with its free names and
+    its hoisted binders taken, and a clashing binder is renamed to an atom
+    fresh for the new parts too: the substitution may have renamed a
+    received binder to a scratch atom of its own supply, which the source's
+    supply would hand out again."""
+    s = keys.summary
     if s is None:
-        s = memo[f.source] = _Summary(f.source, memo)
+        s = keys.summary = _Summary(f.source, keys)
     gone = {s.first_kid + i for i, _, _ in f.kids}
     affected = {s.comp_of[i] for i in gone}
-    regrouped = [s.entries[i] for c in affected for i in s.comps[c] if i not in gone]
+    regrouped = [s.parts[i] for c in affected for i in s.comps[c] if i not in gone]
     news = par(f.sender.cont, f.received, *(rest for _, _, rest in f.kids))
     if not isinstance(news, Nil):
         taken = f.source.taken
@@ -740,38 +743,35 @@ def _reduction_key(f, memo):
         for q in (*asserts, *comps):
             free = support(q)
             regrouped.append(_part_entry(
-                q, s.loose.intersection(free) | extra.intersection(free), memo))
-    keys = dict(s.counts)
+                q, s.loose.intersection(free) | extra.intersection(free), keys))
+    counts = dict(s.counts)
     for c in affected:
-        k = s.keys[c]
-        keys[k] -= 1
-        if not keys[k]:
-            del keys[k]
-    for comp in _components([occ for _, _, _, occ, _ in regrouped]):
-        k = _keyed_component([regrouped[i] for i in comp], memo)
-        keys[k] = keys.get(k, 0) + 1
-    return frozenset(keys.items())
+        counts[s.keys[c]] -= 1
+    for comp in _components([e.atoms for e in regrouped]):
+        k = _keyed_component([regrouped[i] for i in comp], keys)
+        counts[k] = counts.get(k, 0) + 1
+    return frozenset((k, m) for k, m in counts.items() if m)
 
 
 class _Summary:
     """The key of a query's source, kept by component, from which
     ``_reduction_key`` keys each target: the hoisted binders ``loose``, the
-    memo ``entries`` of the top-level parts (the assertions, then the
-    children from ``first_kid`` on), their ``comps``, each part's component
-    (``comp_of``), and the component ``keys`` and their multiset
-    ``counts``."""
+    ``_Part`` entries ``parts`` of the top-level parts (the assertions, then
+    the children from ``first_kid`` on), their ``comps``, each part's
+    component (``comp_of``), and the component ``keys`` and their multiset
+    ``counts``.  A query has one, in ``_Keys.summary``."""
 
-    __slots__ = ("loose", "entries", "first_kid", "comps", "comp_of", "keys", "counts")
+    __slots__ = ("loose", "parts", "first_kid", "comps", "comp_of", "keys", "counts")
 
-    def __init__(self, source, memo):
+    def __init__(self, source, keys):
         root = source.root
         self.loose = frozenset(root.binders)
         parts = (*root.asserts, *map(_original, root.children))
-        self.entries = [_part_entry(q, self.loose.intersection(support(q)), memo) for q in parts]
+        self.parts = [_part_entry(q, self.loose.intersection(support(q)), keys) for q in parts]
         self.first_kid = len(root.asserts)
-        self.comps = list(_components([occ for _, _, _, occ, _ in self.entries]))
+        self.comps = list(_components([e.atoms for e in self.parts]))
         self.comp_of = {i: c for c, comp in enumerate(self.comps) for i in comp}
-        self.keys = [_keyed_component([self.entries[i] for i in comp], memo)
+        self.keys = [_keyed_component([self.parts[i] for i in comp], keys)
                      for comp in self.comps]
         self.counts = Counter(self.keys)
 
@@ -785,9 +785,9 @@ def derived_par(inst: CalculusInstance, p: Process, q_guarded: Process,
     """The derived rule: every reduction of P survives in P | Q_G."""
     if not assertion_guarded(q_guarded):
         raise ValueError("derived_par requires an assertion-guarded right component")
-    memo = {}
-    lhs = {congruence_key(Par(s.target, q_guarded), memo)
+    keys = _Keys()
+    lhs = {congruence_key(Par(s.target, q_guarded), keys)
            for s in reductions(inst, p, fuel)}
-    rhs = {congruence_key(s.target, memo)
+    rhs = {congruence_key(s.target, keys)
            for s in reductions(inst, Par(p, q_guarded), fuel)}
     return lhs <= rhs

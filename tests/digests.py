@@ -14,7 +14,10 @@ prints one SHA-256 per kind of result:
 * ``reductions``: the targets, canonical, at fuel 1 and 2;
 * ``harmony``: the ``HarmonyReport`` of every member at fuel 1 and 2;
 * ``keys``: the congruence keys harmony computes, of every reduction
-  target and of every raw tau target of the engine, as multisets;
+  target and of every raw tau target of the engine, as multisets, through
+  one ``reduction._Keys`` per member and fuel in which the member's closed
+  nodes are recorded first, so that the keys take them whole as harmony's
+  do;
 * ``tau_order``: the keys of the raw tau targets in the engine's order.
   This one is not a result: it changes when the engine derives its taus in
   another order.
@@ -108,9 +111,10 @@ def digests(seed):
             lines["reductions"].append(
                 tag + _stable({nominal.canonical(s.target) for s in steps}))
             lines["harmony"].append(tag + _stable(reduction.harmony_check(inst, p, fuel)))
-            memo = {}
-            red_keys = [_key(s.target, memo) for s in steps]
-            tau_keys = [_key(tgt, memo) for lab, _, tgt in
+            keys = reduction._Keys()
+            reduction._record_closed(p, keys)
+            red_keys = [_key(s.target, keys) for s in steps]
+            tau_keys = [_key(tgt, keys) for lab, _, tgt in
                         semantics._derive(inst, semantics._PROVENANCE, inst.unit, p, fuel)
                         if isinstance(lab, semantics.TauLabel)]
             lines["keys"].append(tag + _stable((sorted(red_keys), sorted(tau_keys))))
@@ -119,8 +123,8 @@ def digests(seed):
             for kind, ls in lines.items()}
 
 
-def _key(p, memo):
-    return _stable(reduction.congruence_key(p, memo))
+def _key(p, keys):
+    return _stable(reduction.congruence_key(p, keys))
 
 
 def main(argv):

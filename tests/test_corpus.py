@@ -58,10 +58,14 @@ def test_harmony_on_every_small_term(inst, largest):
 
 
 def test_naive_oracle_on_every_small_pi_term():
+    # pi's connectivity is symmetric and transitive, so both orientations of
+    # In-Old agree with the provenance rules too (conservativity)
     for size in (1, 2, 3):
         for p in all_processes(pi, size, (a, b)):
             got = erase_provenance(transitions(pi, pi.unit, p, 2))
             assert got == naive_transitions(pi, pi.unit, p, 2), p
+            for r in (False, True):
+                assert got == legacy_transitions(pi, pi.unit, p, 2, reorient_in=r), (p, r)
 
 
 @pytest.mark.parametrize("inst", [ether, tri, pre], ids=lambda i: i.name)

@@ -4,7 +4,9 @@ runs).  Every public one is read somewhere in the package, the tests or the
 benchmark, outside its own definition.  Every parameter of a top-level
 function of the package is read in its body, and every parameter of a
 public ``CalculusInstance`` method by some definition of that method in
-``params``."""
+``params``.  Every ``__slots__`` entry and ``NamedTuple`` field of a class
+of the package is read as an attribute somewhere in the package, the tests
+or the benchmark."""
 
 import ast
 import collections
@@ -130,6 +132,31 @@ def unread_interface_parameters(source: str, base: str = "CalculusInstance"):
     return sorted(unread)
 
 
+def _fields(cls):
+    """The ``__slots__`` entries of the class ``cls``, and its fields when it
+    is a ``NamedTuple``."""
+    named = any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in cls.bases)
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__"
+                                                for t in node.targets):
+            slots = ast.literal_eval(node.value)
+            yield from (slots,) if isinstance(slots, str) else slots
+        elif named and isinstance(node, ast.AnnAssign):
+            yield node.target.id
+
+
+def unread_fields(sources: dict, package) -> list:
+    """(module, class, field) for each ``__slots__`` entry or ``NamedTuple``
+    field of a class of a ``package`` module that no module of ``sources``
+    (module name -> source) reads as an attribute."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted((mod, cls.name, field) for mod in package
+                  for cls in ast.walk(trees[mod]) if isinstance(cls, ast.ClassDef)
+                  for field in _fields(cls) if field not in read)
+
+
 def test_unused_imports_are_found():
     src = "import os\nimport a.b\nfrom x import y, z as w\nprint(os, w)\n"
     assert unused_imports(src) == [(2, "a"), (3, "y")]
@@ -166,6 +193,25 @@ def test_no_unread_publics():
     sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
     package = [p.relative_to(ROOT).as_posix() for p in PACKAGE]
     assert unread_publics(sources, package) == []
+
+
+def test_unread_fields_are_found():
+    # S's y is only stored, T's v is read nowhere, U is neither slotted nor
+    # a NamedTuple; x is read in the package, u in the test
+    pkg = ("class S:\n    __slots__ = ('x', 'y')\n"
+           "    def __init__(self): self.x = self.y = 0\n"
+           "    def get(self): return self.x\n"
+           "class T(typing.NamedTuple):\n    u: int\n    v: int\n"
+           "class U:\n    w: int\n")
+    test = "print(T(1, 2).u)\n"
+    assert unread_fields({"pkg": pkg, "test": test}, ["pkg"]) == [
+        ("pkg", "S", "y"), ("pkg", "T", "v")]
+
+
+def test_no_unread_fields():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
+    package = [p.relative_to(ROOT).as_posix() for p in PACKAGE]
+    assert unread_fields(sources, package) == []
 
 
 def test_unread_parameters_are_found():

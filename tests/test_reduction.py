@@ -566,23 +566,23 @@ def test_hoist_reads_the_free_names_only_on_a_clash(monkeypatch):
     assert not renamed
 
 
-# -- one memo per query -------------------------------------------------------------
+# -- one key table per query -------------------------------------------------------
 
 def _checking_memo_keys(monkeypatch):
-    """Check every key that ``reduction`` asks for: it comes with a memo,
-    and it equals the one-shot key of the same process, or, for a key
-    taken by delta from a firing, of the firing's target.  Returns the list
-    that counts the keys checked."""
+    """Check every key that ``reduction`` asks for: it comes with the
+    query's ``_Keys``, and it equals the one-shot key of the same process,
+    or, for a key taken by delta from a firing, of the firing's target.
+    Returns the list that counts the keys checked."""
     one_shot, by_delta, compared = reduction.congruence_key, reduction._reduction_key, []
 
-    def checked(p, _memo=None):
-        got = one_shot(p, _memo)
-        assert _memo is not None and got == one_shot(p), p
+    def checked(p, keys=None):
+        got = one_shot(p, keys)
+        assert keys is not None and got == one_shot(p), p
         compared.append(1)
         return got
 
-    def checked_delta(f, memo):
-        got = by_delta(f, memo)
+    def checked_delta(f, keys):
+        got = by_delta(f, keys)
         _, target = reduction._target(f)
         assert got == one_shot(target), target
         compared.append(1)
@@ -625,8 +625,8 @@ def test_derived_par_memo_keys_equal_one_shot_keys(monkeypatch):
 
 
 def _keys_through_one_memo(ps):
-    memo = {}
-    return [congruence_key(p, memo) for p in ps]
+    keys = reduction._Keys()
+    return [congruence_key(p, keys) for p in ps]
 
 
 def test_memo_entry_follows_the_hoisted_binders():
@@ -694,11 +694,15 @@ def test_memo_keys_of_tied_parts(monkeypatch):
 def test_harmony_walks_each_part_once(monkeypatch, n):
     # n^2 reductions and n^2 taus of 4n - 2 parts each, all but two of them
     # the source's own: the source's 4n parts are walked once, and so are
-    # the sender's and the receiver's opened assertions, n of each
+    # the sender's and the receiver's opened assertions, n of each.  The
+    # key tables die with their query: a second query on the same process
+    # walks every part again
     p = par(*(ether_example() for _ in range(n)))
     walks = _counting(monkeypatch, nominal._canon, (reduction,))
-    assert harmony_check(ether, p, fuel=2).ok
-    assert len(walks) == 6 * n
+    for _ in range(2):
+        walks.clear()
+        assert harmony_check(ether, p, fuel=2).ok
+        assert len(walks) == 6 * n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -762,15 +766,15 @@ def _delta_inputs():
 
 
 def test_reduction_key_by_delta_equals_the_key_of_the_target():
-    # each firing of a query is keyed through the query's one memo, from
+    # each firing of a query is keyed through the query's one _Keys, from
     # the source's key, and compared with the one-shot key of its target
     checked = 0
     for inst, p, fuels in _delta_inputs():
         for fuel in fuels:
-            memo = {}
+            keys = reduction._Keys()
             for f in reduction._fired(inst, p, fuel):
                 _, target = reduction._target(f)
-                assert reduction._reduction_key(f, memo) == congruence_key(target), (p, fuel)
+                assert reduction._reduction_key(f, keys) == congruence_key(target), (p, fuel)
                 checked += 1
     assert checked > 500
 
@@ -876,9 +880,9 @@ def test_harmony_cut_keys_equal_one_shot_keys(monkeypatch):
 
 
 def _keys_after_recording(source, targets):
-    memo = {}
-    reduction._record_closed(source, memo)
-    return [congruence_key(t, memo) for t in targets]
+    keys = reduction._Keys()
+    reduction._record_closed(source, keys)
+    return [congruence_key(t, keys) for t in targets]
 
 
 def test_cut_keys_of_hand_built_targets():
@@ -919,9 +923,9 @@ def test_tau_keys_take_the_sources_closed_subtrees_whole(monkeypatch, n):
         targets.update((id(t), t) for lab, _, t in got if isinstance(lab, TauLabel))
         return got
 
-    def keyed(q, _memo=None):
+    def keyed(q, keys=None):
         before = len(lookups)
-        got = key(q, _memo)
+        got = key(q, keys)
         if targets.get(id(q)) is q:
             per_target.append(len(lookups) - before)
         return got
