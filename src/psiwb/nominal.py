@@ -25,16 +25,25 @@ itself how to walk it.
 Two classes in ``semantics`` keep their own ``_support`` and ``_canon``,
 which the table also records: ``Transition`` and ``ErasedTransition``.  The
 extruded names of their label bind in a sibling field, the target, which the
-one rule cannot express.
+one rule cannot express.  ``Transition`` walks its provenance last, and
+declares that order (``_order``), in which ``sort_key`` compares its fields.
 
 Canonicalisation threads one ``_CanonState`` (binder counter and free-atom
 map) through a left-to-right traversal.  ``_CanonState.fork`` copies it, so a
 caller that canonicalises many values sharing a prefix (the environment and
 source of one query's transitions) can canonicalise the prefix once and fork
 the state for each value: the fork continues exactly the numbering a
-traversal of the whole value would give.  A set has no order of its own, so
-the atoms its elements meet first are numbered in the order of the
-elements' own canonical forms, not in that of atom ids (``_canon_set``).
+traversal of the whole value would give, where the prefix meets no tie.
+
+A set has no order of its own, so the atoms its elements meet first are
+numbered in the order of the elements' own canonical forms (``_canon_set``).
+Elements of one form that would number atoms not yet numbered tie.  A
+traversal stops at a tie (``_Tied``), and ``least``, the one search over
+ties (the congruence key's too), tries each choice that no automorphism
+relates to one tried, keeping the least form.  It assumes what every
+shipped instance holds, set elements of names and tuples of names: a binder
+in an element would be numbered in ``sort_key`` order, which reads atom
+ids, and a tie in a nested set multiplies the search, once per trial form.
 
 Atom ids live in disjoint bands.  User atoms are non-negative and come from
 a global counter, which the engine never touches: each query ``mint``s its
@@ -148,13 +157,14 @@ def swap(a: Name, b: Name) -> Permutation:
 
 class _Layout:
     """What the generic traversals know of one dataclass type: its field
-    names in declaration order, its binder fields, and its own ``_support``
-    and ``_canon``, where it has them."""
+    names in declaration order and in ``sort_key``'s order (``_order``), its
+    binder fields, and its own ``_support`` and ``_canon``, if any."""
 
-    __slots__ = ("names", "binders", "support", "canon")
+    __slots__ = ("names", "order", "binders", "support", "canon")
 
     def __init__(self, cls):
         self.names = tuple(f.name for f in dataclasses.fields(cls))
+        self.order = getattr(cls, "_order", self.names)
         self.binders = frozenset(getattr(cls, "_binders", ()))
         self.support = getattr(cls, "_support", None)
         self.canon = getattr(cls, "_canon", None)
@@ -279,7 +289,7 @@ def sort_key(x):
         return (5, len(x), tuple(sorted(sort_key(e) for e in x)))
     lay = _LAYOUTS[type(x)]
     if lay is not None:
-        return (6, type(x).__name__, tuple(sort_key(getattr(x, f)) for f in lay.names))
+        return (6, type(x).__name__, tuple(sort_key(getattr(x, f)) for f in lay.order))
     return (7, repr(x))
 
 
@@ -290,8 +300,9 @@ class _CanonState:
     occurrence) to its canonical atom.  Renamable are the engine's scratch
     atoms and the atoms of ``loose``: atoms that the caller binds outside
     the value, which are numbered as binders, while free scratch atoms get
-    the free band.  ``ties`` is None, or an object whose ``pick(group,
-    news)`` picks one of equal-shaped set elements (see ``_canon_set``)."""
+    the free band.  ``ties`` makes the choices of the search run that the
+    traversal is (``_Ties``); a traversal outside a search raises ``_Tied``
+    at a tie."""
 
     __slots__ = ("binder_n", "free_map", "loose", "ties")
 
@@ -302,8 +313,9 @@ class _CanonState:
         self.ties = ties
 
     def fork(self) -> "_CanonState":
-        """A copy that continues this numbering and never writes back."""
-        st = _CanonState(self.loose)
+        """A copy that continues this numbering, in the same search run, and
+        never writes back."""
+        st = _CanonState(self.loose, self.ties)
         st.binder_n = self.binder_n
         st.free_map = dict(self.free_map)
         return st
@@ -325,12 +337,12 @@ class _CanonState:
 
 def _canon_set(x, env, st):
     """A set's canonical elements, numbering the atoms they meet first in an
-    order that does not depend on atom ids where it matters: while some
-    element holds renamable atoms not yet numbered, the next element is the
-    one that would number the fewest, and among those the one whose own
-    canonical form, numbered as if it came next, is least.  Among equal
-    forms ``st.ties`` picks, given the atoms each would number, or the first
-    in ``sort_key`` order is taken without one."""
+    order that does not depend on atom ids: while some element holds
+    renamable atoms not yet numbered, the next element is the one that
+    would number the fewest, and among those the one whose own canonical
+    form, numbered as if it came next, is least.  Among equal forms, a tie,
+    ``st.ties`` picks, given the atoms each would number; without a search
+    (``st.ties`` None) the traversal stops there (``_Tied``)."""
     if len(x) < 2:
         return frozenset(_canon(e, env, st) for e in x)
     elems = sorted(x, key=sort_key)
@@ -346,10 +358,16 @@ def _canon_set(x, env, st):
             own.append(((len(news[e]), form), e))
         least = min(k for k, _ in own)
         group = [e for k, e in own if k == least]
-        pick = group[0] if len(group) == 1 or st.ties is None else st.ties.pick(group, news)
+        if len(group) > 1 and st.ties is None:
+            raise _Tied
+        pick = group[0] if len(group) == 1 else st.ties.pick(group, news)
         out.append(_canon(pick, env, st))
         elems.remove(pick)
     return frozenset(out + [_canon(e, env, st) for e in elems])
+
+
+class _Tied(Exception):
+    """A traversal outside a search (``least``) met a tie."""
 
 
 def _canon(x, env: dict, st: _CanonState):
@@ -384,9 +402,13 @@ def canonical(x):
 
     Binders are renumbered in traversal order; free scratch atoms (engine
     mints and previous canonical atoms) are renumbered too, so enumeration
-    results compare stably across calls.
+    results compare stably across calls.  No atom id decides a set tie
+    (``least``), as long as set elements bind no names and hold no sets.
     """
-    return _canon(x, {}, _CanonState())
+    try:
+        return _canon(x, {}, _CanonState())
+    except _Tied:
+        return least(lambda ties: (_canon(x, {}, _CanonState(ties=ties)), None), x)[0]
 
 
 def canon_binders(binders, env: dict, st: _CanonState):
@@ -403,6 +425,66 @@ def canon_binders(binders, env: dict, st: _CanonState):
         env[b] = nb
         out.append(nb)
     return tuple(out), env
+
+
+class _Ties:
+    """The choices of one run of a search (``least``): at the i-th tie it
+    takes option ``script[i]`` (0 past its end), recorded in ``taken``.  A
+    candidate is no option when swapping the atoms it would number with
+    those of an option maps ``context`` onto itself: the swap maps the one
+    onto the other and fixes every atom numbered so far.  The runs of one
+    search share ``offers``, each tie's options by the options before it."""
+
+    __slots__ = ("script", "context", "offers", "taken")
+
+    def __init__(self, script, context, offers):
+        self.script, self.context, self.offers, self.taken = script, context, offers, []
+
+    def pick(self, group, news):
+        before = tuple(self.taken)
+        if before not in self.offers:
+            offered = []
+            for e in group:
+                if not any(_swaps(news[e], news[f], self.context) for f in offered):
+                    offered.append(e)
+            self.offers[before] = offered
+        depth = len(before)
+        self.taken.append(self.script[depth] if depth < len(self.script) else 0)
+        return self.offers[before][self.taken[-1]]
+
+
+def _swaps(xs, ys, context):
+    """Whether an involution exchanges ``xs[i]`` with ``ys[i]`` for every i
+    and maps ``context`` onto itself."""
+    sigma = dict(zip(ys, xs)) | dict(zip(xs, ys))
+    return (all(sigma[x] == y and sigma[y] == x for x, y in zip(xs, ys))
+            and rename(sigma, context) == context)
+
+
+def least(run, context):
+    """The exact search over the ties of a canonical traversal
+    (individualisation, McKay and Piperno, "Practical graph isomorphism,
+    II", 2014).  ``run(ties)`` traverses once, ``ties.pick`` choosing at
+    each tie, and returns (form, extra).  It runs once per combination of
+    choices, pruned by the automorphisms of ``context``, which holds all that
+    a run reads.  Returns the least form (by ``sort_key``) and the distinct
+    extras of the runs that give it.  Callers traverse plainly first, and
+    search only where that meets a tie (``_Tied``)."""
+    leaves, script, offers = [], [], {}
+    while True:
+        ties = _Ties(script, context, offers)
+        leaves.append(run(ties))
+        # the next script takes the next option at the last tie with one left
+        script = ties.taken
+        while script and script[-1] + 1 >= len(offers[tuple(script[:-1])]):
+            script.pop()
+        if not script:
+            break
+        script[-1] += 1
+    keys = [sort_key(form) for form, _ in leaves]
+    low = min(keys)
+    return (leaves[keys.index(low)][0],
+            tuple(dict.fromkeys(extra for key, (_, extra) in zip(keys, leaves) if key == low)))
 
 
 def alpha_eq(x, y) -> bool:

@@ -344,13 +344,12 @@ class SumUnavailable(ValueError):
     pass
 
 
-def desugar_sum(inst: CalculusInstance, p: Process, q: Process, top=None) -> Process:
+def desugar_sum(inst: CalculusInstance, p: Process, q: Process) -> Process:
     """P + Q as a two-branch case over an always-entailed condition."""
     for arg in (p, q):
         if not assertion_guarded(arg):
             raise IllFormed([((), "sum arguments must be assertion-guarded")])
-    if top is None:
-        top = inst.top_condition(names_of(p, q))
+    top = inst.top_condition(names_of(p, q))
     if top is None:
         raise SumUnavailable(
             f"instance {inst.name!r} has no always-entailed condition; "

@@ -25,18 +25,14 @@ occurrence inside that part.  That gives the part's *shape*, which no
 atom's id affects, and the list of the renamable atoms it holds, in order.
 Parts that share a renamable atom form a component.  Inside a component the
 parts go in the order of their shapes, and the atoms are numbered again
-along that order; only among parts of equal shape is the order searched
-for, taking the least numbering (individualisation over the ties; McKay and
-Piperno, "Practical graph isomorphism, II", 2014).  Equal-shaped elements
-of a set that would number atoms not yet numbered are ties too
-(``nominal._canon_set``): a part that meets such a tie is canonicalised once
-per choice there, and keeps its least shape with the atom list of each
-choice that gives it.  Of two tied candidates, parts or set elements alike,
-only the first is tried when swapping the new atoms of the one with those
-of the other maps everything else onto itself: that keeps symmetric inputs
-cheap.  The key is the multiset of the component keys.  Exactness assumes
-that set elements hold no sets of their own, as in every shipped instance:
-ties inside such nested sets are broken by atom ids.
+along that order.  The ties left, parts of one shape (``_placed``) and
+equal-shaped set elements that would number new atoms
+(``nominal._canon_set``), go to ``nominal.least``, the one search that
+``canonical`` uses too: it tries each choice that no automorphism of the
+component relates to one tried, which keeps symmetric inputs cheap, and
+keeps the least numbering, for a part its least shape with the atom list
+of each choice that gives it.  A part that meets no tie is walked once.
+The key is the multiset of the component keys.
 
 A part's shape depends only on the part and on which of its free names
 are hoisted binders, and a component's key only on its parts, so the keys
@@ -82,12 +78,13 @@ reads the free names of the whole target only then.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .nominal import (_canon, _CanonState, canonical, Fresh, rename, sort_key,
+from .nominal import (_canon, _CanonState, _Tied, canonical, Fresh, least, sort_key,
                       support)
 from .params import CalculusInstance, Subst
 from .process import (Bang, Case, Input, NIL, Nil, Output, Par, Process, Res,
@@ -323,7 +320,8 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
 class _Part(NamedTuple):
     """A part's entry in ``_Keys.parts``: the part, the hoisted binders
     ``live`` free in it (all that its shape reads from outside it), its
-    shape, its renamable atoms in order, and whether it met a set tie."""
+    shape and its renamable atoms in order, or, where its walk met a set
+    tie, no shape and its renamable atoms (``_keyed_component`` searches)."""
     node: Process
     live: frozenset
     shape: object
@@ -421,34 +419,44 @@ def _part_entry(q, live, keys):
     got = keys.parts.get(id(q))
     if got is not None and got.live == live:
         return got
-    st = _CanonState(live, _Ties())
-    got = keys.parts[id(q)] = _Part(q, live, _canon(q, {}, st), tuple(st.free_map),
-                                    bool(st.ties.widths))
+    try:
+        got = _Part(q, live, *_walk(q, live, None), False)
+    except _Tied:
+        got = _Part(q, live, None, tuple(n for n in support(q) if n in live or n.is_scratch()),
+                    True)
+    keys.parts[id(q)] = got
     return got
+
+
+def _walk(q, live, ties):
+    """The shape of the part ``q`` with the hoisted binders ``live`` free in
+    it, and its renamable atoms in order, under the choices of ``ties``."""
+    st = _CanonState(live, ties)
+    return _canon(q, {}, st), tuple(st.free_map)
 
 
 def _keyed_component(parts, keys):
     """The key of the component of the ``_Part`` entries ``parts``: the one
     that ``keys.components`` holds for them, or a new one, interned.
 
-    The entries fix the key: a part, the hoisted binders free in it, and
-    through them its shape, its atom list and, for a part that meets a set
-    tie, its search (``_tied_shape``, with the other parts of the
-    component).  A component that a target has merged with another, or
-    split, has other entries and is keyed afresh."""
+    The entries fix the key.  A part with a set tie is searched here, pruned
+    by the automorphisms of its component: its least shape, with its atom
+    list under each choice giving it.  Labelled by their shapes, the other
+    parts may be permuted, unless another part has a tie too: then each must
+    map onto itself.  A component that a target has merged or split has
+    other entries, keyed afresh."""
     ident = tuple(sorted(map(id, parts)))
     got = keys.components.get(ident)
     if got is not None:
         return got[1]
     items = [(e.shape, (e.atoms,)) for e in parts]
     mine = [k for k, e in enumerate(parts) if e.tied]
+    labels = {}
     for k in mine:
-        others = items[:k] + items[k + 1:]
-        if len(mine) > 1:
-            # each other part keeps its label, so that the atom lists
-            # pruned here and there stay related (see _Ties)
-            others = [(j, occs) for j, (_, occs) in enumerate(others)]
-        items[k] = _tied_shape(parts[k].node, parts[k].live, others)
+        others = _multiset((j if len(mine) > 1 else labels.setdefault(shape, len(labels)),
+                            occs) for j, (shape, occs) in enumerate(items) if j != k)
+        q, live = parts[k].node, parts[k].live
+        items[k] = least(functools.partial(_walk, q, live), (q, others))
     key = _Hashed(_component_key(items))
     key = keys.interned.setdefault(key, key)
     keys.components[ident] = parts, key
@@ -467,72 +475,6 @@ class _Hashed(tuple):
 
     def __hash__(self):
         return self.hash
-
-
-class _Ties:
-    """The choices of one canonical traversal at its set ties, where set
-    elements of one shape would number atoms not yet numbered (see
-    ``nominal._canon_set``).  ``script[i]`` is the option taken at the i-th
-    tie met (option 0 past its end), and ``widths[i]`` records how many
-    options it had, so that a caller can run the traversal once per
-    combination of choices.
-
-    The options are the tied elements up to automorphism: an element is
-    left out when swapping the atoms it would number with those of an
-    element already offered (``_swap``) maps the ``part`` being
-    canonicalised onto itself and ``others``, the (label, occurrence lists)
-    of the other parts of its component, onto themselves.  Both picks then
-    lead to the same shape, and to atom lists that an automorphism of the
-    component relates, so the component key may use either.  Labelled by
-    their shapes, the other parts may be permuted.  That is only sound while
-    their atom lists are complete: when the component holds another part
-    with set ties, whose lists are pruned too, each other part gets a label
-    of its own and must map onto itself.  Without a ``part`` a tie takes its
-    first element and records the width 0."""
-
-    __slots__ = ("script", "part", "others", "widths")
-
-    def __init__(self, script=(), part=None, others=()):
-        self.script, self.part, self.others, self.widths = script, part, others, []
-
-    def pick(self, group, news):
-        if self.part is None:
-            self.widths.append(0)
-            return group[0]
-        offered = []
-        for e in group:
-            if not any(self._alike(news[e], news[f]) for f in offered):
-                offered.append(e)
-        depth = len(self.widths)
-        self.widths.append(len(offered))
-        return offered[self.script[depth] if depth < len(self.script) else 0]
-
-    def _alike(self, mine, theirs):
-        sigma = _swap(mine, theirs)
-        return (sigma is not None and rename(sigma, self.part) == self.part
-                and _fixes(sigma, self.others))
-
-
-def _swap(xs, ys):
-    """The involution exchanging ``xs[i]`` with ``ys[i]`` for every i, or
-    None when no involution maps ``xs`` onto ``ys``."""
-    sigma = {}
-    for x, y in zip(xs, ys):
-        if x != y and (sigma.setdefault(x, y) != y or sigma.setdefault(y, x) != x):
-            return None
-    if any(sigma.get(x, x) != y for x, y in zip(xs, ys)):
-        return None
-    return sigma
-
-
-def _fixes(sigma, items):
-    """Whether the atom map ``sigma`` maps the multiset of parts given by
-    ``items`` (label, occurrence lists) onto itself: each part onto one with
-    the same label whose occurrence lists it maps onto."""
-    def seen(occ_map):
-        return Counter((label, frozenset(tuple(occ_map(n) for n in occ) for occ in occs))
-                       for label, occs in items)
-    return seen(lambda n: sigma.get(n, n)) == seen(lambda n: n)
 
 
 def _components(occs):
@@ -556,34 +498,13 @@ def _components(occs):
     return comps.values()
 
 
-def _tied_shape(q, loose, others):
-    """The shape of a part that meets a set tie, and its occurrence lists:
-    the least canonical form over every choice at its ties (``_Ties``, with
-    ``others`` the other parts of its component), and the renamable atoms
-    in order of first occurrence under each choice that gives it."""
-    leaves, script = [], []
-    while True:
-        ties = _Ties(script, q, others)
-        st = _CanonState(loose, ties)
-        leaves.append((_canon(q, {}, st), tuple(st.free_map)))
-        taken = [script[d] if d < len(script) else 0 for d in range(len(ties.widths))]
-        while taken and taken[-1] + 1 >= ties.widths[len(taken) - 1]:
-            taken.pop()
-        if not taken:
-            break
-        taken[-1] += 1
-        script = taken
-    least = min(leaves, key=lambda leaf: sort_key(leaf[0]))[0]
-    return least, tuple(dict.fromkeys(occ for shape, occ in leaves if shape == least))
-
-
 def _component_key(items):
     """The key of one component from its parts' (shape, occurrence lists).
 
     The parts go in the order of their shapes, each with the indices of its
     renamable atoms when they are numbered by first occurrence along that
-    order.  Among parts of equal shape the order giving the least indices is
-    searched for, over the ties only."""
+    order.  Among parts of equal shape and the lists of a part, ``least``
+    searches for the order giving the least indices (``_placed``)."""
     if len(items) == 1:
         ((shape, occs),) = items
         return ((shape, tuple(range(len(occs[0])))),)
@@ -602,28 +523,35 @@ def _component_key(items):
                 search = search or len(occs) > 1
             shapes.append(shape)
     if not search:
+        # no two parts of one shape, and one list per part: one order
         numbering = {}
         return tuple((shape, tuple(numbering.setdefault(n, len(numbering)) for n in occs[0]))
                      for shape, (occs,) in zip(shapes, groups))
-    return tuple(zip(shapes, _least_indices(groups, {})))
+    indices, _ = least(lambda ties: (_placed(groups, ties), None),
+                          _multiset((g, occs) for g, group in enumerate(groups)
+                                    for occs in group))
+    return tuple(zip(shapes, indices))
+
+
+def _multiset(items):
+    """The multiset of the (label, occurrence lists) ``items`` as a nominal
+    value: renaming it renames the lists only, for the labels are ints."""
+    return frozenset(Counter((label, frozenset(occs)) for label, occs in items).items())
 
 
 def _type_name(item):
     return type(item[0]).__name__
 
 
-def _least_indices(groups, numbering):
-    """The least sequence of index tuples for the parts of ``groups`` (per
-    shape, in shape order, the occurrence lists of each part), given the
-    ``numbering`` of the atoms of the parts placed before.
-
-    At each step the candidates are the occurrence lists of the current
-    group that give the least indices.  Of two candidates, only the first is
-    tried when swapping the atoms in which they differ (``_swap``; they are
-    all new) maps the unplaced parts onto themselves: both then lead to the
-    same indices."""
-    out = []
-    for g, group in enumerate(groups):
+def _placed(groups, ties):
+    """One run of the order search of ``_component_key``: the index tuples
+    of the parts of ``groups`` (per shape, in shape order, the occurrence
+    lists of each part), with the atoms numbered by first occurrence along
+    the order.  The next part is one of the current group whose list gives
+    the least indices; where several (part, list) candidates give them,
+    ``ties`` picks, given the atoms each would number."""
+    numbering, out = {}, []
+    for group in groups:
         group = list(group)
         while group:
             best, tried = None, []
@@ -640,39 +568,13 @@ def _least_indices(groups, numbering):
                         best, tried = idx, []
                     if idx == best:
                         tried.append((j, occ))
+            j, occ = tried[0] if len(tried) == 1 else ties.pick(
+                tried, {c: tuple(n for n in c[1] if n not in numbering) for c in tried})
             out.append(best)
-            if len(tried) > 1:
-                unplaced = [(g, occs) for occs in group]
-                unplaced += [(h, occs) for h in range(g + 1, len(groups)) for occs in groups[h]]
-                offered = []
-                for j, occ in tried:
-                    if not any(_alike(occ, other, unplaced) for _, other in offered):
-                        offered.append((j, occ))
-                tried = offered
-            if len(tried) > 1:
-                least = None
-                for j, occ in tried:
-                    numbering2 = dict(numbering)
-                    _place(occ, numbering2)
-                    rest = _least_indices([group[:j] + group[j + 1:]] + groups[g + 1:],
-                                          numbering2)
-                    if least is None or rest < least:
-                        least = rest
-                return tuple(out) + least
-            ((j, occ),) = tried
-            _place(occ, numbering)
+            for n in occ:
+                numbering.setdefault(n, len(numbering))
             del group[j]
     return tuple(out)
-
-
-def _alike(occ, other, unplaced):
-    sigma = _swap(occ, other)
-    return sigma is not None and _fixes(sigma, unplaced)
-
-
-def _place(occ, numbering):
-    for n in occ:
-        numbering.setdefault(n, len(numbering))
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,15 @@ the instance's message basis.
 All results are alpha-canonicalised and deduplicated, which also makes the
 enumeration reproducible: scratch atoms never leak identity.
 
-Every result is canonicalised in one order: environment, source, label,
-target, then provenance.  Every result of one query shares its environment
-and source, so ``transitions`` and ``legacy_transitions`` canonicalise
-``(psi, proc)`` once and fork the canonicalisation state for each raw
-triple; the fork replays exactly the numbering of canonicalising the whole
-transition, so every result equals ``canonical(Transition(psi, proc, ...))``.
-A query that derives nothing canonicalises nothing.  The provenance comes last, so the first four fields of a canonical
-``Transition`` are a canonical ``ErasedTransition``, and
-``erase_provenance`` is a plain projection.
+Every result is canonicalised, and where set elements tie compared, in one
+order: environment, source, label, target, then provenance.  The results
+of one query share their environment and source, so ``transitions`` and
+``legacy_transitions`` canonicalise ``(psi, proc)`` once and fork the state
+for each raw triple, which replays the numbering of the whole transition:
+every result equals ``canonical(Transition(psi, proc, ...))``.  A query
+that derives nothing canonicalises nothing.  The provenance comes last, so
+the first four fields of a canonical ``Transition`` are a canonical
+``ErasedTransition``, and ``erase_provenance`` is a projection.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .nominal import (_canon, _CanonState, Fresh, mint_many, Name, names_of, rename,
-                      support)
+from .nominal import (_canon, _CanonState, _Tied, canonical, Fresh, mint_many, Name,
+                      names_of, rename, support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, Output, Par, Process,
                       Res, check_well_formed, open_frame, res, subst_process)
@@ -119,8 +119,6 @@ class _Out:
     extruded: tuple  # tuple[Name, ...], bind into the object (and the target)
     obj: object
 
-    _binders = ("extruded",)
-
     def narrowed(self, subjects, compound):
         return _Out(subjects, compound, self.extruded, self.obj)
 
@@ -140,8 +138,6 @@ class _LateIn:
     compound: frozenset  # the subjects that are not Names
     variables: tuple  # tuple[Name, ...], bind into the pattern
     pattern: object
-
-    _binders = ("variables",)
 
     def narrowed(self, subjects, compound):
         return _LateIn(subjects, compound, self.variables, self.pattern)
@@ -195,13 +191,6 @@ def _canon_step(label, target, env, st):
     return label_c, _canon(target, env, st)
 
 
-def _canon_head(psi, proc):
-    """The canonical environment and source of a query, and the state to
-    fork for each of its results."""
-    st = _CanonState()
-    return _canon(psi, {}, st), _canon(proc, {}, st), st
-
-
 def prov_pushdown(pi):
     """Move all outer binders to the inner sequence."""
     if isinstance(pi, Bot):
@@ -238,6 +227,8 @@ class Transition:
     label: object
     prov: object
     target: Process
+
+    _order = ("env", "source", "label", "target", "prov")  # as ``_canon`` walks them
 
     def __post_init__(self):
         is_tau = isinstance(self.label, TauLabel)
@@ -287,6 +278,41 @@ def erase_provenance(transitions) -> frozenset:
                      for t in transitions)
 
 
+def _canon_head(psi, proc):
+    """The canonical environment and source of a query, and the state to
+    fork for each of its results, or None where the walk meets a tie."""
+    st = _CanonState()
+    try:
+        return _canon(psi, {}, st), _canon(proc, {}, st), st
+    except _Tied:
+        return None
+
+
+def _canon_results(psi, proc, raw, erased):
+    """The canonical ``Transition``s, or ``ErasedTransition``s where
+    ``erased``, of a query's raw (label, provenance, target) triples.  A
+    result whose walk meets a tie is canonicalised whole, by the search, for
+    the choice there may depend on the rest of the result."""
+    def whole(lab, pi, tgt):
+        return canonical(ErasedTransition(psi, proc, lab, tgt) if erased
+                         else Transition(psi, proc, lab, pi, tgt))
+
+    head = _canon_head(psi, proc)
+    if head is None:
+        return frozenset(whole(*r) for r in raw)
+    env_c, src_c, st = head
+    out = set()
+    for lab, pi, tgt in raw:
+        fork = st.fork()
+        try:
+            lab_c, tgt_c = _canon_step(lab, tgt, {}, fork)
+            out.add(ErasedTransition(env_c, src_c, lab_c, tgt_c) if erased else
+                    Transition(env_c, src_c, lab_c, _canon(pi, {}, fork), tgt_c))
+        except _Tied:
+            out.add(whole(lab, pi, tgt))
+    return frozenset(out)
+
+
 # ---------------------------------------------------------------------------
 # The engine
 
@@ -311,15 +337,7 @@ def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL) -
     ``fuel`` replication unfoldings per derivation path."""
     check_well_formed(proc)
     raw = _derive(inst, _PROVENANCE, psi, proc, fuel)
-    if not raw:
-        return frozenset()
-    env_c, src_c, st = _canon_head(psi, proc)
-    out = set()
-    for lab, pi, tgt in raw:
-        fork = st.fork()
-        lab_c, tgt_c = _canon_step(lab, tgt, {}, fork)
-        out.add(Transition(env_c, src_c, lab_c, _canon(pi, {}, fork), tgt_c))
-    return frozenset(out)
+    return _canon_results(psi, proc, raw, erased=False) if raw else frozenset()
 
 
 def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
@@ -331,11 +349,7 @@ def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
     check_well_formed(proc)
     rules = _LEGACY_REORIENTED if reorient_in else _LEGACY_PRINTED
     raw = _derive(inst, rules, psi, proc, fuel)
-    if not raw:
-        return frozenset()
-    env_c, src_c, st = _canon_head(psi, proc)
-    return frozenset(ErasedTransition(env_c, src_c, *_canon_step(lab, tgt, {}, st.fork()))
-                     for lab, _, tgt in raw)
+    return _canon_results(psi, proc, raw, erased=True) if raw else frozenset()
 
 
 def _derive(inst, rules, psi, proc, fuel):

@@ -2,11 +2,12 @@
 private top-level function, class and constant of the package (no linter
 runs).  Every public one is read somewhere in the package, the tests or the
 benchmark, outside its own definition.  Every parameter of a top-level
-function of the package is read in its body, and every parameter of a
-public ``CalculusInstance`` method by some definition of that method in
-``params``.  Every ``__slots__`` entry and ``NamedTuple`` field of a class
-of the package is read as an attribute somewhere in the package, the tests
-or the benchmark."""
+function of the package is read in its body, and every one with a default
+is passed by some call in the package, the tests or the benchmark.  Every
+parameter of a public ``CalculusInstance`` method is read by some
+definition of that method in ``params``.  Every ``__slots__`` entry and
+``NamedTuple`` field of a class of the package is read as an attribute
+somewhere in the package, the tests or the benchmark."""
 
 import ast
 import collections
@@ -99,6 +100,39 @@ def unread_parameters(source: str):
             read = _read(f)
             unread += [(f.lineno, f.name, p.arg) for p in params if p.arg not in read]
     return unread
+
+
+def unpassed_defaults(sources: dict, package) -> list:
+    """(module, function, parameter) for each parameter with a default of a
+    top-level function of a ``package`` module that no call in ``sources``
+    (module name -> source) passes, by position or by keyword.  A call is
+    matched to a function by name alone, and one that unpacks ``*`` or
+    ``**`` arguments passes every parameter."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    calls = collections.defaultdict(list)
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                calls[getattr(n.func, "id", getattr(n.func, "attr", None))].append(n)
+
+    def passes(call, i, param):
+        return (any(isinstance(arg, ast.Starred) for arg in call.args)
+                or any(kw.arg in (param, None) for kw in call.keywords)
+                or (i is not None and i < len(call.args)))
+
+    unpassed = []
+    for mod in package:
+        for f in trees[mod].body:
+            if isinstance(f, ast.FunctionDef):
+                a = f.args
+                positional = [*a.posonlyargs, *a.args]
+                first = len(positional) - len(a.defaults)
+                defaulted = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+                defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                              if d is not None]
+                unpassed += [(mod, f.name, param) for i, param in defaulted
+                             if not any(passes(call, i, param) for call in calls[f.name])]
+    return sorted(unpassed)
 
 
 def unread_interface_parameters(source: str, base: str = "CalculusInstance"):
@@ -227,6 +261,26 @@ def test_unread_parameters_are_found():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def test_unpassed_defaults_are_found():
+    # f's y is passed by position and its z never; g's a by keyword through
+    # an attribute, h's v by an unpacked call; k's w by no call, and m is a
+    # method, not a top-level function
+    pkg = ("def f(x, y=0, *, z=1): return x\n"
+           "def g(a=1): return a\n"
+           "def h(u, v=2): return u\n"
+           "def k(w=0): return w\n"
+           "class C:\n    def m(self, s=0): pass\n")
+    test = "f(1, 2)\npkg.g(a=3)\nh(*args)\nk()\n"
+    assert unpassed_defaults({"pkg": pkg, "test": test}, ["pkg"]) == [
+        ("pkg", "f", "z"), ("pkg", "k", "w")]
+
+
+def test_no_unpassed_defaults():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
+    package = [p.relative_to(ROOT).as_posix() for p in PACKAGE]
+    assert unpassed_defaults(sources, package) == []
 
 
 def test_unread_interface_parameters_are_found():

@@ -267,6 +267,14 @@ def test_harmony_on_replicated_restrictions(name, fuel):
     assert rep.ok and rep.matched == matched[fuel - 1]
 
 
+@pytest.mark.parametrize("name", sorted(REPLICATED_RESTRICTIONS))
+def test_derived_par_on_replicated_restrictions(name):
+    # each fuel level unfolds the bangs once more, in P and in P | Q alike
+    p, _ = REPLICATED_RESTRICTIONS[name]
+    for fuel in range(4):
+        assert derived_par(pi, p, out(b, z), fuel)
+
+
 def test_harmony_when_set_elements_tie():
     # after b<b> meets b(w), the set {(b,c'),(a',a'),(b,b)} comes to the top
     # level, where b is a hoisted binder met first inside the set:
@@ -488,13 +496,14 @@ def _counting(monkeypatch, fn, modules=(nominal, reduction)):
 @pytest.mark.parametrize("width", [4, 8])
 def test_congruence_key_cost_on_symmetric_inputs(monkeypatch, width):
     # a search over every order of the symmetric parts or set elements would
-    # take width! steps.  The key takes one search step per component and at
-    # most four walks per node; a set walks each element once more per
-    # element taken before it, and a ring of facts, which no swap maps onto
-    # itself, is tried from each of its width facts.  In "linked" and "hub
-    # and set" every d occurs in two parts, so only a swap of two d's that
-    # maps the whole component onto itself shows them interchangeable
-    searches = _counting(monkeypatch, reduction._least_indices)
+    # take width! steps.  The key takes one run of its order search
+    # (_placed) per component and at most four walks per node; a set walks
+    # each element once more per element taken before it, and a ring of
+    # facts, which no swap maps onto itself, is tried from each of its width
+    # facts.  In "linked" and "hub and set" every d occurs in two parts, so
+    # only a swap of two d's that maps the whole component onto itself shows
+    # them interchangeable
+    searches = _counting(monkeypatch, reduction._placed)
     walks = _counting(monkeypatch, nominal._canon)
     d = [fresh_name((), "d") for _ in range(width)]
     hub = [Output(c, di, NIL) for di in d]
