@@ -22,10 +22,11 @@ one table keyed by its type (``_LAYOUTS``), filled on the first visit of
 each type: a traversal asks neither the ``dataclasses`` module nor the node
 itself how to walk it.
 
-Two classes in ``semantics`` keep their own ``_support`` and ``_canon``,
-which the table also records: ``Transition`` and ``ErasedTransition``.  The
-extruded names of their label bind in a sibling field, the target, which the
-one rule cannot express.  ``Transition`` walks its provenance last, and
+``Transition`` and ``ErasedTransition`` in ``semantics`` share one
+``_support`` and one ``_canon`` of their own, which the table also records:
+the extruded names of their label bind in a sibling field, the target, which
+the one rule cannot express.  One routine there walks both after the source:
+label, target, then the provenance where there is one.  ``Transition``
 declares that order (``_order``), in which ``sort_key`` compares its fields.
 
 Canonicalisation threads one ``_CanonState`` (binder counter and free-atom

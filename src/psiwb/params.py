@@ -220,6 +220,24 @@ class _NameTermMixin:
         return tuple(_sorted_names(support(frozenset(ctx)))) + (rep,)
 
 
+class _SetAssertions(CalculusInstance):
+    """Shared behaviour for instances whose assertions are finite sets of
+    facts, composed by union, with the empty set as the unit.  A random
+    assertion is up to three pair facts, as in triangle and preorder."""
+
+    @property
+    def unit(self):
+        return frozenset()
+
+    def compose(self, p1, p2):
+        return p1 | p2
+
+    def random_assertion(self, rng, names):
+        ns = list(names)
+        return frozenset((rng.choice(ns), rng.choice(ns))
+                         for _ in range(rng.randint(0, 3)))
+
+
 class PiInstance(_NameTermMixin, CalculusInstance):
     """Terms are names, the only assertion is the unit, connectivity is
     syntactic equality of names."""
@@ -251,21 +269,14 @@ class PiInstance(_NameTermMixin, CalculusInstance):
         return self._UNIT
 
 
-class EtherInstance(_NameTermMixin, CalculusInstance):
+class EtherInstance(_NameTermMixin, _SetAssertions):
     """Assertions are finite name sets naming a single shared medium;
     x and y are connected iff both are members."""
 
     name = "ether"
 
-    @property
-    def unit(self):
-        return frozenset()
-
     def entails(self, psi, phi):
         return isinstance(phi, EtherConn) and phi.left in psi and phi.right in psi
-
-    def compose(self, p1, p2):
-        return p1 | p2
 
     def conn(self, sender, receiver):
         return EtherConn(sender, receiver)
@@ -280,22 +291,15 @@ class EtherInstance(_NameTermMixin, CalculusInstance):
         return frozenset(rng.sample(ns, rng.randint(0, min(2, len(ns)))))
 
 
-class TriangleInstance(_NameTermMixin, CalculusInstance):
+class TriangleInstance(_NameTermMixin, _SetAssertions):
     """Assertions are finite sets of directed facts (a, b): a may send to b.
     Reflexive facts are opt-in per pair, so the non-transitive scenarios can
     state exactly which conditions hold."""
 
     name = "triangle"
 
-    @property
-    def unit(self):
-        return frozenset()
-
     def entails(self, psi, phi):
         return isinstance(phi, TriConn) and (phi.src, phi.dst) in psi
-
-    def compose(self, p1, p2):
-        return p1 | p2
 
     def conn(self, sender, receiver):
         return TriConn(sender, receiver)
@@ -306,21 +310,12 @@ class TriangleInstance(_NameTermMixin, CalculusInstance):
         out.extend(frozenset(((a, b),)) for a in ns for b in ns)
         return tuple(out)
 
-    def random_assertion(self, rng, names):
-        ns = list(names)
-        return frozenset((rng.choice(ns), rng.choice(ns))
-                         for _ in range(rng.randint(0, 3)))
 
-
-class PreorderInstance(_NameTermMixin, CalculusInstance):
+class PreorderInstance(_NameTermMixin, _SetAssertions):
     """Arcs generate a preorder; two names are connected when joinable,
     i.e. when some name is above both."""
 
     name = "preorder"
-
-    @property
-    def unit(self):
-        return frozenset()
 
     def _up(self, psi, x):
         """Upward closure of x under the reflexive-transitive arc closure."""
@@ -341,9 +336,6 @@ class PreorderInstance(_NameTermMixin, CalculusInstance):
             return bool(self._up(psi, phi.left) & self._up(psi, phi.right))
         return False
 
-    def compose(self, p1, p2):
-        return p1 | p2
-
     def conn(self, sender, receiver):
         return Join(sender, receiver)
 
@@ -362,11 +354,6 @@ class PreorderInstance(_NameTermMixin, CalculusInstance):
     def top_condition(self, names=()):
         n = _sorted_names(names)[0] if names else GLOBAL_TOP_NAME
         return Prec(n, n)
-
-    def random_assertion(self, rng, names):
-        ns = list(names)
-        return frozenset((rng.choice(ns), rng.choice(ns))
-                         for _ in range(rng.randint(0, 3)))
 
     def random_condition(self, rng, names):
         ns = list(names)

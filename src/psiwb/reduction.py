@@ -232,15 +232,18 @@ def _rest(kids, touched, tail=()):
 class _Source:
     """The hoisted form of a query's source, which its firings share: the
     expansion ``root``, ``taken`` (the free names of the source and every
-    binder hoisted in ``root``) and the top-level ``assertions``."""
+    binder hoisted in ``root``), the top-level ``assertions`` and the
+    ``summary`` of its key, made at the first firing that harmony keys
+    (``_reduction_key``)."""
 
-    __slots__ = ("root", "taken", "assertions")
+    __slots__ = ("root", "taken", "assertions", "summary")
 
     def __init__(self, p, fuel):
         taken = set(support(p))
         self.root = _expand(p, fuel, Fresh(p), taken)
         self.taken = frozenset(taken)
         self.assertions = tuple(a.assertion for a in self.root.asserts)
+        self.summary = None
 
 
 class _Fired(NamedTuple):
@@ -321,16 +324,17 @@ class _Part(NamedTuple):
     """A part's entry in ``_Keys.parts``: the part, the hoisted binders
     ``live`` free in it (all that its shape reads from outside it), its
     shape and its renamable atoms in order, or, where its walk met a set
-    tie, no shape and its renamable atoms (``_keyed_component`` searches)."""
+    tie, no shape (None) and its renamable atoms (``_keyed_component``
+    searches)."""
     node: Process
     live: frozenset
     shape: object
     atoms: tuple
-    tied: bool
 
 
 class _Keys:
-    """The tables that the keys of one query share:
+    """The four tables that the keys of one query share.  Each entry depends
+    only on the nodes or the key it is looked up by:
 
     * ``parts``: the id of a part -> its ``_Part`` (``_part_entry``);
     * ``components``: the sorted ids of the ``_Part`` entries of a
@@ -338,20 +342,18 @@ class _Keys:
     * ``interned``: a component key -> the one object for it, so that the
       query's counters, sets and dicts find equal keys equal by identity;
     * ``closed``: the id of a closed node of the source -> (the node, its
-      key counts), set by ``_record_closed`` and None until then;
-    * ``summary``: the source's ``_Summary``, made at the query's first
-      firing (``_reduction_key``).
+      key counts), set by ``_record_closed`` and None until then.
 
     Each entry of a table looked up by ids holds the objects whose ids key
     it, so that no id is reused while the table lives.  The tables live in
     the query and not on the nodes: they die with the query, and a repeated
     query pays for its walks again."""
 
-    __slots__ = ("parts", "components", "interned", "closed", "summary")
+    __slots__ = ("parts", "components", "interned", "closed")
 
     def __init__(self):
         self.parts, self.components, self.interned = {}, {}, {}
-        self.closed = self.summary = None
+        self.closed = None
 
 
 def congruence_key(p: Process, keys=None):
@@ -420,10 +422,9 @@ def _part_entry(q, live, keys):
     if got is not None and got.live == live:
         return got
     try:
-        got = _Part(q, live, *_walk(q, live, None), False)
+        got = _Part(q, live, *_walk(q, live, None))
     except _Tied:
-        got = _Part(q, live, None, tuple(n for n in support(q) if n in live or n.is_scratch()),
-                    True)
+        got = _Part(q, live, None, tuple(n for n in support(q) if n in live or n.is_scratch()))
     keys.parts[id(q)] = got
     return got
 
@@ -450,7 +451,7 @@ def _keyed_component(parts, keys):
     if got is not None:
         return got[1]
     items = [(e.shape, (e.atoms,)) for e in parts]
-    mine = [k for k, e in enumerate(parts) if e.tied]
+    mine = [k for k, e in enumerate(parts) if e.shape is None]
     labels = {}
     for k in mine:
         others = _multiset((j if len(mine) > 1 else labels.setdefault(shape, len(labels)),
@@ -622,18 +623,18 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
 
 def _reduction_key(f, keys):
     """``congruence_key`` of the target of the firing ``f``, from the
-    source's key kept by component (``keys.summary``): the key without the
-    components of the replaced parts, with the components that the rest of
-    them and the new parts form (see the module docstring).
+    source's key kept by component (``f.source.summary``): the key without
+    the components of the replaced parts, with the components that the rest
+    of them and the new parts form (see the module docstring).
 
     The new parts are hoisted as the source was, with its free names and
     its hoisted binders taken, and a clashing binder is renamed to an atom
     fresh for the new parts too: the substitution may have renamed a
     received binder to a scratch atom of its own supply, which the source's
     supply would hand out again."""
-    s = keys.summary
+    s = f.source.summary
     if s is None:
-        s = keys.summary = _Summary(f.source, keys)
+        s = f.source.summary = _Summary(f.source, keys)
     gone = {s.first_kid + i for i, _, _ in f.kids}
     affected = {s.comp_of[i] for i in gone}
     regrouped = [s.parts[i] for c in affected for i in s.comps[c] if i not in gone]
@@ -661,7 +662,7 @@ class _Summary:
     ``_Part`` entries ``parts`` of the top-level parts (the assertions, then
     the children from ``first_kid`` on), their ``comps``, each part's
     component (``comp_of``), and the component ``keys`` and their multiset
-    ``counts``.  A query has one, in ``_Keys.summary``."""
+    ``counts``.  A source has one, in ``_Source.summary``."""
 
     __slots__ = ("loose", "parts", "first_kid", "comps", "comp_of", "keys", "counts")
 

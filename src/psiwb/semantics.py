@@ -65,17 +65,16 @@ target, and Com instantiates them by matching the pattern against the
 sender's message; an input still open at the root receives every message of
 the instance's message basis.
 
-All results are alpha-canonicalised and deduplicated, which also makes the
-enumeration reproducible: scratch atoms never leak identity.
-
-Every result is canonicalised, and where set elements tie compared, in one
-order: environment, source, label, target, then provenance.  The results
-of one query share their environment and source, so ``transitions`` and
-``legacy_transitions`` canonicalise ``(psi, proc)`` once and fork the state
-for each raw triple, which replays the numbering of the whole transition:
-every result equals ``canonical(Transition(psi, proc, ...))``.  A query
-that derives nothing canonicalises nothing.  The provenance comes last, so
-the first four fields of a canonical ``Transition`` are a canonical
+All results are alpha-canonicalised and deduplicated, so scratch atoms
+never leak identity and the enumeration is reproducible.  Every transition,
+with a provenance or erased, is walked in one order, in which set elements
+that tie are compared too: environment, source, then ``_canon_tail``'s
+label, target and provenance.  The results of one query share their
+environment and source, so ``transitions`` and ``legacy_transitions`` walk
+``(psi, proc)`` once and continue a fork of that walk for each raw triple:
+every result equals ``canonical`` of its whole transition.  A query that
+derives nothing canonicalises nothing.  The provenance comes last, so the
+first four fields of a canonical ``Transition`` are a canonical
 ``ErasedTransition``, and ``erase_provenance`` is a projection.
 """
 
@@ -181,16 +180,6 @@ class Prov:
     _binders = ("outer", "inner")
 
 
-def _canon_step(label, target, env, st):
-    """Canonicalise (label, target) in that order under ``st``.  An
-    OutLabel's extruded binders scope over its object and the target."""
-    label_c = _canon(label, env, st)
-    if isinstance(label, OutLabel):
-        env = dict(env)
-        env.update(zip(label.extruded, label_c.extruded))
-    return label_c, _canon(target, env, st)
-
-
 def prov_pushdown(pi):
     """Move all outer binders to the inner sequence."""
     if isinstance(pi, Bot):
@@ -220,38 +209,39 @@ def prov_scope(names, pi):
 DEFAULT_FUEL = 2
 
 
-@dataclass(frozen=True)
-class Transition:
-    env: object
-    source: Process
-    label: object
-    prov: object
-    target: Process
-
-    _order = ("env", "source", "label", "target", "prov")  # as ``_canon`` walks them
-
-    def __post_init__(self):
-        is_tau = isinstance(self.label, TauLabel)
-        if is_tau != isinstance(self.prov, Bot):
-            raise ValueError("provenance is Bot exactly on tau transitions")
+class _Walks:
+    """The ``_support`` and ``_canon`` that ``Transition`` and
+    ``ErasedTransition`` share: the extruded names of the label bind in a
+    sibling field, the target, which ``nominal``'s one binder rule cannot
+    express."""
 
     def _support(self):
         return (names_of(self.env, self.source, self.label, self.prov)
                 | (support(self.target) - frozenset(bn(self.label))))
 
     def _canon(self, env, st):
-        """Canonical order: environment, source, label, target, then the
-        provenance, under ``env`` alone (the label's extruded binders do not
-        scope over it).  So the first four fields are canonical as an
-        ``ErasedTransition``."""
-        env_c = _canon(self.env, env, st)
-        src_c = _canon(self.source, env, st)
-        lab_c, tgt_c = _canon_step(self.label, self.target, env, st)
-        return Transition(env_c, src_c, lab_c, _canon(self.prov, env, st), tgt_c)
+        return _canon_tail(_canon(self.env, env, st), _canon(self.source, env, st),
+                           self.label, self.target, self.prov, env, st)
 
 
 @dataclass(frozen=True)
-class ErasedTransition:
+class Transition(_Walks):
+    env: object
+    source: Process
+    label: object
+    prov: object
+    target: Process
+
+    _order = ("env", "source", "label", "target", "prov")  # as ``_canon_tail`` walks them
+
+    def __post_init__(self):
+        is_tau = isinstance(self.label, TauLabel)
+        if is_tau != isinstance(self.prov, Bot):
+            raise ValueError("provenance is Bot exactly on tau transitions")
+
+
+@dataclass(frozen=True)
+class ErasedTransition(_Walks):
     """A transition with the provenance projected away."""
 
     env: object
@@ -259,15 +249,30 @@ class ErasedTransition:
     label: object
     target: Process
 
-    def _support(self):
-        return (names_of(self.env, self.source, self.label)
-                | (support(self.target) - frozenset(bn(self.label))))
+    prov = None  # not a field: the provenance is projected away
 
-    def _canon(self, env, st):
-        env_c = _canon(self.env, env, st)
-        src_c = _canon(self.source, env, st)
-        return ErasedTransition(env_c, src_c,
-                                *_canon_step(self.label, self.target, env, st))
+
+def _transition(env, source, label, target, prov):
+    """A ``Transition``, or an ``ErasedTransition`` where ``prov`` is None."""
+    if prov is None:
+        return ErasedTransition(env, source, label, target)
+    return Transition(env, source, label, prov, target)
+
+
+def _canon_tail(env_c, src_c, label, target, prov, env, st):
+    """The transition of the canonical environment and source ``env_c`` and
+    ``src_c``, whose walk ``st`` continues: the label, the target under an
+    ``OutLabel``'s extruded binders, then the provenance, where there is
+    one, under ``env`` alone.  So the first four fields of a canonical
+    ``Transition`` are a canonical ``ErasedTransition``."""
+    lab_c = _canon(label, env, st)
+    inner = env
+    if isinstance(label, OutLabel):
+        inner = dict(env)
+        inner.update(zip(label.extruded, lab_c.extruded))
+    tgt_c = _canon(target, inner, st)
+    return _transition(env_c, src_c, lab_c, tgt_c,
+                       None if prov is None else _canon(prov, env, st))
 
 
 def erase_provenance(transitions) -> frozenset:
@@ -278,38 +283,27 @@ def erase_provenance(transitions) -> frozenset:
                      for t in transitions)
 
 
-def _canon_head(psi, proc):
-    """The canonical environment and source of a query, and the state to
-    fork for each of its results, or None where the walk meets a tie."""
-    st = _CanonState()
-    try:
-        return _canon(psi, {}, st), _canon(proc, {}, st), st
-    except _Tied:
-        return None
-
-
 def _canon_results(psi, proc, raw, erased):
     """The canonical ``Transition``s, or ``ErasedTransition``s where
-    ``erased``, of a query's raw (label, provenance, target) triples.  A
-    result whose walk meets a tie is canonicalised whole, by the search, for
-    the choice there may depend on the rest of the result."""
-    def whole(lab, pi, tgt):
-        return canonical(ErasedTransition(psi, proc, lab, tgt) if erased
-                         else Transition(psi, proc, lab, pi, tgt))
-
-    head = _canon_head(psi, proc)
-    if head is None:
-        return frozenset(whole(*r) for r in raw)
-    env_c, src_c, st = head
+    ``erased``, of a query's raw (label, provenance, target) triples.  The
+    environment and source are walked once, and each result continues a
+    fork of that walk.  A result whose walk meets a tie is canonicalised
+    whole, by the search, for the choice there may depend on the rest of
+    the result."""
+    st = _CanonState()
+    try:
+        head = _canon(psi, {}, st), _canon(proc, {}, st)
+    except _Tied:
+        head = None
     out = set()
     for lab, pi, tgt in raw:
-        fork = st.fork()
+        pi = None if erased else pi
         try:
-            lab_c, tgt_c = _canon_step(lab, tgt, {}, fork)
-            out.add(ErasedTransition(env_c, src_c, lab_c, tgt_c) if erased else
-                    Transition(env_c, src_c, lab_c, _canon(pi, {}, fork), tgt_c))
+            if head is None:
+                raise _Tied  # every result is searched whole
+            out.add(_canon_tail(*head, lab, tgt, pi, {}, st.fork()))
         except _Tied:
-            out.add(whole(lab, pi, tgt))
+            out.add(canonical(_transition(psi, proc, lab, tgt, pi)))
     return frozenset(out)
 
 

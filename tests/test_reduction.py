@@ -788,6 +788,19 @@ def test_reduction_key_by_delta_equals_the_key_of_the_target():
     assert checked > 500
 
 
+@pytest.mark.parametrize("sizes", [(3, 2), (2, 3)], ids=["3 then 2", "2 then 3"])
+def test_reduction_keys_of_two_sources_through_one_table(sizes):
+    # a table shared by two sources serves neither one's summary to the
+    # other's firings: each delta key equals the one-shot key of its target
+    keys, checked = reduction._Keys(), 0
+    for n in sizes:
+        for f in reduction._fired(ether, par(*(ether_example() for _ in range(n))), 2):
+            _, target = reduction._target(f)
+            assert reduction._reduction_key(f, keys) == congruence_key(target), n
+            checked += 1
+    assert checked == sum(n * n for n in sizes)
+
+
 @pytest.mark.parametrize("p, parts", [(RECEIVED_RENAMED, 2), (ROOT_BINDER_RENAMED, 3)],
                          ids=["received", "root binder"])
 def test_renamed_binders_stay_apart(p, parts):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, canonical,
-                           fresh_name, names_of, swap)
+                           fresh_name, names_of, support, swap)
 from psiwb.params import (CalculusInstance, EtherInstance, PiEq, PiInstance,
                           PreorderInstance, TriangleInstance, _NameTermMixin)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
@@ -212,6 +212,24 @@ def test_erase_collapses_provenance_only_differences():
     zs = [t for t in ts if isinstance(t.label, OutLabel) and t.label.subject == z]
     assert len(zs) == 2 and len({t.prov for t in zs}) == 2
     assert len(erase_provenance(zs)) == 1
+
+
+def test_support_of_a_transition_and_of_its_erasure():
+    # an OutLabel's extruded names bind in its object and the target only:
+    # free in the provenance they are in the support
+    t = Transition(ether.unit, Res(b, Output(a, b, Output(b, c, NIL))),
+                   OutLabel(a, (b,), b), Prov((), (), b), Output(b, c, NIL))
+    assert support(ErasedTransition(t.env, t.source, t.label, t.target)) == {a, c}
+    assert support(t) == {a, b, c}
+    # a transition's support is its erasure's and its provenance's
+    rng, extruding = random.Random(7), 0
+    for inst in (pi, ether):
+        for p in corpus(inst, rng, 20) + [t.source, Par(t.source, Input(a, (x,), x, NIL))]:
+            for u in transitions(inst, inst.unit, p):
+                erased = ErasedTransition(u.env, u.source, u.label, u.target)
+                assert support(u) == support(erased) | support(u.prov)
+                extruding += isinstance(u.label, OutLabel) and bool(u.label.extruded)
+    assert extruding > 0
 
 
 # -- invariants -------------------------------------------------------------------
@@ -463,10 +481,10 @@ def test_stuck_process_is_not_canonicalised(monkeypatch):
     # environment and the source for
     from psiwb import semantics
 
-    def refused(*args):
+    def refused(*args, **kwargs):
         raise AssertionError("canonicalised the head of a query with no result")
 
-    monkeypatch.setattr(semantics, "_canon_head", refused)
+    monkeypatch.setattr(semantics, "_canon_results", refused)
     p = Res(a, Par(Output(a, b, NIL), Input(b, (x,), x, NIL)))
     assert transitions(ether, ether.unit, p) == frozenset()
     for reorient in (False, True):
