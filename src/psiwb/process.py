@@ -226,8 +226,8 @@ def open_frame(inst: CalculusInstance, p: Process, fresh: Fresh) -> OpenedFrame:
 def opened_frame(inst: CalculusInstance, p: Process, avoid):
     """The frame of ``p`` with every binder opened to a scratch atom fresh
     for ``avoid`` and ``p``.  Returns (binders, assertion, ``avoid`` extended
-    with the binders).  The binder order is the syntactic order, matching
-    the provenance invariant."""
+    with the binders).  The binder order is the syntactic order, that of
+    the outer binders of a provenance at ``p`` (see ``semantics``)."""
     f = open_frame(inst, p, Fresh(tuple(avoid), p))
     return f.binders, f.assertion, frozenset(avoid).union(f.binders)
 

@@ -18,12 +18,15 @@ instead of one per partner:
   then apply by the object or pattern: Scope where the name is not in it,
   Open where it is in an output's object.  A premise left with no subject,
   or with the name in an input's pattern, is dropped.
-* Par shifts the sibling frame into the environment and bookkeeps the
-  sibling's binders into the provenance (appended on the left premise,
-  prepended on the right one, so provenance binders track frame binders in
-  order).  Its conclusion keeps the subjects that mention no sibling
-  binder, and is dropped where no subject is left or where the object or
-  pattern mentions one.  Frames are opened once per query and handed
+* Par shifts the sibling frame into the environment.  It appends the
+  sibling's binders to a left premise's outer provenance binders and
+  prepends them to a right premise's; Scope and Open prepend the restricted
+  name, and a prefix starts with none.  So, by induction, a premise's outer
+  binders are always the binders of the opened frame of the level it has
+  reached, and the engine writes them once, at the root (``_derive``).
+  Its conclusion keeps the subjects that mention no sibling binder, and
+  is dropped where no subject is left or where the object or pattern
+  mentions one.  Frames are opened once per query and handed
   down: the opened frame of a process (``process.open_frame``) holds those
   of its Par children and restriction bodies, so a Par reads its
   children's frames off the tree, and a Res that an enclosing opening
@@ -31,21 +34,22 @@ instead of one per partner:
   again.  Only what no enclosing opening covers is opened where it is met:
   the query's root, a Case branch and each replication unfolding.
 * Scope, Open and Par narrow the subjects alike (``_narrow``): the Name
-  subjects go by one set difference, and only a compound subject, which
-  a label keeps apart, has its support read.  No subject is left that
+  subjects go by one set difference, and only the subjects left that are
+  not Names have their support read.  No subject is left that
   mentions a narrowed name, so the rest of the rule reads only the object
   or pattern (``mentions``), never the whole label.
 * Com fires once per pair of an output and an input premise, when each
-  premise's provenance term, with frame binders opened consistently, is
-  among the other's subjects: that picks the subject of each.  It joins
-  premises that Par has already derived, so every process is derived once,
-  and the receiving premise has passed Scope's and Par's freshness checks
-  like any premise.  Each receiving premise's provenance is opened once
-  per join, not once per sending premise.
+  premise's provenance term is among the other's subjects: that picks the
+  subject of each.  The term is read as it is, for its outer binders are
+  already the opened frame binders; one that mentions an inner binder
+  meets no subject.  It joins premises that Par has already derived, so
+  every process is derived once, and the receiving premise has passed
+  Scope's and Par's freshness checks like any premise.
 * At the root each premise gives one transition per subject that is
   left: a public ``OutLabel`` or ``InLabel`` has exactly one subject.
-* Case and Rep demote frame binders to the provenance's inner sequence;
-  Scope and Open wrap the provenance.
+* Case and Rep open the frame of a branch or unfolding, whose binders are
+  then its premises' outer binders, and demote them to the front of the
+  provenance's inner sequence (``_demoted``).
 
 The legacy rules (``legacy_transitions``) share every rule but three: In-Old
 draws its label subjects from ``out_channels`` in the printed orientation
@@ -114,12 +118,11 @@ class _Out:
     ``subjects``, the partner channels that no rule has ruled out yet."""
 
     subjects: frozenset
-    compound: frozenset  # the subjects that are not Names
     extruded: tuple  # tuple[Name, ...], bind into the object (and the target)
     obj: object
 
-    def narrowed(self, subjects, compound):
-        return _Out(subjects, compound, self.extruded, self.obj)
+    def narrowed(self, subjects):
+        return _Out(subjects, self.extruded, self.obj)
 
     def mentions(self):
         """The free names of the label outside its subjects."""
@@ -134,12 +137,11 @@ class _LateIn:
     target."""
 
     subjects: frozenset
-    compound: frozenset  # the subjects that are not Names
     variables: tuple  # tuple[Name, ...], bind into the pattern
     pattern: object
 
-    def narrowed(self, subjects, compound):
-        return _LateIn(subjects, compound, self.variables, self.pattern)
+    def narrowed(self, subjects):
+        return _LateIn(subjects, self.variables, self.pattern)
 
     def mentions(self):
         """The free names of the label outside its subjects."""
@@ -178,27 +180,6 @@ class Prov:
     term: object
 
     _binders = ("outer", "inner")
-
-
-def prov_pushdown(pi):
-    """Move all outer binders to the inner sequence."""
-    if isinstance(pi, Bot):
-        return pi
-    return Prov((), pi.outer + pi.inner, pi.term)
-
-
-def prov_append(pi, zs):
-    """Insert names at the end of the outer binder sequence."""
-    if isinstance(pi, Bot) or not zs:
-        return pi
-    return Prov(pi.outer + tuple(zs), pi.inner, pi.term)
-
-
-def prov_scope(names, pi):
-    """Prepend restriction binders to the outer binder sequence."""
-    if isinstance(pi, Bot) or not names:
-        return pi
-    return Prov(tuple(names) + pi.outer, pi.inner, pi.term)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +310,7 @@ _LEGACY_REORIENTED = _Rules("in_channels", legacy=True)
 def transitions(inst: CalculusInstance, psi, proc: Process, fuel=DEFAULT_FUEL) -> frozenset:
     """Every transition derivable from the rules, with at most
     ``fuel`` replication unfoldings per derivation path."""
-    check_well_formed(proc)
-    raw = _derive(inst, _PROVENANCE, psi, proc, fuel)
-    return _canon_results(psi, proc, raw, erased=False) if raw else frozenset()
+    return _query(inst, _PROVENANCE, psi, proc, fuel)
 
 
 def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
@@ -340,34 +319,44 @@ def legacy_transitions(inst: CalculusInstance, psi, proc: Process,
     ``reorient_in`` flips the channel judgement in the input rule from the
     printed orientation (prefix on the left) to the consistent one (prefix
     on the right)."""
+    return _query(inst, _LEGACY_REORIENTED if reorient_in else _LEGACY_PRINTED,
+                  psi, proc, fuel)
+
+
+def _query(inst, rules, psi, proc, fuel):
+    """The canonical results of one query under ``rules``: ``Transition``s,
+    or ``ErasedTransition``s under the legacy rules.  A query that derives
+    nothing canonicalises nothing."""
     check_well_formed(proc)
-    rules = _LEGACY_REORIENTED if reorient_in else _LEGACY_PRINTED
     raw = _derive(inst, rules, psi, proc, fuel)
-    return _canon_results(psi, proc, raw, erased=True) if raw else frozenset()
+    return _canon_results(psi, proc, raw, erased=rules.legacy) if raw else frozenset()
 
 
 def _derive(inst, rules, psi, proc, fuel):
     """Raw (label, provenance, target) triples of ``proc`` under ``psi``.
     Here each premise picks its subjects: it gives one ``OutLabel`` or
     ``InLabel`` per subject, and an input still open at the root receives
-    every message of the basis.  The caller checks that ``proc`` is well
-    formed."""
+    every message of the basis.  Its provenance gets its outer binders,
+    which are the root frame's (see ``_step``).  The caller checks that
+    ``proc`` is well formed."""
     msgs = inst.message_basis(names_of(psi, proc))
     fresh = Fresh(psi, proc, msgs)
+    frame = open_frame(inst, proc, fresh)
     out = []
-    for lab, pi, tgt in _step(inst, rules, psi, proc, open_frame(inst, proc, fresh),
-                              fuel, fresh):
+    for lab, pi, tgt in _step(inst, rules, psi, proc, frame, fuel, fresh):
+        if isinstance(lab, TauLabel):
+            out.append((lab, pi, tgt))
+            continue
+        pi = Prov(frame.binders, pi.inner, pi.term)
         if isinstance(lab, _Out):
             out.extend((OutLabel(k, lab.extruded, lab.obj), pi, tgt) for k in lab.subjects)
-        elif isinstance(lab, _LateIn):
+        else:
             received = []
             for ms in itertools.product(msgs, repeat=len(lab.variables)):
                 sigma = Subst.of(lab.variables, ms)
                 received.append((inst.subst_term(lab.pattern, sigma),
                                  subst_process(inst, tgt, sigma)))
             out.extend((InLabel(k, obj), pi, t) for k in lab.subjects for obj, t in received)
-        else:
-            out.append((lab, pi, tgt))
     return out
 
 
@@ -378,7 +367,9 @@ def _step(inst, rules, env, p, frame, budget, fresh):
     enumerators give; Scope, Open and Par narrow that set, and only Com
     (``_coms``) and the root (``_derive``) pick a subject from it.
     ``frame`` is the opened frame of ``p`` (``open_frame``); ``fresh`` is
-    the query's supply, which opened it."""
+    the query's supply, which opened it.  A premise's provenance leaves out
+    its outer binders, for they are ``frame.binders`` (see the module
+    docstring): no rule here writes them."""
     if isinstance(p, (Nil, Assert)):
         return []
 
@@ -386,8 +377,7 @@ def _step(inst, rules, env, p, frame, budget, fresh):
         subjects = inst.out_channels(env, p.channel)
         if not subjects:
             return []
-        return [(_Out(subjects, _compound(subjects), (), p.message), Prov((), (), p.channel),
-                 p.cont)]
+        return [(_Out(subjects, (), p.message), Prov((), (), p.channel), p.cont)]
 
     if isinstance(p, Input):
         variables, pattern, cont = p.variables, p.pattern, p.cont
@@ -400,8 +390,7 @@ def _step(inst, rules, env, p, frame, budget, fresh):
         subjects = getattr(inst, rules.in_subjects)(env, p.channel)
         if not subjects:
             return []
-        return [(_LateIn(subjects, _compound(subjects), variables, pattern),
-                 Prov((), (), p.channel), cont)]
+        return [(_LateIn(subjects, variables, pattern), Prov((), (), p.channel), cont)]
 
     if isinstance(p, Case):
         return [t for phi, q in p.branches if inst.entails(env, phi)
@@ -417,11 +406,10 @@ def _step(inst, rules, env, p, frame, budget, fresh):
             if lab is None:
                 continue  # the name escapes through every subject
             if name not in lab.mentions():
-                out.append((lab, prov_scope((name,), pi), Res(name, tgt)))
+                out.append((lab, pi, Res(name, tgt)))
             elif isinstance(lab, _Out):
                 # the name is in the object
-                opened = _Out(lab.subjects, lab.compound, (name,) + lab.extruded, lab.obj)
-                out.append((opened, prov_scope((name,), pi), tgt))
+                out.append((_Out(lab.subjects, (name,) + lab.extruded, lab.obj), pi, tgt))
             # otherwise the name is in an input's pattern: no rule applies
         return out
 
@@ -442,23 +430,20 @@ def _step(inst, rules, env, p, frame, budget, fresh):
         # it keeps the subjects that mention none of them, and a premise
         # whose object or pattern mentions one feeds Com only
         out = []
-        b_l, b_r = f_l.binders, f_r.binders
-        b_r_set, b_l_set = frozenset(b_r), frozenset(b_l)
+        b_l, b_r = frozenset(f_l.binders), frozenset(f_r.binders)
         for lab, pi, tgt in left_trans:
-            lab = _narrow(lab, b_r_set)
-            if lab is not None and b_r_set.isdisjoint(lab.mentions()):
-                out.append((lab, prov_append(pi, b_r), Par(tgt, right)))
+            lab = _narrow(lab, b_r)
+            if lab is not None and b_r.isdisjoint(lab.mentions()):
+                out.append((lab, pi, Par(tgt, right)))
         for lab, pi, tgt in right_trans:
-            lab = _narrow(lab, b_l_set)
-            if lab is not None and b_l_set.isdisjoint(lab.mentions()):
-                out.append((lab, prov_scope(b_l, pi), Par(left, tgt)))
+            lab = _narrow(lab, b_l)
+            if lab is not None and b_l.isdisjoint(lab.mentions()):
+                out.append((lab, pi, Par(left, tgt)))
 
         three_way = (inst.compose(env, inst.compose(f_l.assertion, f_r.assertion))
                      if rules.legacy else None)
-        out.extend(_coms(inst, rules, three_way, left_trans, right_trans, f_l, f_r,
-                         swapped=False))
-        out.extend(_coms(inst, rules, three_way, right_trans, left_trans, f_r, f_l,
-                         swapped=True))
+        out.extend(_coms(inst, rules, three_way, left_trans, right_trans, swapped=False))
+        out.extend(_coms(inst, rules, three_way, right_trans, left_trans, swapped=True))
         return out
 
     raise TypeError(f"not a process: {p!r}")
@@ -467,40 +452,42 @@ def _step(inst, rules, env, p, frame, budget, fresh):
 def _demoted(inst, rules, env, q, budget, fresh):
     """The premises of a Case branch or replication unfolding ``q``, which
     no enclosing opening covers: its frame is opened here, and its frame
-    binders are demoted to the provenance's inner sequence."""
-    return [(lab, prov_pushdown(pi), tgt)
-            for lab, pi, tgt in _step(inst, rules, env, q, open_frame(inst, q, fresh),
-                                      budget, fresh)]
+    binders, the premises' outer binders (see ``_step``), are demoted in
+    front of each provenance's inner sequence."""
+    frame = open_frame(inst, q, fresh)
+    premises = _step(inst, rules, env, q, frame, budget, fresh)
+    if not frame.binders:
+        return premises
+    return [(lab, pi if isinstance(pi, Bot) else Prov((), frame.binders + pi.inner, pi.term),
+             tgt) for lab, pi, tgt in premises]
 
 
-def _coms(inst, rules, three_way, sender_trans, receiver_trans, f_send, f_recv,
-          swapped):
+def _coms(inst, rules, three_way, sender_trans, receiver_trans, swapped):
     """Com instances joining the sender's output premises ``sender_trans``
-    with the receiver's input premises ``receiver_trans``; ``f_send`` and
-    ``f_recv`` are their opened frames.  Each pair of premises fires at
-    most once per match: under the provenance rules it picks as the
-    sender's subject the receiver's opened provenance, and the other way
-    round, and under Com-Old it needs some pair of subjects connected.  The
-    receiver's target receives the match of its pattern against the sent
-    message.  ``three_way`` is the assertion Com-Old checks connectivity
-    under (None for the provenance rules)."""
+    with the receiver's input premises ``receiver_trans``.  Each pair of
+    premises fires at most once per match: under the provenance rules it
+    picks as the sender's subject the receiver's provenance term, and the
+    other way round, and under Com-Old it needs some pair of subjects
+    connected.  The receiver's target receives the match of its pattern
+    against the sent message.  ``three_way`` is the assertion Com-Old
+    checks connectivity under (None for the provenance rules)."""
     outs = [t for t in sender_trans if isinstance(t[0], _Out)]
     ins = [t for t in receiver_trans if isinstance(t[0], _LateIn)]
     if not outs or not ins:
         return []
-    # the receivers' provenances, opened once per join (Com-Old reads none)
-    opened = [None if rules.legacy else _open_prov(pi, f_recv.binders) for _, pi, _ in ins]
+    # the receivers' provenance terms, read once per join (Com-Old reads none)
+    terms = [None if rules.legacy else _open_prov(pi) for _, pi, _ in ins]
     out = []
     for lab, pi, s_tgt in outs:
-        k_open = None if rules.legacy else _open_prov(pi, f_send.binders)
-        for (lab2, _, r_tgt), k2_open in zip(ins, opened):
+        term = None if rules.legacy else _open_prov(pi)
+        for (lab2, _, r_tgt), term2 in zip(ins, terms):
             if rules.legacy:
                 # any pair of the two premises' subjects may connect
                 if not any(inst.entails(three_way, inst.conn(k, k2))
                            for k in lab.subjects for k2 in lab2.subjects):
                     continue
-            # None, where a term cannot be opened, is no subject
-            elif k_open not in lab2.subjects or k2_open not in lab.subjects:
+            # None, a term that mentions an inner binder, is no subject
+            elif term not in lab2.subjects or term2 not in lab.subjects:
                 continue
             for ts in inst.match_pattern(lab2.variables, lab2.pattern, lab.obj):
                 received = subst_process(inst, r_tgt, Subst.of(lab2.variables, ts))
@@ -512,30 +499,24 @@ def _coms(inst, rules, three_way, sender_trans, receiver_trans, f_send, f_recv,
 def _narrow(lab, names):
     """``lab`` with only the subjects that mention none of ``names``, or
     None where no subject is left.  A Name subject goes by one set
-    difference; only a compound subject has its support read.  A label
-    with no subjects, tau, is kept as it is: it mentions no name."""
-    if isinstance(lab, TauLabel):
+    difference; then only the subjects left that are not Names have their
+    support read.  A label with no subjects, tau, or narrowed by no name,
+    is kept as it is."""
+    if isinstance(lab, TauLabel) or not names:
         return lab
-    subjects, compound = lab.subjects - names, lab.compound
-    if compound:
-        gone = frozenset(k for k in compound if not names.isdisjoint(support(k)))
-        subjects, compound = subjects - gone, compound - gone
+    subjects = lab.subjects - names
+    gone = [k for k in subjects if not isinstance(k, Name) and not names.isdisjoint(support(k))]
+    if gone:
+        subjects = subjects.difference(gone)
     if len(subjects) == len(lab.subjects):
         return lab
-    return lab.narrowed(subjects, compound) if subjects else None
+    return lab.narrowed(subjects) if subjects else None
 
 
-def _compound(subjects):
-    """The subjects that are not Names (see ``_narrow``)."""
-    return frozenset(k for k in subjects if not isinstance(k, Name))
-
-
-def _open_prov(pi, frame_binders):
-    """The provenance term with its outer binders renamed, positionally, to
-    the opened frame binders; None where they do not align, or where the
-    term mentions an inner binder, which, opened fresh, could equal no label
-    subject."""
-    if (isinstance(pi, Bot) or len(pi.outer) != len(frame_binders)
-            or not support(pi.term).isdisjoint(pi.inner)):
-        return None
-    return rename(dict(zip(pi.outer, frame_binders)), pi.term)
+def _open_prov(pi):
+    """The term of ``pi``, the provenance of an output or input premise,
+    as Com reads it: its outer binders are already the opened frame binders
+    of the premise's level (see ``_step``), so nothing is renamed.  None
+    where the term mentions an inner binder, which, opened fresh, could
+    equal no label subject."""
+    return pi.term if support(pi.term).isdisjoint(pi.inner) else None

@@ -17,17 +17,28 @@ from psiwb.nominal import (Fresh, atoms, canonical, mint, mint_many, names_of, r
 from psiwb.params import Subst
 from psiwb.process import (Assert, Bang, Case, Input, Nil, Output, Par, Res,
                            opened_frame, res, subst_process)
-from psiwb.semantics import BOT, ErasedTransition, InLabel, OutLabel, TAU
+from psiwb.semantics import BOT, ErasedTransition, InLabel, OutLabel, Prov, TAU, Transition
 
 
 def naive_transitions(inst, psi, proc, fuel):
+    return frozenset(canonical(ErasedTransition(psi, proc, lab, tgt))
+                     for lab, _prov, tgt in _raw(inst, psi, proc, fuel))
+
+
+def naive_provenance_transitions(inst, psi, proc, fuel):
+    """The transitions with their provenances, as the per-level rules of
+    ``_derive`` build them: (outer, inner, term), or BOT on tau."""
+    return frozenset(canonical(Transition(psi, proc, lab, BOT if m is BOT else Prov(o, i, m),
+                                          tgt))
+                     for lab, (o, i, m), tgt in _raw(inst, psi, proc, fuel))
+
+
+def _raw(inst, psi, proc, fuel):
     ctx = names_of(psi, proc)
     base_msgs = inst.message_basis(ctx)
     # opening must also steer clear of the source's bound atoms
-    raw = _derive(inst, psi, proc, fuel, ctx | atoms(proc) | names_of(base_msgs),
-                  base_msgs)
-    return frozenset(canonical(ErasedTransition(psi, proc, lab, tgt))
-                     for lab, _prov, tgt in raw)
+    return _derive(inst, psi, proc, fuel, ctx | atoms(proc) | names_of(base_msgs),
+                   base_msgs)
 
 
 def _derive(inst, env, p, budget, avoid, msgs):

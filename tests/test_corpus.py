@@ -5,7 +5,7 @@ import functools
 
 import pytest
 
-from naive_engine import naive_transitions
+from naive_engine import naive_provenance_transitions, naive_transitions
 from psiwb.corpus import all_processes
 from psiwb.nominal import canonical, fresh_name
 from psiwb.params import EtherInstance, PiInstance, PreorderInstance, TriangleInstance
@@ -62,7 +62,9 @@ def test_naive_oracle_on_every_small_pi_term():
     # In-Old agree with the provenance rules too (conservativity)
     for size in (1, 2, 3):
         for p in all_processes(pi, size, (a, b)):
-            got = erase_provenance(transitions(pi, pi.unit, p, 2))
+            full = transitions(pi, pi.unit, p, 2)
+            assert full == naive_provenance_transitions(pi, pi.unit, p, 2), p
+            got = erase_provenance(full)
             assert got == naive_transitions(pi, pi.unit, p, 2), p
             for r in (False, True):
                 assert got == legacy_transitions(pi, pi.unit, p, 2, reorient_in=r), (p, r)
@@ -83,7 +85,9 @@ def test_naive_oracle_on_every_small_term_under_every_basis_assertion(inst):
     sweep += [(p, (every,)) for p in all_processes(inst, 3, (a, b)) if isinstance(p, Par)]
     for p, envs in sweep:
         for env in envs:
-            got = erase_provenance(transitions(inst, env, p, 2))
+            full = transitions(inst, env, p, 2)
+            assert full == naive_provenance_transitions(inst, env, p, 2), (p, env)
+            got = erase_provenance(full)
             assert got == naive_transitions(inst, env, p, 2), (p, env)
             if inst is ether:
                 assert got == legacy_transitions(inst, env, p, 2), (p, env)

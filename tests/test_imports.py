@@ -1,13 +1,14 @@
 """Every imported name is read somewhere in its module, and so is every
 private top-level function, class and constant of the package (no linter
 runs).  Every public one is read somewhere in the package, the tests or the
-benchmark, outside its own definition.  Every parameter of a top-level
-function of the package is read in its body, and every one with a default
-is passed by some call in the package, the tests or the benchmark.  Every
-parameter of a public ``CalculusInstance`` method is read by some
-definition of that method in ``params``.  Every ``__slots__`` entry and
-``NamedTuple`` field of a class of the package is read as an attribute
-somewhere in the package, the tests or the benchmark."""
+benchmark, outside its own definition, and those that only the tests read
+are a named set.  Every parameter of a top-level function of the package
+is read in its body, and every one with a default is passed by some call
+in the package, the tests or the benchmark.  Every parameter of a public
+``CalculusInstance`` method is read by some definition of that method in
+``params``.  Every ``__slots__`` entry and ``NamedTuple`` field of a class
+of the package is read as an attribute somewhere in the package, the tests
+or the benchmark."""
 
 import ast
 import collections
@@ -227,6 +228,19 @@ def test_no_unread_publics():
     sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
     package = [p.relative_to(ROOT).as_posix() for p in PACKAGE]
     assert unread_publics(sources, package) == []
+
+
+# the public names that only tests read; a new one must be listed here or
+# deleted.  ``opened_frame`` is named in the benchmark only inside a string
+TEST_ONLY_PUBLICS = {"all_processes", "alpha_eq", "apply_perm", "derived_par", "desugar_sum",
+                     "get_instance", "opened_frame", "static_equiv", "swap"}
+
+
+def test_publics_that_only_tests_read():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text()
+               for p in [*PACKAGE, *(ROOT / "bench").glob("*.py")]}
+    package = [p.relative_to(ROOT).as_posix() for p in PACKAGE]
+    assert {name for _, _, name in unread_publics(sources, package)} == TEST_ONLY_PUBLICS
 
 
 def test_unread_fields_are_found():

@@ -12,9 +12,7 @@ from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
                            opened_frame, par)
 from psiwb.semantics import (BOT, ErasedTransition, InLabel,
                              OutLabel, Prov, TAU, TauLabel, Transition,
-                             erase_provenance, legacy_transitions,
-                             prov_append, prov_pushdown, prov_scope,
-                             transitions)
+                             erase_provenance, legacy_transitions, transitions)
 from psiwb.reduction import harmony_check
 
 from naive_engine import naive_transitions
@@ -30,28 +28,7 @@ def taus(ts):
     return [t for t in ts if isinstance(t.label, TauLabel)]
 
 
-# -- provenance operators ------------------------------------------------------
-
-def test_pushdown_moves_outer_binders():
-    assert prov_pushdown(Prov((x,), (), a)) == Prov((), (x,), a)
-    assert prov_pushdown(Prov((x,), (y,), a)) == Prov((), (x, y), a)
-
-
-def test_bot_is_absorbing():
-    assert prov_pushdown(BOT) == BOT
-    assert prov_append(BOT, (z,)) == BOT
-    assert prov_scope((b,), BOT) == BOT
-
-
-def test_scope_prepends_outer_binder():
-    assert prov_scope((b,), Prov((x,), (y,), a)) == Prov((b, x), (y,), a)
-    assert prov_scope((b, z), Prov((x,), (y,), a)) == Prov((b, z, x), (y,), a)
-    assert prov_scope((), Prov((x,), (y,), a)) == Prov((x,), (y,), a)
-
-
-def test_append_extends_outer_binders():
-    assert prov_append(Prov((x,), (y,), a), (z,)) == Prov((x, z), (y,), a)
-
+# -- provenances ---------------------------------------------------------------
 
 def test_transition_tau_iff_bot():
     with pytest.raises(ValueError):
@@ -463,12 +440,9 @@ def test_narrowing_drops_the_subjects_that_mention_a_narrowed_name():
     # goes where its support meets the narrowed names, and stays otherwise
     from psiwb import semantics
     subjects = frozenset({a, b, (a, c), (b, c)})
-    compound = semantics._compound(subjects)
-    assert compound == {(a, c), (b, c)}
-    for lab in (semantics._Out(subjects, compound, (), z),
-                semantics._LateIn(subjects, compound, (x,), x)):
+    for lab in (semantics._Out(subjects, (), z), semantics._LateIn(subjects, (x,), x)):
         got = semantics._narrow(lab, frozenset({a}))
-        assert got.subjects == {b, (b, c)} and got.compound == {(b, c)}
+        assert got.subjects == {b, (b, c)}
         assert type(got) is type(lab) and got.mentions() == lab.mentions()
         assert semantics._narrow(lab, frozenset({c})).subjects == {a, b}
         assert semantics._narrow(lab, frozenset({y})) is lab
