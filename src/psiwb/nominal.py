@@ -1,12 +1,13 @@
-"""Atoms, permutations, support and alpha-equivalence.
+"""Atoms, renaming, support and alpha-equivalence.
 
 Every value the engine touches is a *nominal value*: a finite tree built
 from Name atoms, tuples, frozensets, plain scalars and frozen dataclasses.
 Three generic traversals work on any such tree:
 
 * ``support(x)``      -- the free names of ``x`` (binders excluded),
-* ``map_atoms(f, x)`` -- apply an atom map to every Name, binders included
-  (this is the raw permutation action),
+* ``map_atoms(f, x)`` -- apply an atom map to every Name, binders included;
+  ``rename`` gives it a dict, and ``rename`` with a bijection (a swap is
+  ``{a: b, b: a}``) is the permutation action,
 * ``canonical(x)``    -- rename binders and engine scratch atoms to a
   canonical numbering, so structural equality decides alpha-equivalence.
 
@@ -59,7 +60,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import threading
-from dataclasses import dataclass
 
 MINT_BASE = 10 ** 12
 _CANON_FREE_BASE = 10 ** 9  # canonical free-scratch ids are -(base + k)
@@ -128,29 +128,6 @@ def mint(fresh: Fresh, hint: str = "f") -> Name:
 def mint_many(fresh: Fresh, n: int, hint: str = "f"):
     """The next ``n`` atoms of the supply ``fresh``."""
     return tuple(mint(fresh, hint) for _ in range(n))
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A finite sequence of name swaps, applied right-to-left."""
-
-    swaps: tuple = ()
-
-    def act(self, n: Name) -> Name:
-        for a, b in reversed(self.swaps):
-            if n == a:
-                n = b
-            elif n == b:
-                n = a
-        return n
-
-    def then(self, other: "Permutation") -> "Permutation":
-        # self applied first: other's swaps go to the left
-        return Permutation(other.swaps + self.swaps)
-
-
-def swap(a: Name, b: Name) -> Permutation:
-    return Permutation(((a, b),))
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +237,12 @@ def atoms(x) -> frozenset:
     return out
 
 
-def apply_perm(p: Permutation, x):
-    """The permutation action of ``p`` on a nominal value."""
-    return map_atoms(p.act, x)
-
-
 def rename(mapping: dict, x):
-    """Simultaneous atom renaming (no capture analysis; use on binder-free
-    values or with globally fresh targets)."""
+    """Simultaneous atom renaming: every atom ``mapping`` holds, binders
+    included, goes to its image.  With a bijection, such as the swap
+    ``{a: b, b: a}``, this is the permutation action on nominal values.
+    It makes no capture analysis: give it a bijection, or atoms fresh for
+    ``x`` as the images."""
     return map_atoms(lambda n: mapping.get(n, n), x)
 
 

@@ -373,21 +373,3 @@ def static_equiv(inst: CalculusInstance, psi1, psi2) -> bool:
     return all(inst.entails(psi1, phi) == inst.entails(psi2, phi)
                for phi in inst.condition_basis(psi1, psi2))
 
-
-# ---------------------------------------------------------------------------
-# Instance registry
-
-_REGISTRY = {
-    "pi": PiInstance,
-    "ether": EtherInstance,
-    "triangle": TriangleInstance,
-    "preorder": PreorderInstance,
-}
-
-
-def get_instance(spec: str) -> CalculusInstance:
-    try:
-        return _REGISTRY[spec]()
-    except KeyError:
-        raise KeyError(f"unknown calculus {spec!r}; expected one of "
-                       f"{sorted(_REGISTRY)}") from None

@@ -180,56 +180,47 @@ def check_well_formed(p: Process) -> None:
 
 
 class OpenedFrame:
-    """The frame of a process with every binder opened to a scratch atom,
-    together with the opened frames of the process's parts.
+    """The frame of a process, every binder opened to a scratch atom, with
+    the opened frames of the process's parts.
 
-    ``binders`` (in syntactic order) and ``assertion`` are the frame.  For
-    ``Par(P, Q)``, ``parts`` holds the opened frames of P and Q, whose
-    binders, in that order, make up ``binders``.  For ``Res(x, P)``, ``name``
-    is the atom x was opened to, ``body`` is P with x renamed to it, and
-    ``parts`` holds the opened frame of ``body``.  Any other process has the
-    unit frame and no parts.  So one opening covers the whole Par/Res spine
-    of a process: a walk down that spine reads the sibling frames and the
-    renamed restriction bodies off the tree instead of opening them again.
+    ``binders`` (in syntactic order) and ``assertion`` are the frame
+    (ν binders)assertion.  For ``Par(P, Q)``, ``parts`` holds the opened
+    frames of P and Q, whose binders, in that order, make up ``binders``.
+    For ``Res(x, P)``, ``binders[0]`` is the atom x was opened to, ``body``
+    is P with x renamed to it, and ``parts`` holds the opened frame of
+    ``body``.  Any other process has the unit frame and no parts.  So one
+    opening covers the whole Par/Res spine of a process: a walk down that
+    spine reads the sibling frames and the renamed restriction bodies off
+    the tree instead of opening them again.
     """
 
-    __slots__ = ("binders", "assertion", "parts", "name", "body")
+    __slots__ = ("binders", "assertion", "parts", "body")
 
-    def __init__(self, binders, assertion, parts=(), name=None, body=None):
+    def __init__(self, binders, assertion, parts=(), body=None):
         self.binders = binders
         self.assertion = assertion
         self.parts = parts
-        self.name = name
         self.body = body
 
 
-def open_frame(inst: CalculusInstance, p: Process, fresh: Fresh) -> OpenedFrame:
+def opened_frame(inst: CalculusInstance, p: Process, fresh: Fresh) -> OpenedFrame:
     """The opened frame of ``p``, each binder opened, in syntactic order, to
-    the next atom of the supply ``fresh``."""
+    the next atom of the supply ``fresh``: the order of the outer binders of
+    a provenance at ``p`` (see ``semantics``)."""
     if isinstance(p, Assert):
         return OpenedFrame((), p.assertion)
     if isinstance(p, Par):
-        left = open_frame(inst, p.left, fresh)
-        right = open_frame(inst, p.right, fresh)
+        left = opened_frame(inst, p.left, fresh)
+        right = opened_frame(inst, p.right, fresh)
         return OpenedFrame(left.binders + right.binders,
                            inst.compose(left.assertion, right.assertion),
                            (left, right))
     if isinstance(p, Res):
         name = mint(fresh, p.name.hint or "b")
         body = rename({p.name: name}, p.body)
-        inner = open_frame(inst, body, fresh)
-        return OpenedFrame((name,) + inner.binders, inner.assertion, (inner,),
-                           name, body)
+        inner = opened_frame(inst, body, fresh)
+        return OpenedFrame((name,) + inner.binders, inner.assertion, (inner,), body)
     return OpenedFrame((), inst.unit)
-
-
-def opened_frame(inst: CalculusInstance, p: Process, avoid):
-    """The frame of ``p`` with every binder opened to a scratch atom fresh
-    for ``avoid`` and ``p``.  Returns (binders, assertion, ``avoid`` extended
-    with the binders).  The binder order is the syntactic order, that of
-    the outer binders of a provenance at ``p`` (see ``semantics``)."""
-    f = open_frame(inst, p, Fresh(tuple(avoid), p))
-    return f.binders, f.assertion, frozenset(avoid).union(f.binders)
 
 
 # ---------------------------------------------------------------------------

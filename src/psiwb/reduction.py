@@ -98,19 +98,15 @@ from .semantics import _derive, _PROVENANCE, DEFAULT_FUEL, TauLabel
 
 
 @dataclass(frozen=True)
-class ReductionWitness:
-    binders: tuple        # hoisted restrictions, outermost first
-    assertions: tuple     # the unguarded assertions hoisted from the source
-    sender: Process       # the output prefix process that fires
-    receiver: Process     # the input prefix process that fires
-    substitution: tuple   # the pattern-match witness
-
-
-@dataclass(frozen=True)
 class ReductionStep:
-    source: Process
+    """One firing of ``reductions``: its ``target``, the output prefix
+    process ``sender`` and the input prefix process ``receiver`` that fire,
+    and the pattern match's ``substitution``, as (variable, term) pairs.
+    The source is the argument of ``reductions``."""
     target: Process
-    witness: ReductionWitness
+    sender: Process
+    receiver: Process
+    substitution: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +228,15 @@ def _rest(kids, touched, tail=()):
 class _Source:
     """The hoisted form of a query's source, which its firings share: the
     expansion ``root``, ``taken`` (the free names of the source and every
-    binder hoisted in ``root``), the top-level ``assertions`` and the
-    ``summary`` of its key, made at the first firing that harmony keys
-    (``_reduction_key``)."""
+    binder hoisted in ``root``) and the ``summary`` of its key, made at the
+    first firing that harmony keys (``_reduction_key``)."""
 
-    __slots__ = ("root", "taken", "assertions", "summary")
+    __slots__ = ("root", "taken", "summary")
 
     def __init__(self, p, fuel):
         taken = set(support(p))
         self.root = _expand(p, fuel, Fresh(p), taken)
         self.taken = frozenset(taken)
-        self.assertions = tuple(a.assertion for a in self.root.asserts)
         self.summary = None
 
 
@@ -263,8 +257,8 @@ def _fired(inst, p, fuel):
     check that ``p`` is well formed."""
     source = _Source(p, fuel)
     env = inst.unit
-    for a in source.assertions:
-        env = inst.compose(env, a)
+    for a in source.root.asserts:
+        env = inst.compose(env, a.assertion)
 
     positions = [pos for pos in _positions(source.root) if pos[3] <= fuel]
     for o_path, o_prefix, o_guards, _ in positions:
@@ -293,27 +287,21 @@ def _fired(inst, p, fuel):
 
 
 def _target(f):
-    """The hoisted binders and the target of the firing ``f``: the two
-    continuations beside the top-level assertions and everything parallel
-    to the two positions, all under the binders."""
+    """The target of the firing ``f``: the two continuations beside the
+    top-level assertions and everything parallel to the two positions, all
+    under the hoisted binders."""
     root = f.source.root
-    bs = root.binders + _binders_of(f.kids)
-    return bs, res(bs, par(*root.asserts, f.sender.cont, f.received,
-                           _rest(root.children, f.kids)))
+    return res(root.binders + _binders_of(f.kids),
+               par(*root.asserts, f.sender.cont, f.received,
+                   _rest(root.children, f.kids)))
 
 
 def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozenset:
     """All reduction steps licensed by Struct, Scope and Ctxt, with at most
     ``fuel`` replication copies along any position's path."""
     check_well_formed(p)
-    steps = set()
-    for f in _fired(inst, p, fuel):
-        bs, target = _target(f)
-        witness = ReductionWitness(
-            binders=bs, assertions=f.source.assertions,
-            sender=f.sender, receiver=f.receiver, substitution=f.substitution)
-        steps.add(ReductionStep(p, target, witness))
-    return frozenset(steps)
+    return frozenset(ReductionStep(_target(f), f.sender, f.receiver, f.substitution)
+                     for f in _fired(inst, p, fuel))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +598,7 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     for f in _fired(inst, p, fuel):
         key = _reduction_key(f, keys)
         if key not in red:
-            red[key] = _target(f)[1]
+            red[key] = _target(f)
     for lab, _, target in _derive(inst, _PROVENANCE, inst.unit, p, fuel):
         if isinstance(lab, TauLabel):
             if keys.closed is None:

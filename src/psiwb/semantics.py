@@ -26,13 +26,14 @@ instead of one per partner:
   reached, and the engine writes them once, at the root (``_derive``).
   Its conclusion keeps the subjects that mention no sibling binder, and
   is dropped where no subject is left or where the object or pattern
-  mentions one.  Frames are opened once per query and handed
-  down: the opened frame of a process (``process.open_frame``) holds those
-  of its Par children and restriction bodies, so a Par reads its
-  children's frames off the tree, and a Res that an enclosing opening
-  covers reuses that opening's binder and renamed body instead of minting
-  again.  Only what no enclosing opening covers is opened where it is met:
-  the query's root, a Case branch and each replication unfolding.
+  mentions one.  Frames are opened once per query and handed down: the
+  opened frame of a process (``process.opened_frame``) holds those of its
+  Par children and restriction bodies, so a Par reads its children's
+  frames off the tree, and a Res that an enclosing opening covers reuses
+  that opening's binder (the first of its binders) and renamed body
+  instead of minting again.  Only what no enclosing opening covers is
+  opened where it is met: the query's root, a Case branch and each
+  replication unfolding.
 * Scope, Open and Par narrow the subjects alike (``_narrow``): the Name
   subjects go by one set difference, and only the subjects left that are
   not Names have their support read.  No subject is left that
@@ -91,7 +92,7 @@ from .nominal import (_canon, _CanonState, _Tied, canonical, Fresh, mint_many, N
                       names_of, rename, support)
 from .params import CalculusInstance, Subst
 from .process import (Assert, Bang, Case, Input, Nil, Output, Par, Process,
-                      Res, check_well_formed, open_frame, res, subst_process)
+                      Res, check_well_formed, opened_frame, res, subst_process)
 
 # ---------------------------------------------------------------------------
 # Labels and provenances
@@ -341,7 +342,7 @@ def _derive(inst, rules, psi, proc, fuel):
     ``proc`` is well formed."""
     msgs = inst.message_basis(names_of(psi, proc))
     fresh = Fresh(psi, proc, msgs)
-    frame = open_frame(inst, proc, fresh)
+    frame = opened_frame(inst, proc, fresh)
     out = []
     for lab, pi, tgt in _step(inst, rules, psi, proc, frame, fuel, fresh):
         if isinstance(lab, TauLabel):
@@ -366,7 +367,7 @@ def _step(inst, rules, env, p, frame, budget, fresh):
     or ``_LateIn`` for an input, which is late) holds every subject the
     enumerators give; Scope, Open and Par narrow that set, and only Com
     (``_coms``) and the root (``_derive``) pick a subject from it.
-    ``frame`` is the opened frame of ``p`` (``open_frame``); ``fresh`` is
+    ``frame`` is the opened frame of ``p`` (``opened_frame``); ``fresh`` is
     the query's supply, which opened it.  A premise's provenance leaves out
     its outer binders, for they are ``frame.binders`` (see the module
     docstring): no rule here writes them."""
@@ -397,7 +398,7 @@ def _step(inst, rules, env, p, frame, budget, fresh):
                 for t in _demoted(inst, rules, env, q, budget, fresh)]
 
     if isinstance(p, Res):
-        name, (body_frame,) = frame.name, frame.parts
+        name, (body_frame,) = frame.binders[0], frame.parts
         bound = frozenset((name,))
         out = []
         for lab, pi, tgt in _step(inst, rules, env, frame.body, body_frame, budget,
@@ -454,7 +455,7 @@ def _demoted(inst, rules, env, q, budget, fresh):
     no enclosing opening covers: its frame is opened here, and its frame
     binders, the premises' outer binders (see ``_step``), are demoted in
     front of each provenance's inner sequence."""
-    frame = open_frame(inst, q, fresh)
+    frame = opened_frame(inst, q, fresh)
     premises = _step(inst, rules, env, q, frame, budget, fresh)
     if not frame.binders:
         return premises

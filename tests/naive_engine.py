@@ -20,6 +20,14 @@ from psiwb.process import (Assert, Bang, Case, Input, Nil, Output, Par, Res,
 from psiwb.semantics import BOT, ErasedTransition, InLabel, OutLabel, Prov, TAU, Transition
 
 
+def _frame(inst, p, avoid):
+    """The frame of ``p`` with every binder opened to an atom fresh for
+    ``avoid`` and ``p``: (binders, assertion, ``avoid`` extended with the
+    binders)."""
+    f = opened_frame(inst, p, Fresh(tuple(avoid), p))
+    return f.binders, f.assertion, frozenset(avoid).union(f.binders)
+
+
 def naive_transitions(inst, psi, proc, fuel):
     return frozenset(canonical(ErasedTransition(psi, proc, lab, tgt))
                      for lab, _prov, tgt in _raw(inst, psi, proc, fuel))
@@ -84,8 +92,8 @@ def _derive(inst, env, p, budget, avoid, msgs):
                                                    budget - 1, avoid, msgs)]
     if isinstance(p, Par):
         l, r = p.left, p.right
-        b_r, psi_r, avoid = opened_frame(inst, r, avoid)
-        b_l, psi_l, avoid = opened_frame(inst, l, avoid)
+        b_r, psi_r, avoid = _frame(inst, r, avoid)
+        b_l, psi_l, avoid = _frame(inst, l, avoid)
         # freshness side condition: the sibling's frame binders must not
         # occur in the conclusion's label
         lts = _derive(inst, inst.compose(psi_r, env), l, budget, avoid, msgs)

@@ -44,6 +44,9 @@ def check_traced(workload):
     result, stderr = run_quick(workload, 1)
     assert result["correct"], stderr
     assert set(result["metrics"]) == {m["name"] for m in SPEC["per_layer"]}
+    # the tracer wraps process.opened_frame by name, so it counts the
+    # engine's frame openings only while the engine calls it by that name
+    assert result["metrics"]["process.opened_frame.calls"]["value"] > 0
     return result["metrics"]
 
 

@@ -1,9 +1,9 @@
 import hypothesis.strategies as st
 from hypothesis import given
 
-from psiwb.nominal import (MINT_BASE, Fresh, Name, Permutation, _CanonState,
-                           _canon, alpha_eq, apply_perm, atoms, canonical,
-                           fresh_name, mint, mint_many, rename, support, swap)
+from psiwb.nominal import (MINT_BASE, Fresh, Name, _CanonState, _canon, alpha_eq,
+                           atoms, canonical, fresh_name, mint, mint_many, rename,
+                           support)
 from psiwb.process import NIL, Assert, Input, Output, Par, Res
 from psiwb.semantics import OutLabel
 
@@ -12,6 +12,18 @@ a, b, c, x, y = (fresh_name((), h) for h in "abcxy")
 
 def out(ch, msg, cont=NIL):
     return Output(ch, msg, cont)
+
+
+def composed(swaps):
+    """The permutation that applies the swaps ``(a, b)`` in ``swaps``, last
+    first, as a dict over the atoms they name."""
+    perm = {}
+    for n in {n for pair in swaps for n in pair}:
+        m = n
+        for s, t in reversed(swaps):
+            m = t if m == s else s if m == t else m
+        perm[n] = m
+    return perm
 
 
 def test_name_identity():
@@ -57,29 +69,29 @@ def test_fresh_supplies_over_the_same_values_draw_alike():
 
 
 def test_single_swap_on_names():
-    p = swap(a, b)
-    assert apply_perm(p, a) == b
-    assert apply_perm(p, b) == a
-    assert apply_perm(p, c) == c
+    p = {a: b, b: a}
+    assert rename(p, a) == b
+    assert rename(p, b) == a
+    assert rename(p, c) == c
 
 
 def test_swap_twice_is_identity():
-    p = Permutation(((a, b), (a, b)))
-    assert apply_perm(p, a) == a
-    assert apply_perm(p, out(a, c)) == out(a, c)
+    p = composed(((a, b), (a, b)))
+    assert rename(p, a) == a
+    assert rename(p, out(a, c)) == out(a, c)
 
 
 def test_perm_on_process_matches_structural_recursion():
     # independent oracle: recurse by hand over the AST
     def oracle(p, proc):
         if isinstance(proc, Output):
-            return Output(p.act(proc.channel), p.act(proc.message),
-                          oracle(p, proc.cont))
+            return Output(p.get(proc.channel, proc.channel),
+                          p.get(proc.message, proc.message), oracle(p, proc.cont))
         return proc
 
-    p = swap(a, b)
+    p = {a: b, b: a}
     proc = out(a, c)
-    assert apply_perm(p, proc) == oracle(p, proc) == out(b, c)
+    assert rename(p, proc) == oracle(p, proc) == out(b, c)
 
 
 def test_support_of_nil_is_empty():
@@ -146,7 +158,7 @@ def test_canonical_numbers_scratch_atoms_of_a_set_by_element_shape():
     # their ids would tell the two apart after swapping them
     m1, m2 = Name(MINT_BASE), Name(MINT_BASE + 1)
     p = Assert(frozenset({(m1, a), (m2, m2)}))
-    assert alpha_eq(p, apply_perm(swap(m1, m2), p))
+    assert alpha_eq(p, rename({m1: m2, m2: m1}, p))
 
 
 def test_atoms_include_binders_and_walk_deep_terms():
@@ -168,8 +180,7 @@ def test_input_binds_pattern_variables():
 # -- property tests ----------------------------------------------------------
 
 names = st.sampled_from([a, b, c, x, y])
-perms = st.lists(st.tuples(names, names), max_size=3).map(
-    lambda sw: Permutation(tuple(sw)))
+perms = st.lists(st.tuples(names, names), max_size=3).map(composed)
 
 
 @st.composite
@@ -191,14 +202,14 @@ def procs(draw, depth=3):
 
 @given(perms, procs())
 def test_equivariance_of_support(p, proc):
-    assert support(apply_perm(p, proc)) == frozenset(
-        p.act(n) for n in support(proc))
+    assert support(rename(p, proc)) == frozenset(
+        p.get(n, n) for n in support(proc))
 
 
 @given(perms, procs())
 def test_equivariance_of_canonical(p, proc):
     # alpha_eq is equivariant: x =a= y implies p.x =a= p.y
-    assert alpha_eq(apply_perm(p, proc), apply_perm(p, canonical(proc)))
+    assert alpha_eq(rename(p, proc), rename(p, canonical(proc)))
 
 
 @given(procs(), procs(), procs())

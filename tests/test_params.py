@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from psiwb.nominal import apply_perm, fresh_name, swap
-from psiwb.params import (EtherConn, EtherInstance, Join, PiInstance,
+from psiwb.nominal import fresh_name, rename
+from psiwb.params import (EtherConn, EtherInstance, Join, PiEq, PiInstance,
                           Prec, PreorderInstance, Subst, SubstError, TriConn,
-                          TriangleInstance, get_instance, static_equiv)
+                          TriangleInstance, static_equiv)
 
 a, b, c, x, y, z = (fresh_name((), h) for h in "abcxyz")
 NAMES = (a, b, c, x, y, z)
@@ -16,13 +16,6 @@ ether = EtherInstance()
 tri = TriangleInstance()
 pre = PreorderInstance()
 ALL = (pi, ether, tri, pre)
-
-
-def test_registry():
-    assert isinstance(get_instance("pi"), PiInstance)
-    for spec in ("nope", "tagged:pi"):
-        with pytest.raises(KeyError):
-            get_instance(spec)
 
 
 # -- entailment --------------------------------------------------------------
@@ -118,6 +111,14 @@ def test_subst_rejects_ill_formed():
         Subst.of((x, x), (a, b))
 
 
+def test_name_terms_reject_what_is_not_a_name():
+    # neither a term nor a substitution's image may be other than a name
+    with pytest.raises(SubstError):
+        pi.subst_term((a, b), Subst.of((x,), (y,)))
+    with pytest.raises(SubstError):
+        pi.subst_term(x, Subst.of((x,), ((a, b),)))
+
+
 def test_subst_capture_avoidance():
     from psiwb.process import NIL, Output, Res, subst_process
     from psiwb.nominal import alpha_eq
@@ -134,7 +135,7 @@ def test_swap_substitution_equals_permutation():
     # substitution and permutation agree for swapping of fresh distinct names
     for inst, psi in ((ether, frozenset({a, b})), (pre, frozenset({(a, b)}))):
         s = Subst.of((a, b), (x, y))
-        p = apply_perm(swap(a, x).then(swap(b, y)), psi)
+        p = rename({a: x, x: a, b: y, y: b}, psi)
         assert inst.subst_assertion(psi, s) == p
 
 
@@ -196,3 +197,19 @@ def test_match_pattern():
     assert pi.match_pattern((x,), x, y) == ((y,),)
     assert pi.match_pattern((), a, a) == ((),)
     assert pi.match_pattern((), a, b) == ()
+
+
+def test_match_pattern_rejects_what_is_not_a_name_pattern():
+    # a message that is not a name matches nothing
+    assert pi.match_pattern((x,), x, (a, b)) == ()
+    # a pattern that is neither its one variable nor closed matches nothing
+    assert pi.match_pattern((x,), a, b) == ()
+    assert pi.match_pattern((x, y), x, b) == ()
+
+
+def test_preorder_entails_no_condition_of_another_instance():
+    # even where the preorder's own conditions on the same names hold
+    psi = frozenset({(a, b), (b, a)})
+    assert pre.entails(psi, Prec(a, b)) and pre.entails(psi, Join(a, b))
+    for phi in (PiEq(a, a), EtherConn(a, b), TriConn(a, b)):
+        assert not pre.entails(psi, phi)

@@ -1,7 +1,7 @@
 import pytest
 
-from psiwb.nominal import (MINT_BASE, Fresh, Name, alpha_eq, apply_perm,
-                           fresh_name, names_of, swap)
+from psiwb.nominal import (MINT_BASE, Fresh, Name, alpha_eq, fresh_name,
+                           names_of, rename)
 from psiwb.params import EtherInstance, PiEq, PiInstance, Subst, TriangleInstance
 from psiwb.process import (NIL, Assert, Bang, Case, IllFormed, Input,
                            Output, Par, Res, SumUnavailable, assertion_guarded,
@@ -95,9 +95,9 @@ def test_diagnostics_keep_pre_order():
 # -- frames -------------------------------------------------------------------
 
 def frame(inst, p):
-    """The frame of ``p``, opened against its own names: (binders, assertion)."""
-    bs, assertion, _ = opened_frame(inst, p, names_of(p))
-    return bs, assertion
+    """The frame of ``p``, opened to atoms fresh for it: (binders, assertion)."""
+    f = opened_frame(inst, p, Fresh(p))
+    return f.binders, f.assertion
 
 
 def nu(binders, assertion):
@@ -155,9 +155,9 @@ def test_frame_equivariant_and_alpha_invariant():
     p = Par(Assert(psi(a)), Res(x, Assert(psi(x))))
     q = Par(Assert(psi(a)), Res(y, Assert(psi(y))))  # alpha-variant
     assert alpha_eq(nu(*frame(ether, p)), nu(*frame(ether, q)))
-    perm = swap(a, b)
-    assert alpha_eq(nu(*frame(ether, apply_perm(perm, p))),
-                    apply_perm(perm, nu(*frame(ether, p))))
+    perm = {a: b, b: a}
+    assert alpha_eq(nu(*frame(ether, rename(perm, p))),
+                    rename(perm, nu(*frame(ether, p))))
 
 
 # -- normal forms: the hoisted binders, the assertions and the rest ----------

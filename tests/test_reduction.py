@@ -41,7 +41,7 @@ def test_pi_handshake_reduces_to_nil():
     assert len(steps) == 1
     (s,) = steps
     assert congruence_key(s.target) == congruence_key(NIL)
-    assert s.witness.sender == out(a, x)
+    assert s.sender == out(a, x)
 
 
 def test_triangle_counterexample_has_no_reduction():
@@ -592,7 +592,7 @@ def _checking_memo_keys(monkeypatch):
 
     def checked_delta(f, keys):
         got = by_delta(f, keys)
-        _, target = reduction._target(f)
+        target = reduction._target(f)
         assert got == one_shot(target), target
         compared.append(1)
         return got
@@ -782,7 +782,7 @@ def test_reduction_key_by_delta_equals_the_key_of_the_target():
         for fuel in fuels:
             keys = reduction._Keys()
             for f in reduction._fired(inst, p, fuel):
-                _, target = reduction._target(f)
+                target = reduction._target(f)
                 assert reduction._reduction_key(f, keys) == congruence_key(target), (p, fuel)
                 checked += 1
     assert checked > 500
@@ -795,7 +795,7 @@ def test_reduction_keys_of_two_sources_through_one_table(sizes):
     keys, checked = reduction._Keys(), 0
     for n in sizes:
         for f in reduction._fired(ether, par(*(ether_example() for _ in range(n))), 2):
-            _, target = reduction._target(f)
+            target = reduction._target(f)
             assert reduction._reduction_key(f, keys) == congruence_key(target), n
             checked += 1
     assert checked == sum(n * n for n in sizes)

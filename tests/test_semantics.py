@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from psiwb.nominal import (MINT_BASE, Name, alpha_eq, apply_perm, canonical,
-                           fresh_name, names_of, support, swap)
+from psiwb.nominal import (MINT_BASE, Fresh, Name, alpha_eq, canonical, fresh_name,
+                           mint_many, rename, support)
 from psiwb.params import (CalculusInstance, EtherInstance, PiEq, PiInstance,
                           PreorderInstance, TriangleInstance, _NameTermMixin)
 from psiwb.process import (NIL, Assert, Bang, Case, Input, Output, Par, Res,
@@ -232,11 +232,11 @@ def _check_lemma(inst, t):
     if isinstance(t.label, TauLabel):
         assert t.prov == BOT
         return 0
-    avoid = names_of(t.env, t.source, t.label, t.prov, t.target)
-    bs, psi_p, avoid = opened_frame(inst, t.source, avoid)
+    fresh = Fresh(t.env, t.source, t.label, t.prov, t.target)
+    frame = opened_frame(inst, t.source, fresh)
+    bs, psi_p = frame.binders, frame.assertion
     assert len(t.prov.outer) == len(bs), "provenance binders mismatch frame binders"
-    from psiwb.nominal import Fresh, mint_many, rename
-    temps = mint_many(Fresh(tuple(avoid)), len(t.prov.inner), "t")
+    temps = mint_many(fresh, len(t.prov.inner), "t")
     k = rename(dict(list(zip(t.prov.outer, bs)) + list(zip(t.prov.inner, temps))),
                t.prov.term)
     env2 = inst.compose(t.env, psi_p)
@@ -261,12 +261,12 @@ def test_fuel_monotonicity():
 
 def test_transitions_equivariant():
     rng = random.Random(4)
-    perm = swap(a, b)
+    perm = {a: b, b: a}
     for p in corpus(ether, rng, 15, size=4):
         env = ether.random_assertion(rng, (a, b, c))
-        lhs = frozenset(canonical(apply_perm(perm, t))
+        lhs = frozenset(canonical(rename(perm, t))
                         for t in transitions(ether, env, p))
-        rhs = transitions(ether, apply_perm(perm, env), apply_perm(perm, p))
+        rhs = transitions(ether, rename(perm, env), rename(perm, p))
         assert lhs == rhs
 
 
