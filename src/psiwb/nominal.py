@@ -4,7 +4,8 @@ Every value the engine touches is a *nominal value*: a finite tree built
 from Name atoms, tuples, frozensets, plain scalars and frozen dataclasses.
 Three generic traversals work on any such tree:
 
-* ``support(x)``      -- the free names of ``x`` (binders excluded),
+* ``support(x)``      -- the free names of ``x`` (binders excluded), kept
+  on ``x`` by ``_kept``, the one helper that keeps a fact on a value,
 * ``map_atoms(f, x)`` -- apply an atom map to every Name, binders included;
   ``rename`` gives it a dict, and ``rename`` with a bijection (a swap is
   ``{a: b, b: a}``) is the permutation action,
@@ -160,35 +161,42 @@ class _Layouts(dict):
 _LAYOUTS = _Layouts()
 
 
+def _kept(x, name, make=None, fits=None):
+    """The fact ``name`` kept on ``x``, or, where there is none or ``fits``
+    rejects it, ``make(x)`` kept in its place (None without ``make``).  A
+    value without a ``__dict__`` (a Name, a tuple, a frozenset) keeps none.
+    Not through ``x.__dict__``: CPython would trade the compact storage of
+    the instance's fields for a dict, which slows every field read."""
+    got = getattr(x, name, None)
+    if make is not None and (got is None or fits is not None and not fits(got)):
+        got = make(x)
+        if type(x).__dictoffset__:
+            object.__setattr__(x, name, got)
+    return got
+
+
 def support(x) -> frozenset:
-    """Free names of a nominal value."""
-    if isinstance(x, Name):
-        return frozenset((x,))
-    cached = getattr(x, "_supp_cache", None)
-    if cached is not None:
-        return cached
+    """Free names of a nominal value, kept on it (``_kept``)."""
+    return frozenset((x,)) if isinstance(x, Name) else _kept(x, "_supp_cache", _support_walk)
+
+
+def _support_walk(x) -> frozenset:
     if isinstance(x, (tuple, list, frozenset, set)):
-        out = frozenset().union(*(support(e) for e in x))
-    else:
-        lay = _LAYOUTS[type(x)]
-        if lay is None:
-            return frozenset()
-        if lay.support is not None:
-            out = lay.support(x)
+        return frozenset().union(*(support(e) for e in x))
+    lay = _LAYOUTS[type(x)]
+    if lay is None:
+        return frozenset()
+    if lay.support is not None:
+        return lay.support(x)
+    # last field first: a binder field removes its atoms from the support of
+    # the fields declared after it
+    out = frozenset()
+    for f in reversed(lay.names):
+        v = getattr(x, f)
+        if f in lay.binders:
+            out = out.difference((v,) if isinstance(v, Name) else v)
         else:
-            # last field first: a binder field removes its atoms from the
-            # support of the fields declared after it
-            out = frozenset()
-            for f in reversed(lay.names):
-                v = getattr(x, f)
-                if f in lay.binders:
-                    out = out.difference((v,) if isinstance(v, Name) else v)
-                else:
-                    out |= support(v)
-    try:
-        object.__setattr__(x, "_supp_cache", out)
-    except (AttributeError, TypeError):
-        pass
+            out |= support(v)
     return out
 
 
@@ -211,12 +219,13 @@ def map_atoms(f, x):
 
 
 def atoms(x) -> frozenset:
-    """Every Name in ``x``, binders included.  Cached on ``x``, as ``support``
-    is: every query reads the atoms of its source.  Reads fields with an
-    explicit stack, so depth does not meet the recursion limit."""
-    cached = getattr(x, "_atoms_cache", None)
-    if cached is not None:
-        return cached
+    """Every Name in ``x``, binders included, kept on ``x`` as ``support``
+    is: every query reads the atoms of its source."""
+    return _kept(x, "_atoms_cache", _atoms_walk)
+
+
+def _atoms_walk(x) -> frozenset:
+    # an explicit stack, so depth does not meet the recursion limit
     seen = set()
     todo = [x]
     while todo:
@@ -229,12 +238,7 @@ def atoms(x) -> frozenset:
             lay = _LAYOUTS[type(v)]
             if lay is not None:
                 todo.extend(getattr(v, f) for f in lay.names)
-    out = frozenset(seen)
-    try:
-        object.__setattr__(x, "_atoms_cache", out)
-    except (AttributeError, TypeError):
-        pass
-    return out
+    return frozenset(seen)
 
 
 def rename(mapping: dict, x):

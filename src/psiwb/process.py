@@ -274,7 +274,7 @@ def subst_process(inst: CalculusInstance, p: Process, sigma: Subst, fresh=None) 
 # Hoisting
 
 
-def hoist(p: Process, fresh: Fresh, taken=None, closed=None):
+def hoist(p: Process, fresh: Fresh, taken=None, cut=None):
     """Hoist the restrictions on the Par/Res spine of ``p`` outward.
 
     Returns the hoisted binders (outermost first), the unguarded ``Assert``
@@ -295,9 +295,9 @@ def hoist(p: Process, fresh: Fresh, taken=None, closed=None):
     with ``taken`` its free names.  Without a clash, that ``taken`` would
     rename no binder either.
 
-    A node whose id ``closed`` holds, a closed Par or Res node of the
-    caller's, is returned as a component as it is, and not descended into:
-    it has no free name, so neither its binders nor its parts can clash
+    A node that the predicate ``cut`` accepts is returned as a component as
+    it is, and not descended into.  The caller cuts only closed nodes: such
+    a node has no free name, so neither its binders nor its parts can clash
     with the rest of ``p`` or share an atom with it."""
     scoped = taken is None
     if scoped:
@@ -308,7 +308,7 @@ def hoist(p: Process, fresh: Fresh, taken=None, closed=None):
         q, scope = todo.pop()
         if isinstance(q, Nil):
             continue
-        if closed and id(q) in closed:
+        if cut is not None and cut(q):
             comps.append(q)
         elif isinstance(q, Par):
             todo += ((q.right, scope), (q.left, scope))
@@ -316,7 +316,7 @@ def hoist(p: Process, fresh: Fresh, taken=None, closed=None):
             name, body = q.name, q.body
             if name in taken:
                 if scoped:
-                    return hoist(p, fresh, set(support(p)), closed)
+                    return hoist(p, fresh, set(support(p)), cut)
                 name = mint(fresh, name.hint or "b")
                 body = rename({q.name: name}, body)
             taken.add(name)
@@ -327,7 +327,7 @@ def hoist(p: Process, fresh: Fresh, taken=None, closed=None):
             if scoped and not support(q) <= scope:
                 free.update(support(q) - scope)
     if scoped and not free.isdisjoint(taken):
-        return hoist(p, fresh, set(support(p)), closed)
+        return hoist(p, fresh, set(support(p)), cut)
     return tuple(binders), tuple(asserts), comps
 
 

@@ -34,25 +34,28 @@ keeps the least numbering, for a part its least shape with the atom list
 of each choice that gives it.  A part that meets no tie is walked once.
 The key is the multiset of the component keys.
 
-A part's shape depends only on the part and on which of its free names
-are hoisted binders, and a component's key only on its parts, so the keys
-of one query share one table of parts and of component keys, looked up by
-identity (``_Keys``; hash-consing's sharing by identity, Filliâtre and
-Conchon, "Type-safe modular hash-consing", 2006, scoped to one query).
-The engine's tau targets share the parts they leave untouched, so harmony
-walks each part once and keys each component once, not once per target.
+A fact of one node lives on the node (``nominal._kept``), and a fact of
+several nodes lives in the query (``_Keys``).  A part's shape depends only
+on the part and on which of its free names are hoisted binders, so the
+part keeps it (``_part_entry``) past the query: a query repeated on the
+same nodes walks only the parts new in its targets.  A component's key
+depends on its parts: the keys of one query share a table of them, looked
+up by the identity of the parts' entries (hash-consing's sharing by
+identity, Filliâtre and Conchon, 2006).  The engine's tau targets share
+the parts they leave untouched, so harmony walks each part and keys each
+component once.
 
 A tau target also holds whole the subtrees of the source that its Com left
-alone, as the source's own nodes.  So at the query's first tau target
-harmony records the key counts of the source's closed Par and Res nodes
-(``_record_closed``), and the key's ``hoist`` takes a recorded node whole,
-as its counts, instead of walking into it.  That is exact for any process:
-a closed subtree c of the spine has no free name, so T ≡ c | T[c := 0], and
-no renamable atom links a part of c to another part, whence
-key(T) = key(c) ⊎ key(T[c := 0]).  The cut reads only the identity of the
-source's nodes, never anything the engine made, so the oracle stays
-independent of the engine.  A tau target then costs its walk down to the
-nodes the Com touched, and a lookup per part and per component there.
+alone, as the source's own nodes.  So at the query's first tau target the
+source's closed Par and Res nodes keep their key counts
+(``_record_closed``), and the key's ``hoist`` cuts any node that keeps
+counts, taking it whole, as its counts.  That is exact for counts from any
+query: a closed subtree c of the spine has no free name, so
+T ≡ c | T[c := 0], and no renamable atom links a part of c to another
+part, whence key(T) = key(c) ⊎ key(T[c := 0]).  Only the key writes these
+facts, so the oracle stays independent of the engine.  A tau target then
+costs its walk down to the nodes the Com touched, and a lookup per part
+and per component there.
 
 A reduction target is keyed without building it, as a delta from its
 source (``_reduction_key``).  ``reductions`` and harmony read one
@@ -60,15 +63,15 @@ enumeration of the pairs that fire (``_fired``).  At the first of them
 harmony keys the source's hoisted form by component (``_Summary``).  A
 firing replaces the top-level parts that hold its two prefixes by its new
 parts: the two continuations and the rest of a touched case or bang,
-hoisted.  Its key is the source's, without the components of the replaced
-parts, and with the components that the rest of their parts and the new
-parts form.  That is exact.  An untouched component keeps its parts, and
-each of them its live hoisted binders, for the target keeps every binder
-of the source, and a binder new in the target is free in no part of the
-source.  No new part shares a renamable atom with an untouched component:
-each of its renamable atoms is free in a replaced part or new in the
-target.  A replaced part may have held its component together, so the
-rest of it is grouped again.
+hoisted from the source's one supply.  Its key is the source's, without
+the components of the replaced parts, and with the components that the
+rest of their parts and the new parts form.  That is exact.  An untouched
+component keeps its parts, and each of them its live hoisted binders, for
+the target keeps every binder of the source, and a binder new in the
+target is free in no part of the source.  No new part shares a renamable
+atom with an untouched component: each of its renamable atoms is free in a
+replaced part or new in the target.  A replaced part may have held its
+component together, so the rest of it is grouped again.
 
 Hoisting renames a binder only on a clash, when the binder is hoisted
 twice or is free in a part outside its scope.  The key's ``hoist`` finds a
@@ -84,8 +87,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .nominal import (_canon, _CanonState, _Tied, canonical, Fresh, least, sort_key,
-                      support)
+from .nominal import (_canon, _CanonState, _kept, _Tied, canonical, Fresh, least,
+                      sort_key, support)
 from .params import CalculusInstance, Subst
 from .process import (Bang, Case, Input, NIL, Nil, Output, Par, Process, Res,
                       assertion_guarded, check_well_formed, hoist, par, res,
@@ -137,7 +140,7 @@ class _CaseN:
 @dataclass(frozen=True)
 class _BangN:
     original: Bang
-    copies: tuple  # tuple[_ParN, ...]; copy i (from 0) costs i + 1 unfoldings
+    copies: tuple  # tuple[_ParN, ...]; copy i (from 0) has the fuel less i + 1
 
 
 def _expand(p, fuel, fresh, taken):
@@ -148,27 +151,27 @@ def _expand(p, fuel, fresh, taken):
             children.append(_CaseN(q, tuple((phi, _expand(body, fuel, fresh, taken))
                                             for phi, body in q.branches)))
         elif isinstance(q, Bang):
-            copies = tuple(_expand(q.body, fuel, fresh, taken) for _ in range(fuel))
+            copies = tuple(_expand(q.body, fuel - i - 1, fresh, taken) for i in range(fuel))
             children.append(_BangN(q, copies))
         else:
             children.append(q)
     return _ParN(p, binders, asserts, tuple(children))
 
 
-def _positions(node, path=(), guards=(), cost=0):
-    """(path, prefix, case guards on the way, replication cost) for every
-    output or input prefix of the tree."""
+def _positions(node, path=(), guards=()):
+    """(path, prefix, case guards on the way) for every output or input
+    prefix of the tree."""
     if isinstance(node, (Output, Input)):
-        yield path, node, guards, cost
+        yield path, node, guards
     elif isinstance(node, _ParN):
         for i, child in enumerate(node.children):
-            yield from _positions(child, path + (i,), guards, cost)
+            yield from _positions(child, path + (i,), guards)
     elif isinstance(node, _CaseN):
         for j, (phi, sub) in enumerate(node.branches):
-            yield from _positions(sub, path + (j,), guards + (phi,), cost)
+            yield from _positions(sub, path + (j,), guards + (phi,))
     elif isinstance(node, _BangN):
         for i, copy in enumerate(node.copies):
-            yield from _positions(copy, path + (i,), guards, cost + i + 1)
+            yield from _positions(copy, path + (i,), guards)
 
 
 def _original(node) -> Process:
@@ -228,14 +231,16 @@ def _rest(kids, touched, tail=()):
 class _Source:
     """The hoisted form of a query's source, which its firings share: the
     expansion ``root``, ``taken`` (the free names of the source and every
-    binder hoisted in ``root``) and the ``summary`` of its key, made at the
-    first firing that harmony keys (``_reduction_key``)."""
+    binder hoisted in ``root``), ``fresh``, the one supply of scratch atoms
+    of the expansion, the substitutions and the new parts, and the
+    ``summary`` of its key, made at the first firing that harmony keys."""
 
-    __slots__ = ("root", "taken", "summary")
+    __slots__ = ("root", "taken", "fresh", "summary")
 
     def __init__(self, p, fuel):
         taken = set(support(p))
-        self.root = _expand(p, fuel, Fresh(p), taken)
+        self.fresh = Fresh(p)
+        self.root = _expand(p, fuel, self.fresh, taken)
         self.taken = frozenset(taken)
         self.summary = None
 
@@ -260,11 +265,11 @@ def _fired(inst, p, fuel):
     for a in source.root.asserts:
         env = inst.compose(env, a.assertion)
 
-    positions = [pos for pos in _positions(source.root) if pos[3] <= fuel]
-    for o_path, o_prefix, o_guards, _ in positions:
+    positions = list(_positions(source.root))
+    for o_path, o_prefix, o_guards in positions:
         if not isinstance(o_prefix, Output):
             continue
-        for i_path, i_prefix, i_guards, _ in positions:
+        for i_path, i_prefix, i_guards in positions:
             if i_path == o_path or not isinstance(i_prefix, Input):
                 continue
             if not inst.entails(env, inst.conn(o_prefix.channel, i_prefix.channel)):
@@ -281,7 +286,7 @@ def _fired(inst, p, fuel):
                 continue
             for ts in matches:
                 received = subst_process(inst, i_prefix.cont,
-                                         Subst.of(i_prefix.variables, ts))
+                                         Subst.of(i_prefix.variables, ts), source.fresh)
                 yield _Fired(source, o_prefix, i_prefix, tuple(zip(i_prefix.variables, ts)),
                              received, kids)
 
@@ -309,39 +314,30 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
 
 
 class _Part(NamedTuple):
-    """A part's entry in ``_Keys.parts``: the part, the hoisted binders
-    ``live`` free in it (all that its shape reads from outside it), its
-    shape and its renamable atoms in order, or, where its walk met a set
-    tie, no shape (None) and its renamable atoms (``_keyed_component``
-    searches)."""
-    node: Process
+    """A part's entry, kept on the part (``_part_entry``), which it does not
+    hold, so as to make no cycle: the hoisted binders ``live`` free in it
+    (all that its shape reads from outside it), its shape and its renamable
+    atoms in order, or, where its walk met a set tie, no shape (None) and
+    its renamable atoms (``_keyed_component`` searches)."""
     live: frozenset
     shape: object
     atoms: tuple
 
 
 class _Keys:
-    """The four tables that the keys of one query share.  Each entry depends
-    only on the nodes or the key it is looked up by:
+    """What the keys of one query share: the facts of several nodes (a fact
+    of one node is kept on it; see the module docstring).
 
-    * ``parts``: the id of a part -> its ``_Part`` (``_part_entry``);
     * ``components``: the sorted ids of the ``_Part`` entries of a
-      component -> (those entries, its key) (``_keyed_component``);
+      component -> (those entries, which keep the ids from reuse, and its
+      key) (``_keyed_component``);
     * ``interned``: a component key -> the one object for it, so that the
-      query's counters, sets and dicts find equal keys equal by identity;
-    * ``closed``: the id of a closed node of the source -> (the node, its
-      key counts), set by ``_record_closed`` and None until then.
+      query's counters, sets and dicts find equal keys equal by identity."""
 
-    Each entry of a table looked up by ids holds the objects whose ids key
-    it, so that no id is reused while the table lives.  The tables live in
-    the query and not on the nodes: they die with the query, and a repeated
-    query pays for its walks again."""
-
-    __slots__ = ("parts", "components", "interned", "closed")
+    __slots__ = ("components", "interned")
 
     def __init__(self):
-        self.parts, self.components, self.interned = {}, {}, {}
-        self.closed = None
+        self.components, self.interned = {}, {}
 
 
 def congruence_key(p: Process, keys=None):
@@ -351,70 +347,76 @@ def congruence_key(p: Process, keys=None):
     alpha-conversion.  Used to compare reduction and tau targets; see the
     module docstring.
 
-    ``keys`` is a query's ``_Keys``, and a fresh one when it is left out:
-    what it holds is not walked or keyed again, and a closed node of the
-    source in it is taken whole.  A clash, which restarts the walk, drops
-    what the walk had taken.  Harmony calls this function by its module
-    name, so that a wrapper bound there (the benchmark's per-layer tracer,
-    a test's check) sees every key of a query."""
+    ``keys`` is a query's ``_Keys``, and a fresh one when it is left out: a
+    component it holds is not keyed again.  A part that keeps its entry is
+    not walked again, and a closed node that keeps its counts is cut.
+    Harmony calls this function by its module name, so that a wrapper bound
+    there (the benchmark's per-layer tracer, a test's check) sees every key
+    of a query."""
     keys = _Keys() if keys is None else keys
-    closed = keys.closed
-    binders, asserts, comps = hoist(p, Fresh(p), closed=closed)
-    loose = frozenset(binders)
+    binders, asserts, comps = hoist(p, Fresh(p), cut=_counted)
     counts, parts = {}, []
     for q in (*asserts, *comps):
         if isinstance(q, (Par, Res)):
-            _add_counts(counts, closed[id(q)][1])  # a closed node of the source, cut
+            for k, n in _counted(q).items():  # cut; its keys may be another query's
+                counts[keys.interned.setdefault(k, k)] = counts.get(k, 0) + n
         else:
-            parts.append(_part_entry(q, loose.intersection(support(q)), keys))
-    for comp in _components([e.atoms for e in parts]):
-        k = _keyed_component([parts[i] for i in comp], keys)
+            parts.append(q)
+    loose = frozenset(binders)
+    for _, k in _keyed_components(parts, [_part_entry(q, loose) for q in parts], keys):
         counts[k] = counts.get(k, 0) + 1
     return frozenset(counts.items())
 
 
-def _add_counts(counts, more):
-    for k, n in more.items():
-        counts[k] = counts.get(k, 0) + n
+def _counted(q):
+    return _kept(q, "_counts_cache")  # a closed node's key counts, or None
 
 
 def _record_closed(p, keys):
-    """Set ``keys.closed`` to the key counts of the closed Par and Res nodes
-    below ``p`` that a walk down its Par nodes meets.  No node below a Res
-    is recorded, nor ``p`` itself: a tau target holds a restriction's body
-    only renamed, as new nodes, and never the whole source.  The walk goes
-    bottom-up with an explicit stack: a node's ``support`` finds those of
-    its Par children cached, and a Par's counts are its children's."""
-    closed = keys.closed = {}
+    """Have each closed Par and Res node below ``p`` that a walk down its Par
+    nodes meets keep its key counts (a node that keeps them has its closed
+    Par nodes keep theirs).  No node below a Res does, nor ``p``: a tau
+    target holds a restriction's body only renamed, as new nodes, and never
+    the whole source.  The walk goes bottom-up, with an explicit stack."""
+    def counts(q):
+        if isinstance(q, Res):
+            return dict(congruence_key(q, keys))
+        got = {}  # a Par binds nothing: its counts are its children's
+        for kid in (q.left, q.right):
+            for k, n in (_counted(kid) or dict(congruence_key(kid, keys))).items():
+                got[k] = got.get(k, 0) + n
+        return got
+
     todo = [(p, False)]
     while todo:
         q, below = todo.pop()
+        if q is not p and _counted(q) is not None:
+            continue
         if isinstance(q, Par) and not below:
             todo += ((q, True), (q.right, False), (q.left, False))
         elif q is not p and isinstance(q, (Par, Res)) and not support(q):
-            if isinstance(q, Par):
-                # a Par binds nothing: its counts are its children's
-                counts = {}
-                for kid in (q.left, q.right):
-                    got = closed.get(id(kid))
-                    _add_counts(counts, got[1] if got else dict(congruence_key(kid, keys)))
-            else:
-                counts = dict(congruence_key(q, keys))
-            closed[id(q)] = q, counts
+            _kept(q, "_counts_cache", counts)
 
 
-def _part_entry(q, live, keys):
-    """The ``_Part`` of ``q`` with the hoisted binders ``live`` free in it,
-    from ``keys.parts`` when it holds one for ``q`` and ``live``."""
-    got = keys.parts.get(id(q))
-    if got is not None and got.live == live:
-        return got
+def _part_entry(q, loose):
+    """The ``_Part`` of ``q`` under the hoisted binders ``loose``, kept on
+    ``q`` until ``q`` is asked about with other hoisted binders free in it."""
+    live = loose.intersection(support(q))
+    return _kept(q, "_part_cache", lambda q: _made_part(q, live), lambda got: got.live == live)
+
+
+def _made_part(q, live):
     try:
-        got = _Part(q, live, *_walk(q, live, None))
+        return _Part(live, *_walk(q, live, None))
     except _Tied:
-        got = _Part(q, live, None, tuple(n for n in support(q) if n in live or n.is_scratch()))
-    keys.parts[id(q)] = got
-    return got
+        return _Part(live, None, tuple(n for n in support(q) if n in live or n.is_scratch()))
+
+
+def _keyed_components(parts, entries, keys):
+    """The components that ``parts``, whose ``_Part`` entries are
+    ``entries``, form: for each, the indices of its parts and its key."""
+    return [(comp, _keyed_component(comp, parts, entries, keys))
+            for comp in _components([e.atoms for e in entries])]
 
 
 def _walk(q, live, ties):
@@ -424,9 +426,9 @@ def _walk(q, live, ties):
     return _canon(q, {}, st), tuple(st.free_map)
 
 
-def _keyed_component(parts, keys):
-    """The key of the component of the ``_Part`` entries ``parts``: the one
-    that ``keys.components`` holds for them, or a new one, interned.
+def _keyed_component(comp, parts, entries, keys):
+    """The key of the component of ``parts`` (with ``entries``) indexed by
+    ``comp``: the one ``keys.components`` holds, or a new one, interned.
 
     The entries fix the key.  A part with a set tie is searched here, pruned
     by the automorphisms of its component: its least shape, with its atom
@@ -434,21 +436,22 @@ def _keyed_component(parts, keys):
     parts may be permuted, unless another part has a tie too: then each must
     map onto itself.  A component that a target has merged or split has
     other entries, keyed afresh."""
-    ident = tuple(sorted(map(id, parts)))
+    ident = tuple(sorted(map(id, map(entries.__getitem__, comp))))
     got = keys.components.get(ident)
     if got is not None:
         return got[1]
-    items = [(e.shape, (e.atoms,)) for e in parts]
-    mine = [k for k, e in enumerate(parts) if e.shape is None]
+    parts, entries = [parts[i] for i in comp], [entries[i] for i in comp]
+    items = [(e.shape, (e.atoms,)) for e in entries]
+    mine = [k for k, e in enumerate(entries) if e.shape is None]
     labels = {}
     for k in mine:
         others = _multiset((j if len(mine) > 1 else labels.setdefault(shape, len(labels)),
                             occs) for j, (shape, occs) in enumerate(items) if j != k)
-        q, live = parts[k].node, parts[k].live
+        q, live = parts[k], entries[k].live
         items[k] = least(functools.partial(_walk, q, live), (q, others))
     key = _Hashed(_component_key(items))
     key = keys.interned.setdefault(key, key)
-    keys.components[ident] = parts, key
+    keys.components[ident] = entries, key
     return key
 
 
@@ -588,21 +591,22 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     need no canonical form.  A reduction is keyed from its firing by delta
     (``_reduction_key``), and its target is built only for the first firing
     of each key, in enumeration order: that is the target a report shows
-    for an unmatched key.  Every key of the query shares one ``_Keys``, in
-    which the first tau target records the source's closed nodes, and only
-    the source's (see the module docstring).  Only a target reported
-    unmatched is canonicalised, so that no scratch atom's id shows in the
-    report."""
+    for an unmatched key.  Every key of the query shares one ``_Keys``.
+    The first tau target has the source's closed nodes keep their key
+    counts, and only the source's (see the module docstring).  Only a
+    target reported unmatched is canonicalised, so that no scratch atom's
+    id shows in the report."""
     check_well_formed(p)
-    red, tau, keys = {}, {}, _Keys()
+    red, tau, keys, recorded = {}, {}, _Keys(), False
     for f in _fired(inst, p, fuel):
         key = _reduction_key(f, keys)
         if key not in red:
             red[key] = _target(f)
     for lab, _, target in _derive(inst, _PROVENANCE, inst.unit, p, fuel):
         if isinstance(lab, TauLabel):
-            if keys.closed is None:
+            if not recorded:
                 _record_closed(p, keys)
+                recorded = True
             tau.setdefault(congruence_key(target, keys), target)
     return HarmonyReport(matched=len(red.keys() & tau.keys()),
                          reduction_only=_unmatched(red, tau),
@@ -613,33 +617,25 @@ def _reduction_key(f, keys):
     """``congruence_key`` of the target of the firing ``f``, from the
     source's key kept by component (``f.source.summary``): the key without
     the components of the replaced parts, with the components that the rest
-    of them and the new parts form (see the module docstring).
-
-    The new parts are hoisted as the source was, with its free names and
-    its hoisted binders taken, and a clashing binder is renamed to an atom
-    fresh for the new parts too: the substitution may have renamed a
-    received binder to a scratch atom of its own supply, which the source's
-    supply would hand out again."""
+    of them and the new parts form (see the module docstring).  The new
+    parts are hoisted as the source was, from its supply and its ``taken``."""
     s = f.source.summary
     if s is None:
         s = f.source.summary = _Summary(f.source, keys)
     gone = {s.first_kid + i for i, _, _ in f.kids}
     affected = {s.comp_of[i] for i in gone}
-    regrouped = [s.parts[i] for c in affected for i in s.comps[c] if i not in gone]
+    kept = [i for c in affected for i in s.comps[c][0] if i not in gone]
+    parts, entries = [s.parts[i] for i in kept], [s.entries[i] for i in kept]
     news = par(f.sender.cont, f.received, *(rest for _, _, rest in f.kids))
     if not isinstance(news, Nil):
-        taken = f.source.taken
-        binders, asserts, comps = hoist(news, Fresh(news, taken), set(taken))
-        extra = frozenset(_binders_of(f.kids) + binders)
-        for q in (*asserts, *comps):
-            free = support(q)
-            regrouped.append(_part_entry(
-                q, s.loose.intersection(free) | extra.intersection(free), keys))
+        binders, asserts, comps = hoist(news, f.source.fresh, set(f.source.taken))
+        loose = s.loose.union(_binders_of(f.kids), binders)
+        parts += (*asserts, *comps)
+        entries += [_part_entry(q, loose) for q in (*asserts, *comps)]
     counts = dict(s.counts)
     for c in affected:
-        counts[s.keys[c]] -= 1
-    for comp in _components([e.atoms for e in regrouped]):
-        k = _keyed_component([regrouped[i] for i in comp], keys)
+        counts[s.comps[c][1]] -= 1
+    for _, k in _keyed_components(parts, entries, keys):
         counts[k] = counts.get(k, 0) + 1
     return frozenset((k, m) for k, m in counts.items() if m)
 
@@ -647,24 +643,23 @@ def _reduction_key(f, keys):
 class _Summary:
     """The key of a query's source, kept by component, from which
     ``_reduction_key`` keys each target: the hoisted binders ``loose``, the
-    ``_Part`` entries ``parts`` of the top-level parts (the assertions, then
-    the children from ``first_kid`` on), their ``comps``, each part's
-    component (``comp_of``), and the component ``keys`` and their multiset
-    ``counts``.  A source has one, in ``_Source.summary``."""
+    top-level ``parts`` (the assertions, then the children from
+    ``first_kid`` on) and their ``entries``, their ``comps`` (each the
+    indices of its parts and its key), each part's component (``comp_of``)
+    and the multiset of the component keys (``counts``), in the source's
+    ``summary``."""
 
-    __slots__ = ("loose", "parts", "first_kid", "comps", "comp_of", "keys", "counts")
+    __slots__ = ("loose", "parts", "entries", "first_kid", "comps", "comp_of", "counts")
 
     def __init__(self, source, keys):
         root = source.root
         self.loose = frozenset(root.binders)
-        parts = (*root.asserts, *map(_original, root.children))
-        self.parts = [_part_entry(q, self.loose.intersection(support(q)), keys) for q in parts]
+        self.parts = (*root.asserts, *map(_original, root.children))
+        self.entries = [_part_entry(q, self.loose) for q in self.parts]
+        self.comps = _keyed_components(self.parts, self.entries, keys)
         self.first_kid = len(root.asserts)
-        self.comps = list(_components([e.atoms for e in self.parts]))
-        self.comp_of = {i: c for c, comp in enumerate(self.comps) for i in comp}
-        self.keys = [_keyed_component([self.parts[i] for i in comp], keys)
-                     for comp in self.comps]
-        self.counts = Counter(self.keys)
+        self.comp_of = {i: c for c, (comp, _) in enumerate(self.comps) for i in comp}
+        self.counts = Counter(k for _, k in self.comps)
 
 
 def _unmatched(these, those):
