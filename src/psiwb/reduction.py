@@ -46,21 +46,22 @@ the parts they leave untouched, so harmony walks each part and keys each
 component once.
 
 A tau target also holds whole the subtrees of the source that its Com left
-alone, as the source's own nodes.  So at the query's first tau target the
-source's closed Par and Res nodes keep their key counts
-(``_record_closed``), and the key's ``hoist`` cuts any node that keeps
-counts, taking it whole, as its counts.  That is exact for counts from any
-query: a closed subtree c of the spine has no free name, so
-T ≡ c | T[c := 0], and no renamable atom links a part of c to another
-part, whence key(T) = key(c) ⊎ key(T[c := 0]).  Only the key writes these
-facts, so the oracle stays independent of the engine.  A tau target then
-costs its walk down to the nodes the Com touched, and a lookup per part
-and per component there.
+alone, as the source's own nodes.  So at the query's first firing, which
+comes before its first tau target, the source's closed Par and Res nodes
+keep their key counts (``_record_closed``), and the key's ``hoist`` cuts
+any node that keeps counts, taking it whole, as its counts.  That is exact
+for counts from any query: a closed subtree c of the spine has no free
+name, so T ≡ c | T[c := 0], and no renamable atom links a part of c to
+another part, whence key(T) = key(c) ⊎ key(T[c := 0]).  Only the key
+writes these facts, so the oracle stays independent of the engine.  A tau
+target then costs its walk down to the nodes the Com touched, and a lookup
+per part and per component there.
 
 A reduction target is keyed without building it, as a delta from its
 source (``_reduction_key``).  ``reductions`` and harmony read one
 enumeration of the pairs that fire (``_fired``).  At the first of them
-harmony keys the source's hoisted form by component (``_Summary``).  A
+harmony makes all of the source's key facts (``_Summary``): it records the
+closed nodes, and keys the source's hoisted form by component.  A
 firing replaces the top-level parts that hold its two prefixes by its new
 parts: the two continuations and the rest of a touched case or bang,
 hoisted from the source's one supply.  Its key is the source's, without
@@ -373,20 +374,12 @@ def _counted(q):
 
 
 def _record_closed(p, keys):
-    """Have each closed Par and Res node below ``p`` that a walk down its Par
-    nodes meets keep its key counts (a node that keeps them has its closed
-    Par nodes keep theirs).  No node below a Res does, nor ``p``: a tau
+    """Have each closed Par and Res node below the source ``p`` that a walk
+    down its Par nodes meets keep its key counts; ``_Summary`` calls this at
+    the query's first firing.  No node below a Res does, nor ``p``: a tau
     target holds a restriction's body only renamed, as new nodes, and never
-    the whole source.  The walk goes bottom-up, with an explicit stack."""
-    def counts(q):
-        if isinstance(q, Res):
-            return dict(congruence_key(q, keys))
-        got = {}  # a Par binds nothing: its counts are its children's
-        for kid in (q.left, q.right):
-            for k, n in (_counted(kid) or dict(congruence_key(kid, keys))).items():
-                got[k] = got.get(k, 0) + n
-        return got
-
+    the whole source.  The walk goes bottom-up, with an explicit stack, so
+    the key of a closed Par cuts its children, which keep theirs already."""
     todo = [(p, False)]
     while todo:
         q, below = todo.pop()
@@ -395,7 +388,7 @@ def _record_closed(p, keys):
         if isinstance(q, Par) and not below:
             todo += ((q, True), (q.right, False), (q.left, False))
         elif q is not p and isinstance(q, (Par, Res)) and not support(q):
-            _kept(q, "_counts_cache", counts)
+            _kept(q, "_counts_cache", lambda q: dict(congruence_key(q, keys)))
 
 
 def _part_entry(q, loose):
@@ -592,21 +585,18 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     (``_reduction_key``), and its target is built only for the first firing
     of each key, in enumeration order: that is the target a report shows
     for an unmatched key.  Every key of the query shares one ``_Keys``.
-    The first tau target has the source's closed nodes keep their key
-    counts, and only the source's (see the module docstring).  Only a
-    target reported unmatched is canonicalised, so that no scratch atom's
-    id shows in the report."""
+    The first firing makes the source's key facts (``_Summary``), the
+    closed nodes' key counts that the tau keys cut included (see the module
+    docstring).  Only a target reported unmatched is canonicalised, so that
+    no scratch atom's id shows in the report."""
     check_well_formed(p)
-    red, tau, keys, recorded = {}, {}, _Keys(), False
+    red, tau, keys = {}, {}, _Keys()
     for f in _fired(inst, p, fuel):
         key = _reduction_key(f, keys)
         if key not in red:
             red[key] = _target(f)
     for lab, _, target in _derive(inst, _PROVENANCE, inst.unit, p, fuel):
         if isinstance(lab, TauLabel):
-            if not recorded:
-                _record_closed(p, keys)
-                recorded = True
             tau.setdefault(congruence_key(target, keys), target)
     return HarmonyReport(matched=len(red.keys() & tau.keys()),
                          reduction_only=_unmatched(red, tau),
@@ -622,10 +612,10 @@ def _reduction_key(f, keys):
     s = f.source.summary
     if s is None:
         s = f.source.summary = _Summary(f.source, keys)
-    gone = {s.first_kid + i for i, _, _ in f.kids}
+    gone = {len(f.source.root.asserts) + i for i, _, _ in f.kids}
     affected = {s.comp_of[i] for i in gone}
-    kept = [i for c in affected for i in s.comps[c][0] if i not in gone]
-    parts, entries = [s.parts[i] for i in kept], [s.entries[i] for i in kept]
+    parts = [s.parts[i] for c in affected for i in s.comps[c][0] if i not in gone]
+    entries = [_part_entry(q, s.loose) for q in parts]
     news = par(f.sender.cont, f.received, *(rest for _, _, rest in f.kids))
     if not isinstance(news, Nil):
         binders, asserts, comps = hoist(news, f.source.fresh, set(f.source.taken))
@@ -643,21 +633,23 @@ def _reduction_key(f, keys):
 class _Summary:
     """The key of a query's source, kept by component, from which
     ``_reduction_key`` keys each target: the hoisted binders ``loose``, the
-    top-level ``parts`` (the assertions, then the children from
-    ``first_kid`` on) and their ``entries``, their ``comps`` (each the
-    indices of its parts and its key), each part's component (``comp_of``)
-    and the multiset of the component keys (``counts``), in the source's
-    ``summary``."""
+    top-level ``parts`` (the assertions, then the children), their
+    ``comps`` (each the indices of its parts and its key), each part's
+    component (``comp_of``) and the multiset of the component keys
+    (``counts``), in the source's ``summary``.  Made at the query's first
+    firing that harmony keys, which is where all of the source's key facts
+    are made: the parts keep their entries, and the source's closed nodes
+    their counts (``_record_closed``)."""
 
-    __slots__ = ("loose", "parts", "entries", "first_kid", "comps", "comp_of", "counts")
+    __slots__ = ("loose", "parts", "comps", "comp_of", "counts")
 
     def __init__(self, source, keys):
         root = source.root
+        _record_closed(root.original, keys)
         self.loose = frozenset(root.binders)
         self.parts = (*root.asserts, *map(_original, root.children))
-        self.entries = [_part_entry(q, self.loose) for q in self.parts]
-        self.comps = _keyed_components(self.parts, self.entries, keys)
-        self.first_kid = len(root.asserts)
+        self.comps = _keyed_components(
+            self.parts, [_part_entry(q, self.loose) for q in self.parts], keys)
         self.comp_of = {i: c for c, (comp, _) in enumerate(self.comps) for i in comp}
         self.counts = Counter(k for _, k in self.comps)
 

@@ -3,7 +3,7 @@ from hypothesis import given
 
 from psiwb.nominal import (MINT_BASE, Fresh, Name, _CanonState, _canon, alpha_eq,
                            atoms, canonical, fresh_name, mint, mint_many, rename,
-                           support)
+                           sort_key, support)
 from psiwb.process import NIL, Assert, Input, Output, Par, Res
 from psiwb.semantics import OutLabel
 
@@ -247,3 +247,16 @@ def test_forked_canon_state_does_not_write_through():
     _canon(s2, {}, child)
     assert state.binder_n == 1 and state.free_map == {s1: first}
     assert child.binder_n == 2 and len(child.free_map) == 2
+
+
+def test_sort_key_orders_value_kinds_in_bands():
+    # Names < bools < ints < strs < tuples < frozensets < dataclasses <
+    # anything else, each kind in a band of its own: True == 1, yet they
+    # get two keys
+    values = [a, False, True, 0, 7, "", "s", (), (a,), frozenset(), frozenset({a}),
+              NIL, out(a, b), 1.5, None]
+    keys = [sort_key(v) for v in values]
+    bands = [k[0] for k in keys]
+    assert bands == sorted(bands) and len(set(bands)) == 8
+    assert sorted(keys) == keys
+    assert True == 1 and sort_key(True) != sort_key(1)

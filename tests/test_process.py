@@ -9,6 +9,7 @@ from psiwb.process import (NIL, Assert, Bang, Case, IllFormed, Input,
                            opened_frame, par, res, subst_process,
                            well_formed_violations)
 from psiwb.reduction import harmony_check, reductions
+from psiwb.semantics import transitions
 
 a, b, x, y, z = (fresh_name((), h) for h in "abxyz")
 ether = EtherInstance()
@@ -52,6 +53,22 @@ def test_diagnostic_paths_point_at_subterms():
     bad = Par(NIL, Bang(Assert(psi(x))))
     (path, _), = well_formed_violations(bad)
     assert path == ("right",)
+
+
+@pytest.mark.parametrize("p, path", [
+    (Case(((PiEq(a, a), "x"),)), ("branch0",)),
+    (Bang("x"), ("body",)),
+    (Bang(Par(NIL, "x")), ("body", "right")),
+], ids=["case branch", "bang body", "under a bang body"])
+def test_non_process_under_a_guarded_position_is_located(p, path):
+    # the guardedness check of a case branch or a bang body passes over the
+    # non-process, which the walk reports at its own path, for every query
+    assert well_formed_violations(p) == [(path, "not a process: 'x'")]
+    for query in (check_well_formed, lambda q: transitions(pi, pi.unit, q),
+                  lambda q: harmony_check(pi, q), lambda q: reductions(pi, q)):
+        with pytest.raises(IllFormed) as err:
+            query(p)
+        assert err.value.diagnostics == ((path, "not a process: 'x'"),)
 
 
 def prefix_chain(depth, end=NIL):

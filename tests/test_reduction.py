@@ -847,7 +847,8 @@ def test_renamed_binders_stay_apart(p, parts):
 def test_reduction_keys_regroup_only_what_a_step_touches(monkeypatch, n):
     # the source's 4n parts are grouped once; each of the n^2 steps then
     # regroups what is left of the sender's and the receiver's components,
-    # their two assertions, and no other part
+    # their two assertions, and no other part.  The recording of the closed
+    # nodes, at the first firing, groups parts of its own, and is stubbed
     p = par(*(ether_example() for _ in range(n)))
     grouped = []
     components = reduction._components
@@ -858,6 +859,7 @@ def test_reduction_keys_regroup_only_what_a_step_touches(monkeypatch, n):
 
     monkeypatch.setattr(reduction, "_components", counted)
     monkeypatch.setattr(reduction, "_derive", lambda *args: [])
+    monkeypatch.setattr(reduction, "_record_closed", lambda *args: None)
     harmony_check(ether, p, fuel=2)
     assert grouped[0] == 4 * n and len(grouped) == 1 + n * n
     assert max(grouped[1:]) <= 4
@@ -991,15 +993,19 @@ def test_tau_keys_take_the_sources_closed_subtrees_whole(monkeypatch, n):
     assert per_target == [2] * (n * n)
 
 
-def test_tau_side_records_nothing_without_a_tau(monkeypatch):
-    # neither triangle shape has a tau, and its source is never recorded;
-    # a composite is recorded once per query
+def test_recorded_once_per_query_at_its_first_firing_never_without_one(monkeypatch):
+    # neither triangle shape has a firing, and its source is never
+    # recorded; a composite is recorded once per query, at its first
+    # firing, so also when the query makes no tau target
     recorded = _counting(monkeypatch, reduction._record_closed, (reduction,))
     for p in triangle_counterexample_shapes(a, b, c):
         assert harmony_check(tri, p, fuel=2).ok
     assert not recorded
     assert harmony_check(ether, par(*(ether_example() for _ in range(3))), fuel=2).ok
     assert len(recorded) == 1
+    monkeypatch.setattr(reduction, "_derive", lambda *args: [])
+    harmony_check(ether, par(*(ether_example() for _ in range(3))), fuel=2)
+    assert len(recorded) == 2
 
 
 def test_cut_keys_meet_no_depth_limit():
