@@ -5,7 +5,7 @@ from Name atoms, tuples, frozensets, plain scalars and frozen dataclasses.
 Three generic traversals work on any such tree:
 
 * ``support(x)``      -- the free names of ``x`` (binders excluded), kept
-  on ``x`` by ``_kept``, the one helper that keeps a fact on a value,
+  on ``x`` by ``_keep``, the one helper that keeps a fact on a value,
 * ``map_atoms(f, x)`` -- apply an atom map to every Name, binders included;
   ``rename`` gives it a dict, and ``rename`` with a bijection (a swap is
   ``{a: b, b: a}``) is the permutation action,
@@ -161,23 +161,23 @@ class _Layouts(dict):
 _LAYOUTS = _Layouts()
 
 
-def _kept(x, name, make=None, fits=None):
-    """The fact ``name`` kept on ``x``, or, where there is none or ``fits``
-    rejects it, ``make(x)`` kept in its place (None without ``make``).  A
-    value without a ``__dict__`` (a Name, a tuple, a frozenset) keeps none.
-    Not through ``x.__dict__``: CPython would trade the compact storage of
-    the instance's fields for a dict, which slows every field read."""
-    got = getattr(x, name, None)
-    if make is not None and (got is None or fits is not None and not fits(got)):
-        got = make(x)
-        if type(x).__dictoffset__:
-            object.__setattr__(x, name, got)
-    return got
+def _keep(x, name, fact):
+    """Keep ``fact`` on ``x`` as ``name``, and return it.  A value without a
+    ``__dict__`` (a Name, a tuple, a frozenset) keeps none.  Not through
+    ``x.__dict__``: CPython would trade the compact storage of the
+    instance's fields for a dict, which slows every field read."""
+    if type(x).__dictoffset__:
+        object.__setattr__(x, name, fact)
+    return fact
 
 
 def support(x) -> frozenset:
-    """Free names of a nominal value, kept on it (``_kept``)."""
-    return frozenset((x,)) if isinstance(x, Name) else _kept(x, "_supp_cache", _support_walk)
+    """Free names of a nominal value, kept on it (``_keep``).  The walk
+    takes two frames per level of a deep term (this and ``_support_walk``)."""
+    if isinstance(x, Name):
+        return frozenset((x,))
+    got = getattr(x, "_supp_cache", None)
+    return _keep(x, "_supp_cache", _support_walk(x)) if got is None else got
 
 
 def _support_walk(x) -> frozenset:
@@ -221,7 +221,8 @@ def map_atoms(f, x):
 def atoms(x) -> frozenset:
     """Every Name in ``x``, binders included, kept on ``x`` as ``support``
     is: every query reads the atoms of its source."""
-    return _kept(x, "_atoms_cache", _atoms_walk)
+    got = getattr(x, "_atoms_cache", None)
+    return _keep(x, "_atoms_cache", _atoms_walk(x)) if got is None else got
 
 
 def _atoms_walk(x) -> frozenset:
@@ -254,7 +255,12 @@ def rename(mapping: dict, x):
 # Canonical forms
 
 def sort_key(x):
-    """A deterministic total order on nominal values (pre-canonical ids)."""
+    """A deterministic total order on nominal values (pre-canonical ids).
+    On the values that shipped instances hold, it tells apart any two that
+    ``==`` tells apart, so the ``repr`` of a canonical form's key is a
+    certificate of the form (see ``reduction``).  It tells apart some that
+    ``==`` equates, which no shipped instance holds: ``True`` and ``1``,
+    and ``0.0`` and ``-0.0``."""
     if isinstance(x, Name):
         return (0, x.id)
     if isinstance(x, bool):

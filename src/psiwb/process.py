@@ -101,17 +101,18 @@ def res(names, body: Process) -> Process:
 
 def assertion_guarded(p: Process) -> bool:
     """True when every assertion occurs under an input or output prefix.
-    A value that is not a process holds no assertion here:
-    ``well_formed_violations`` reports it at its own path.  Walks left to
-    right with an explicit stack, so neither depth nor width meets the
-    recursion limit."""
+    A value that is not a process, or a case whose branches are not pairs,
+    holds no assertion here: ``well_formed_violations`` reports it at its
+    own path.  Walks left to right with an explicit stack, so neither depth
+    nor width meets the recursion limit."""
     todo = [p]
     while todo:
         q = todo.pop()
         if isinstance(q, Assert):
             return False
         if isinstance(q, Case):
-            todo.extend(r for _, r in reversed(q.branches))
+            if _pairs(q.branches):
+                todo.extend(r for _, r in reversed(q.branches))
         elif isinstance(q, Par):
             todo += (q.right, q.left)
         elif isinstance(q, (Res, Bang)):
@@ -143,16 +144,23 @@ def well_formed_violations(p: Process):
         elif isinstance(q, Output):
             todo.append((q.cont, path + ("cont",), False))
         elif isinstance(q, Input):
-            if len(set(q.variables)) != len(q.variables):
+            xs = q.variables
+            named = isinstance(xs, tuple) and all(isinstance(v, Name) for v in xs)
+            if not named:
+                out.append((path, "input pattern variables must be a tuple of names"))
+            elif len(set(xs)) != len(xs):
                 out.append((path, "input pattern variables must be pairwise distinct"))
-            extra = frozenset(q.variables) - support(q.pattern)
+            extra = frozenset(xs) - support(q.pattern) if named else ()
             if extra:
                 out.append((path, "pattern variables not in the pattern's support: "
                             + ", ".join(sorted(n.hint or str(n.id) for n in extra))))
             todo.append((q.cont, path + ("cont",), False))
         elif isinstance(q, Case):
-            todo.extend((r, path + (f"branch{i}",), True)
-                        for i, (_, r) in reversed(tuple(enumerate(q.branches))))
+            if not _pairs(q.branches):
+                out.append((path, "case branches must be a tuple of (condition, process) pairs"))
+            else:
+                todo.extend((r, path + (f"branch{i}",), True)
+                            for i, (_, r) in reversed(tuple(enumerate(q.branches))))
         elif isinstance(q, Par):
             todo += ((q.right, path + ("right",), False),
                      (q.left, path + ("left",), False))
@@ -165,6 +173,12 @@ def well_formed_violations(p: Process):
         else:
             out.append((path, f"not a process: {q!r}"))
     return out
+
+
+def _pairs(branches):
+    """Whether a case's ``branches`` are a tuple of pairs."""
+    return isinstance(branches, tuple) and all(isinstance(b, tuple) and len(b) == 2
+                                               for b in branches)
 
 
 def check_well_formed(p: Process) -> None:

@@ -32,18 +32,22 @@ equal-shaped set elements that would number new atoms
 component relates to one tried, which keeps symmetric inputs cheap, and
 keeps the least numbering, for a part its least shape with the atom list
 of each choice that gives it.  A part that meets no tie is walked once.
-The key is the multiset of the component keys.
+The key is the multiset of the component keys.  A shape and a component
+key are each a *certificate*: a string that two parts (or components)
+share exactly when their canonical forms are equal, the ``repr`` of the
+form's ``sort_key`` (McKay and Piperno, 2014).  CPython keeps a string's
+hash and compares two equal strings with one ``memcmp``.
 
-A fact of one node lives on the node (``nominal._kept``), and a fact of
-several nodes lives in the query (``_Keys``).  A part's shape depends only
-on the part and on which of its free names are hoisted binders, so the
-part keeps it (``_part_entry``) past the query: a query repeated on the
-same nodes walks only the parts new in its targets.  A component's key
-depends on its parts: the keys of one query share a table of them, looked
-up by the identity of the parts' entries (hash-consing's sharing by
-identity, Filliâtre and Conchon, 2006).  The engine's tau targets share
-the parts they leave untouched, so harmony walks each part and keys each
-component once.
+A fact of one node lives on the node (``nominal._keep``), and a fact of
+several nodes in the query.  A part's shape depends only on the part and
+on which of its free names are hoisted binders, so the part keeps it
+(``_part_entry``) past the query: a query repeated on the same nodes walks
+only the parts new in its targets.  A component's key depends on its
+parts: the keys of one query share a table of them, looked up by the
+identity of the parts' entries (hash-consing's sharing by identity,
+Filliâtre and Conchon, 2006).  The engine's tau targets share the parts
+they leave untouched, so harmony walks each part and keys each component
+once.
 
 A tau target also holds whole the subtrees of the source that its Com left
 alone, as the source's own nodes.  So at the query's first firing, which
@@ -83,12 +87,11 @@ reads the free names of the whole target only then.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .nominal import (_canon, _CanonState, _kept, _Tied, canonical, Fresh, least,
+from .nominal import (_canon, _CanonState, _keep, _Tied, canonical, Fresh, least,
                       sort_key, support)
 from .params import CalculusInstance, Subst
 from .process import (Bang, Case, Input, NIL, Nil, Output, Par, Process, Res,
@@ -317,28 +320,13 @@ def reductions(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> frozens
 class _Part(NamedTuple):
     """A part's entry, kept on the part (``_part_entry``), which it does not
     hold, so as to make no cycle: the hoisted binders ``live`` free in it
-    (all that its shape reads from outside it), its shape and its renamable
-    atoms in order, or, where its walk met a set tie, no shape (None) and
-    its renamable atoms (``_keyed_component`` searches)."""
+    (all that its shape reads from outside it), its shape, a certificate
+    string, and its renamable atoms in order, or, where its walk met a set
+    tie, no shape (None) and its renamable atoms (``_keyed_component``
+    searches)."""
     live: frozenset
-    shape: object
+    shape: str | None
     atoms: tuple
-
-
-class _Keys:
-    """What the keys of one query share: the facts of several nodes (a fact
-    of one node is kept on it; see the module docstring).
-
-    * ``components``: the sorted ids of the ``_Part`` entries of a
-      component -> (those entries, which keep the ids from reuse, and its
-      key) (``_keyed_component``);
-    * ``interned``: a component key -> the one object for it, so that the
-      query's counters, sets and dicts find equal keys equal by identity."""
-
-    __slots__ = ("components", "interned")
-
-    def __init__(self):
-        self.components, self.interned = {}, {}
 
 
 def congruence_key(p: Process, keys=None):
@@ -346,21 +334,23 @@ def congruence_key(p: Process, keys=None):
     binder hoisting across parallel, scope garbage collection, unit laws,
     parallel commutativity and associativity, binder reordering and
     alpha-conversion.  Used to compare reduction and tau targets; see the
-    module docstring.
+    module docstring.  The key is a frozenset of (component key, count)
+    pairs, and a component key is a certificate string.
 
-    ``keys`` is a query's ``_Keys``, and a fresh one when it is left out: a
-    component it holds is not keyed again.  A part that keeps its entry is
-    not walked again, and a closed node that keeps its counts is cut.
+    ``keys`` is a query's table of component keys (``_keyed_component``),
+    and a fresh one when it is left out: a component it holds is not keyed
+    again.  A part that keeps its entry is not walked again, and a closed
+    node that keeps its counts is cut.
     Harmony calls this function by its module name, so that a wrapper bound
     there (the benchmark's per-layer tracer, a test's check) sees every key
     of a query."""
-    keys = _Keys() if keys is None else keys
+    keys = {} if keys is None else keys
     binders, asserts, comps = hoist(p, Fresh(p), cut=_counted)
     counts, parts = {}, []
     for q in (*asserts, *comps):
         if isinstance(q, (Par, Res)):
-            for k, n in _counted(q).items():  # cut; its keys may be another query's
-                counts[keys.interned.setdefault(k, k)] = counts.get(k, 0) + n
+            for k, n in _counted(q).items():  # cut
+                counts[k] = counts.get(k, 0) + n
         else:
             parts.append(q)
     loose = frozenset(binders)
@@ -370,7 +360,7 @@ def congruence_key(p: Process, keys=None):
 
 
 def _counted(q):
-    return _kept(q, "_counts_cache")  # a closed node's key counts, or None
+    return getattr(q, "_counts_cache", None)  # a closed node's key counts, or None
 
 
 def _record_closed(p, keys):
@@ -388,21 +378,21 @@ def _record_closed(p, keys):
         if isinstance(q, Par) and not below:
             todo += ((q, True), (q.right, False), (q.left, False))
         elif q is not p and isinstance(q, (Par, Res)) and not support(q):
-            _kept(q, "_counts_cache", lambda q: dict(congruence_key(q, keys)))
+            _keep(q, "_counts_cache", dict(congruence_key(q, keys)))
 
 
 def _part_entry(q, loose):
     """The ``_Part`` of ``q`` under the hoisted binders ``loose``, kept on
     ``q`` until ``q`` is asked about with other hoisted binders free in it."""
     live = loose.intersection(support(q))
-    return _kept(q, "_part_cache", lambda q: _made_part(q, live), lambda got: got.live == live)
-
-
-def _made_part(q, live):
+    got = getattr(q, "_part_cache", None)
+    if got is not None and got.live == live:
+        return got
     try:
-        return _Part(live, *_walk(q, live, None))
+        got = _Part(live, *_walk(q, live, None))
     except _Tied:
-        return _Part(live, None, tuple(n for n in support(q) if n in live or n.is_scratch()))
+        got = _Part(live, None, tuple(n for n in support(q) if n in live or n.is_scratch()))
+    return _keep(q, "_part_cache", got)
 
 
 def _keyed_components(parts, entries, keys):
@@ -414,14 +404,17 @@ def _keyed_components(parts, entries, keys):
 
 def _walk(q, live, ties):
     """The shape of the part ``q`` with the hoisted binders ``live`` free in
-    it, and its renamable atoms in order, under the choices of ``ties``."""
+    it, a certificate string, and its renamable atoms in order, under the
+    choices of ``ties``."""
     st = _CanonState(live, ties)
-    return _canon(q, {}, st), tuple(st.free_map)
+    return repr(sort_key(_canon(q, {}, st))), tuple(st.free_map)
 
 
 def _keyed_component(comp, parts, entries, keys):
     """The key of the component of ``parts`` (with ``entries``) indexed by
-    ``comp``: the one ``keys.components`` holds, or a new one, interned.
+    ``comp``, a certificate string: the one the query's table ``keys``
+    holds, or a new one.  The table maps the sorted ids of a component's
+    entries to those entries, which keep the ids from reuse, and its key.
 
     The entries fix the key.  A part with a set tie is searched here, pruned
     by the automorphisms of its component: its least shape, with its atom
@@ -430,7 +423,7 @@ def _keyed_component(comp, parts, entries, keys):
     map onto itself.  A component that a target has merged or split has
     other entries, keyed afresh."""
     ident = tuple(sorted(map(id, map(entries.__getitem__, comp))))
-    got = keys.components.get(ident)
+    got = keys.get(ident)
     if got is not None:
         return got[1]
     parts, entries = [parts[i] for i in comp], [entries[i] for i in comp]
@@ -442,24 +435,9 @@ def _keyed_component(comp, parts, entries, keys):
                             occs) for j, (shape, occs) in enumerate(items) if j != k)
         q, live = parts[k], entries[k].live
         items[k] = least(functools.partial(_walk, q, live), (q, others))
-    key = _Hashed(_component_key(items))
-    key = keys.interned.setdefault(key, key)
-    keys.components[ident] = entries, key
+    key = repr(_component_key(items))
+    keys[ident] = entries, key
     return key
-
-
-class _Hashed(tuple):
-    """A component key that computes its hash once: the shapes in it are
-    dataclasses, whose hash walks them, and a query hashes each component
-    key once per target that holds the component."""
-
-    def __new__(cls, items):
-        key = super().__new__(cls, items)
-        key.hash = tuple.__hash__(key)
-        return key
-
-    def __hash__(self):
-        return self.hash
 
 
 def _components(occs):
@@ -484,7 +462,8 @@ def _components(occs):
 
 
 def _component_key(items):
-    """The key of one component from its parts' (shape, occurrence lists).
+    """The key of one component from its parts' (shape, occurrence lists),
+    as a tuple, which ``_keyed_component`` spells as a string.
 
     The parts go in the order of their shapes, each with the indices of its
     renamable atoms when they are numbered by first occurrence along that
@@ -493,20 +472,15 @@ def _component_key(items):
     if len(items) == 1:
         ((shape, occs),) = items
         return ((shape, tuple(range(len(occs[0])))),)
-    # sort_key orders dataclasses by their type's name first, so only parts
-    # of one type need its walk
-    items = sorted(items, key=_type_name)
     shapes, groups, search = [], [], False
-    for _, run in itertools.groupby(items, key=_type_name):
-        run = list(run)
-        for shape, occs in sorted(run, key=lambda it: sort_key(it[0])) if len(run) > 1 else run:
-            if shapes and shape == shapes[-1]:
-                groups[-1].append(occs)
-                search = True
-            else:
-                groups.append([occs])
-                search = search or len(occs) > 1
-            shapes.append(shape)
+    for shape, occs in sorted(items, key=lambda it: it[0]):
+        if shapes and shape == shapes[-1]:
+            groups[-1].append(occs)
+            search = True
+        else:
+            groups.append([occs])
+            search = search or len(occs) > 1
+        shapes.append(shape)
     if not search:
         # no two parts of one shape, and one list per part: one order
         numbering = {}
@@ -522,10 +496,6 @@ def _multiset(items):
     """The multiset of the (label, occurrence lists) ``items`` as a nominal
     value: renaming it renames the lists only, for the labels are ints."""
     return frozenset(Counter((label, frozenset(occs)) for label, occs in items).items())
-
-
-def _type_name(item):
-    return type(item[0]).__name__
 
 
 def _placed(groups, ties):
@@ -584,13 +554,13 @@ def harmony_check(inst: CalculusInstance, p: Process, fuel=DEFAULT_FUEL) -> Harm
     need no canonical form.  A reduction is keyed from its firing by delta
     (``_reduction_key``), and its target is built only for the first firing
     of each key, in enumeration order: that is the target a report shows
-    for an unmatched key.  Every key of the query shares one ``_Keys``.
+    for an unmatched key.  Every key of the query shares one table.
     The first firing makes the source's key facts (``_Summary``), the
     closed nodes' key counts that the tau keys cut included (see the module
     docstring).  Only a target reported unmatched is canonicalised, so that
     no scratch atom's id shows in the report."""
     check_well_formed(p)
-    red, tau, keys = {}, {}, _Keys()
+    red, tau, keys = {}, {}, {}
     for f in _fired(inst, p, fuel):
         key = _reduction_key(f, keys)
         if key not in red:
@@ -663,7 +633,7 @@ def derived_par(inst: CalculusInstance, p: Process, q_guarded: Process,
     """The derived rule: every reduction of P survives in P | Q_G."""
     if not assertion_guarded(q_guarded):
         raise ValueError("derived_par requires an assertion-guarded right component")
-    keys = _Keys()
+    keys = {}
     lhs = {congruence_key(Par(s.target, q_guarded), keys)
            for s in reductions(inst, p, fuel)}
     rhs = {congruence_key(s.target, keys)

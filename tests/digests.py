@@ -13,14 +13,16 @@ prints one SHA-256 per kind of result:
 * ``legacy_transitions``: the same queries, in both orientations;
 * ``reductions``: the targets, canonical, at fuel 1 and 2;
 * ``harmony``: the ``HarmonyReport`` of every member at fuel 1 and 2;
-* ``keys``: the congruence keys harmony computes, of every reduction
-  target and of every raw tau target of the engine, as multisets, through
-  one ``reduction._Keys`` per member and fuel in which the member's closed
-  nodes are recorded first, so that the keys take them whole as harmony's
-  do;
-* ``tau_order``: the keys of the raw tau targets in the engine's order.
-  This one is not a result: it changes when the engine derives its taus in
-  another order.
+* ``keys``: how the congruence keys that harmony computes group every
+  reduction target and every raw tau target of the engine, and not how the
+  keys are spelled.  The keys of one member and fuel go through one table,
+  in which the member's closed nodes are recorded first, so that the keys
+  take them whole as harmony's do.  Each group of targets with one key is
+  listed as its reduction targets and its tau targets, each canonical and
+  sorted, and the groups are sorted;
+* ``tau_order``: the group of each raw tau target in the engine's order,
+  the groups numbered by first occurrence.  This one is not a result: it
+  changes when the engine derives its taus in another order.
 
 Every value is printed through ``_stable``, which sorts the elements of
 sets and leaves out name hints, so a digest depends neither on hash order
@@ -111,20 +113,26 @@ def digests(seed):
             lines["reductions"].append(
                 tag + _stable({nominal.canonical(s.target) for s in steps}))
             lines["harmony"].append(tag + _stable(reduction.harmony_check(inst, p, fuel)))
-            keys = reduction._Keys()
+            keys = {}
             reduction._record_closed(p, keys)
-            red_keys = [_key(s.target, keys) for s in steps]
-            tau_keys = [_key(tgt, keys) for lab, _, tgt in
-                        semantics._derive(inst, semantics._PROVENANCE, inst.unit, p, fuel)
-                        if isinstance(lab, semantics.TauLabel)]
-            lines["keys"].append(tag + _stable((sorted(red_keys), sorted(tau_keys))))
-            lines["tau_order"].append(tag + _stable(tuple(tau_keys)))
+            red = [s.target for s in steps]
+            taus = [tgt for lab, _, tgt in
+                    semantics._derive(inst, semantics._PROVENANCE, inst.unit, p, fuel)
+                    if isinstance(lab, semantics.TauLabel)]
+            red_keys = [reduction.congruence_key(t, keys) for t in red]
+            tau_keys = [reduction.congruence_key(t, keys) for t in taus]
+            groups = {}
+            for side, (targets, ks) in enumerate(((red, red_keys), (taus, tau_keys))):
+                for target, key in zip(targets, ks):
+                    groups.setdefault(key, ([], []))[side].append(
+                        _stable(nominal.canonical(target)))
+            lines["keys"].append(tag + _stable(sorted(tuple(map(sorted, group))
+                                                      for group in groups.values())))
+            numbers = {}
+            lines["tau_order"].append(
+                tag + _stable(tuple(numbers.setdefault(key, len(numbers)) for key in tau_keys)))
     return {kind: hashlib.sha256("\n".join(ls).encode()).hexdigest()
             for kind, ls in lines.items()}
-
-
-def _key(p, keys):
-    return _stable(reduction.congruence_key(p, keys))
 
 
 def main(argv):

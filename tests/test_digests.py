@@ -1,7 +1,8 @@
 """The digests of ``tests/digests.py`` on seed 43, pinned: a change that
-alters any transition, legacy transition, reduction, harmony report or
-congruence key of its corpora fails here.  ``tau_order`` is not a result
-(it follows the engine's derivation order), so it is not pinned.
+alters any transition, legacy transition, reduction or harmony report of
+its corpora, or how the congruence keys group its targets, fails here.
+``tau_order`` is not a result (it follows the engine's derivation order),
+so it is not pinned.
 
 The script runs in a fresh interpreter, because user atoms take their ids
 from a global counter that the other tests advance."""
@@ -17,7 +18,7 @@ PINNED = {
     "legacy_transitions": "0e23d34b5a3f5de07e63f40570eaed770d843b6e29fed236f1b7c0d96edd2901",
     "reductions": "9415cc22da9e32083536ded9ed7e0820dc3dfad209d5389f02665939ba465430",
     "harmony": "80af58a111b2289c7c1cffbb25e065c1a1489baf6bb72d9283c77b0a77801809",
-    "keys": "f19ffc82235256c9defb6a722aa16ce21b87da7ec7abc0c8042da48fa2149665",
+    "keys": "2970957b335764a83c9695f17c3b458d9959508dac19c51a634501ecf284d05a",
 }
 
 

@@ -1,9 +1,12 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
+from psiwb.corpus import all_processes
 from psiwb.nominal import (MINT_BASE, Fresh, Name, _CanonState, _canon, alpha_eq,
                            atoms, canonical, fresh_name, mint, mint_many, rename,
                            sort_key, support)
+from psiwb.params import PiInstance, PreorderInstance
 from psiwb.process import NIL, Assert, Input, Output, Par, Res
 from psiwb.semantics import OutLabel
 
@@ -260,3 +263,18 @@ def test_sort_key_orders_value_kinds_in_bands():
     assert bands == sorted(bands) and len(set(bands)) == 8
     assert sorted(keys) == keys
     assert True == 1 and sort_key(True) != sort_key(1)
+
+
+@pytest.mark.parametrize("inst", [PiInstance(), PreorderInstance()], ids=["pi", "preorder"])
+def test_sort_key_strings_tell_canonical_forms_apart(inst):
+    # a congruence key spells a canonical form as the repr of its sort_key:
+    # over every small term, that string groups the terms as the form does
+    ps = [p for size in range(4) for p in all_processes(inst, size, (a, b))]
+
+    def grouping(key):
+        groups = {}
+        for i, p in enumerate(ps):
+            groups.setdefault(key(p), set()).add(i)
+        return sorted(map(sorted, groups.values()))
+
+    assert grouping(canonical) == grouping(lambda p: repr(sort_key(canonical(p))))

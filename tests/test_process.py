@@ -8,7 +8,7 @@ from psiwb.process import (NIL, Assert, Bang, Case, IllFormed, Input,
                            check_well_formed, desugar_sum, hoist,
                            opened_frame, par, res, subst_process,
                            well_formed_violations)
-from psiwb.reduction import harmony_check, reductions
+from psiwb.reduction import congruence_key, harmony_check, reductions
 from psiwb.semantics import transitions
 
 a, b, x, y, z = (fresh_name((), h) for h in "abxyz")
@@ -71,6 +71,27 @@ def test_non_process_under_a_guarded_position_is_located(p, path):
         assert err.value.diagnostics == ((path, "not a process: 'x'"),)
 
 
+NOT_PAIRS = "case branches must be a tuple of (condition, process) pairs"
+
+
+@pytest.mark.parametrize("shape, msg", [
+    (Input(a, x, x, NIL), "input pattern variables must be a tuple of names"),
+    (Case(NIL), NOT_PAIRS),
+    (Case(((PiEq(a, a),),)), NOT_PAIRS),
+    (Case((NIL,)), NOT_PAIRS),
+], ids=["variables a name", "branches not a tuple", "branch not a pair", "branch a process"])
+def test_malformed_shape_is_located(shape, msg):
+    # reported at its own path, by the check and by every query, and not as
+    # the bare error that reading the malformed field would raise
+    p = Par(NIL, shape)
+    assert well_formed_violations(p) == [(("right",), msg)]
+    for query in (check_well_formed, lambda q: transitions(pi, pi.unit, q),
+                  lambda q: harmony_check(pi, q), lambda q: reductions(pi, q)):
+        with pytest.raises(IllFormed) as err:
+            query(p)
+        assert err.value.diagnostics == ((("right",), msg),)
+
+
 def prefix_chain(depth, end=NIL):
     for _ in range(depth):
         end = Output(a, x, end)
@@ -85,6 +106,15 @@ def test_well_formedness_walks_wide_and_deep_terms():
         assert assertion_guarded(p)
     assert not assertion_guarded(Par(wide, Assert(psi(x))))
     assert assertion_guarded(prefix_chain(1, Par(deep, Assert(psi(x)))))
+
+
+def test_queries_pass_a_440_deep_chain():
+    # support walks at two frames per level: each query, on a chain of its
+    # own that keeps no fact yet, stays under the recursion limit
+    assert transitions(pi, pi.unit, prefix_chain(440))
+    assert not reductions(pi, prefix_chain(440))
+    assert harmony_check(pi, prefix_chain(440)).ok
+    assert sum(n for _, n in congruence_key(prefix_chain(440))) == 1
 
 
 def test_deep_diagnostic_keeps_its_full_path():

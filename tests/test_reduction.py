@@ -602,9 +602,10 @@ def _fresh_key(p):
 
 def _checking_memo_keys(monkeypatch):
     """Check every key that ``reduction`` asks for: it comes with the
-    query's ``_Keys``, and it equals the one-shot key of the same process,
-    or, for a key taken by delta from a firing, of the firing's target,
-    rebuilt.  Returns the list that counts the keys checked."""
+    query's table of component keys, and it equals the one-shot key of the
+    same process, or, for a key taken by delta from a firing, of the
+    firing's target, rebuilt.  Returns the list that counts the keys
+    checked."""
     one_shot, by_delta, compared = reduction.congruence_key, reduction._reduction_key, []
 
     def checked(p, keys=None):
@@ -667,7 +668,7 @@ def test_derived_par_memo_keys_equal_one_shot_keys(monkeypatch):
 
 
 def _keys_through_one_memo(ps):
-    keys = reduction._Keys()
+    keys = {}
     return [congruence_key(p, keys) for p in ps]
 
 
@@ -758,12 +759,11 @@ def test_harmony_keys_each_component_once(monkeypatch, n):
     assert len(keyed) == 6 * n
 
 
-def test_memo_interns_equal_component_keys():
-    # the components of two ether copies, keyed through one memo: each key
-    # of the one copy is the very object of the other's equal key
+def test_memo_gives_two_copies_equal_component_keys():
+    # the components of two ether copies, keyed through one memo: the two
+    # keys of the one copy equal those of the other
     one, other = _keys_through_one_memo([ether_example(), ether_example()])
     assert one == other and len(one) == 2
-    assert {id(key) for key, _ in one} == {id(key) for key, _ in other}
 
 
 # -- reduction keys by delta ------------------------------------------------------
@@ -808,12 +808,12 @@ def _delta_inputs():
 
 
 def test_reduction_key_by_delta_equals_the_key_of_the_target():
-    # each firing of a query is keyed through the query's one _Keys, from
+    # each firing of a query is keyed through the query's one table, from
     # the source's key, and compared with the one-shot key of its target
     checked = 0
     for inst, p, fuels in _delta_inputs():
         for fuel in fuels:
-            keys = reduction._Keys()
+            keys = {}
             for f in reduction._fired(inst, p, fuel):
                 target = reduction._target(f)
                 assert reduction._reduction_key(f, keys) == _fresh_key(target), (p, fuel)
@@ -825,7 +825,7 @@ def test_reduction_key_by_delta_equals_the_key_of_the_target():
 def test_reduction_keys_of_two_sources_through_one_table(sizes):
     # a table shared by two sources serves neither one's summary to the
     # other's firings: each delta key equals the one-shot key of its target
-    keys, checked = reduction._Keys(), 0
+    keys, checked = {}, 0
     for n in sizes:
         for f in reduction._fired(ether, par(*(ether_example() for _ in range(n))), 2):
             target = reduction._target(f)
@@ -937,7 +937,7 @@ def test_harmony_cut_keys_equal_one_shot_keys(monkeypatch):
 
 
 def _keys_after_recording(source, targets):
-    keys = reduction._Keys()
+    keys = {}
     reduction._record_closed(source, keys)
     return [congruence_key(t, keys) for t in targets]
 
