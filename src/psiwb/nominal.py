@@ -389,12 +389,10 @@ def canonical(x):
     Binders are renumbered in traversal order; free scratch atoms (engine
     mints and previous canonical atoms) are renumbered too, so enumeration
     results compare stably across calls.  No atom id decides a set tie
-    (``least``), as long as set elements bind no names and hold no sets.
+    (``least``, which walks once where none is met), as long as set
+    elements bind no names and hold no sets.
     """
-    try:
-        return _canon(x, {}, _CanonState())
-    except _Tied:
-        return least(lambda ties: (_canon(x, {}, _CanonState(ties=ties)), None), x)[0]
+    return least(lambda ties: (_canon(x, {}, _CanonState(ties=ties)), None), x)[0]
 
 
 def canon_binders(binders, env: dict, st: _CanonState):
@@ -454,8 +452,7 @@ def least(run, context):
     each tie, and returns (form, extra).  It runs once per combination of
     choices, pruned by the automorphisms of ``context``, which holds all that
     a run reads.  Returns the least form (by ``sort_key``) and the distinct
-    extras of the runs that give it.  Callers traverse plainly first, and
-    search only where that meets a tie (``_Tied``)."""
+    extras of the runs that give it, or, after one run, its own."""
     leaves, script, offers = [], [], {}
     while True:
         ties = _Ties(script, context, offers)
@@ -467,6 +464,8 @@ def least(run, context):
         if not script:
             break
         script[-1] += 1
+    if len(leaves) == 1:
+        return leaves[0][0], (leaves[0][1],)
     keys = [sort_key(form) for form, _ in leaves]
     low = min(keys)
     return (leaves[keys.index(low)][0],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nominal import Fresh, Name, mint, mint_many, names_of, rename, support
+from .nominal import _keep, Fresh, Name, mint, mint_many, names_of, rename, support
 from .params import CalculusInstance, Subst
 
 
@@ -182,7 +182,11 @@ def _pairs(branches):
 
 
 def check_well_formed(p: Process) -> None:
-    bad = well_formed_violations(p)
+    """Raise ``IllFormed`` on the violations of ``p``, which ``p`` keeps
+    (``nominal._keep``): a repeated query checks it by one read."""
+    bad = getattr(p, "_violations_cache", None)
+    if bad is None:
+        bad = _keep(p, "_violations_cache", tuple(well_formed_violations(p)))
     if bad:
         raise IllFormed(bad)
 

@@ -23,31 +23,32 @@ The key hoists once, and then walks each part once with
 (the *renamable* atoms, binders and scratch atoms kept apart) by first
 occurrence inside that part.  That gives the part's *shape*, which no
 atom's id affects, and the list of the renamable atoms it holds, in order.
-Parts that share a renamable atom form a component.  Inside a component the
-parts go in the order of their shapes, and the atoms are numbered again
-along that order.  The ties left, parts of one shape (``_placed``) and
-equal-shaped set elements that would number new atoms
-(``nominal._canon_set``), go to ``nominal.least``, the one search that
-``canonical`` uses too: it tries each choice that no automorphism of the
-component relates to one tried, which keeps symmetric inputs cheap, and
-keeps the least numbering, for a part its least shape with the atom list
-of each choice that gives it.  A part that meets no tie is walked once.
-The key is the multiset of the component keys.  A shape and a component
-key are each a *certificate*: a string that two parts (or components)
-share exactly when their canonical forms are equal, the ``repr`` of the
-form's ``sort_key`` (McKay and Piperno, 2014).  CPython keeps a string's
-hash and compares two equal strings with one ``memcmp``.
+Parts that share a renamable atom form a component.  A component of one
+part is keyed by the part's shape.  Inside a larger component the parts go
+in the order of their shapes, and the atoms are numbered again along that
+order.  The ties left, parts of one shape (``_placed``) and equal-shaped
+set elements that would number new atoms (``nominal._canon_set``), go to
+``nominal.least``, the one search that ``canonical`` uses too: it tries
+each choice that no automorphism of the component relates to one tried,
+which keeps symmetric inputs cheap, and keeps the least numbering, for a
+part its least shape with the atom list of each choice that gives it.  A
+search that meets no tie runs once, and compares nothing.  The key is the
+multiset of the component keys.  A shape and a component key are each a
+*certificate*: a string that two parts (or components) share exactly when
+their canonical forms are equal, the ``repr`` of the form's ``sort_key``
+(McKay and Piperno, 2014).  CPython keeps a string's hash and compares two
+equal strings with one ``memcmp``.
 
 A fact of one node lives on the node (``nominal._keep``), and a fact of
 several nodes in the query.  A part's shape depends only on the part and
 on which of its free names are hoisted binders, so the part keeps it
 (``_part_entry``) past the query: a query repeated on the same nodes walks
-only the parts new in its targets.  A component's key depends on its
-parts: the keys of one query share a table of them, looked up by the
-identity of the parts' entries (hash-consing's sharing by identity,
-Filliâtre and Conchon, 2006).  The engine's tau targets share the parts
-they leave untouched, so harmony walks each part and keys each component
-once.
+only the parts new in its targets.  The key of a larger component, or of
+a part with a tie, depends on its parts: the keys of one query share a
+table of them, looked up by the identity of the parts' entries
+(hash-consing's sharing by identity, Filliâtre and Conchon, 2006).  The
+engine's tau targets share the parts they leave untouched, so harmony
+walks each part, and keys each component in the table, once.
 
 A tau target also holds whole the subtrees of the source that its Com left
 alone, as the source's own nodes.  So at the query's first firing, which
@@ -87,6 +88,7 @@ reads the free names of the whole target only then.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -412,16 +414,22 @@ def _walk(q, live, ties):
 
 def _keyed_component(comp, parts, entries, keys):
     """The key of the component of ``parts`` (with ``entries``) indexed by
-    ``comp``, a certificate string: the one the query's table ``keys``
-    holds, or a new one.  The table maps the sorted ids of a component's
-    entries to those entries, which keep the ids from reuse, and its key.
+    ``comp``, a certificate string: for a part alone its (least) shape, and
+    for two or more parts the ``repr`` of ``_component_key``, a tuple of
+    pairs, which no shape equals, for a process part's shape starts
+    ``(6, '``.  A part alone that met no tie is keyed with no lookup.  Any
+    other component is keyed once per query: the table ``keys`` maps the
+    sorted ids of its entries, which fix the key, to those entries, which
+    keep the ids from reuse, and its key.
 
-    The entries fix the key.  A part with a set tie is searched here, pruned
-    by the automorphisms of its component: its least shape, with its atom
-    list under each choice giving it.  Labelled by their shapes, the other
-    parts may be permuted, unless another part has a tie too: then each must
-    map onto itself.  A component that a target has merged or split has
-    other entries, keyed afresh."""
+    A part with a set tie is searched here, pruned by the automorphisms of
+    its component: its least shape, with its atom list under each choice
+    giving it.  Labelled by their shapes, the other parts may be permuted,
+    unless another part has a tie too: then each must map onto itself.  A
+    component that a target has merged or split has other entries, keyed
+    afresh."""
+    if len(comp) == 1 and entries[comp[0]].shape is not None:
+        return entries[comp[0]].shape
     ident = tuple(sorted(map(id, map(entries.__getitem__, comp))))
     got = keys.get(ident)
     if got is not None:
@@ -429,13 +437,12 @@ def _keyed_component(comp, parts, entries, keys):
     parts, entries = [parts[i] for i in comp], [entries[i] for i in comp]
     items = [(e.shape, (e.atoms,)) for e in entries]
     mine = [k for k, e in enumerate(entries) if e.shape is None]
-    labels = {}
     for k in mine:
-        others = _multiset((j if len(mine) > 1 else labels.setdefault(shape, len(labels)),
-                            occs) for j, (shape, occs) in enumerate(items) if j != k)
+        others = _multiset((j if len(mine) > 1 else shape, occs)
+                           for j, (shape, occs) in enumerate(items) if j != k)
         q, live = parts[k], entries[k].live
         items[k] = least(functools.partial(_walk, q, live), (q, others))
-    key = repr(_component_key(items))
+    key = items[0][0] if len(items) == 1 else repr(_component_key(items))
     keys[ident] = entries, key
     return key
 
@@ -462,39 +469,25 @@ def _components(occs):
 
 
 def _component_key(items):
-    """The key of one component from its parts' (shape, occurrence lists),
-    as a tuple, which ``_keyed_component`` spells as a string.
+    """The key of a component of two or more parts from their (shape,
+    occurrence lists) ``items``, as a tuple, which ``_keyed_component``
+    spells as a string.
 
     The parts go in the order of their shapes, each with the indices of its
     renamable atoms when they are numbered by first occurrence along that
     order.  Among parts of equal shape and the lists of a part, ``least``
     searches for the order giving the least indices (``_placed``)."""
-    if len(items) == 1:
-        ((shape, occs),) = items
-        return ((shape, tuple(range(len(occs[0])))),)
-    shapes, groups, search = [], [], False
-    for shape, occs in sorted(items, key=lambda it: it[0]):
-        if shapes and shape == shapes[-1]:
-            groups[-1].append(occs)
-            search = True
-        else:
-            groups.append([occs])
-            search = search or len(occs) > 1
-        shapes.append(shape)
-    if not search:
-        # no two parts of one shape, and one list per part: one order
-        numbering = {}
-        return tuple((shape, tuple(numbering.setdefault(n, len(numbering)) for n in occs[0]))
-                     for shape, (occs,) in zip(shapes, groups))
+    items = sorted(items, key=lambda it: it[0])
+    groups = [[occs for _, occs in run] for _, run in itertools.groupby(items, lambda it: it[0])]
     indices, _ = least(lambda ties: (_placed(groups, ties), None),
-                          _multiset((g, occs) for g, group in enumerate(groups)
-                                    for occs in group))
-    return tuple(zip(shapes, indices))
+                       _multiset((g, occs) for g, group in enumerate(groups) for occs in group))
+    return tuple((shape, idx) for (shape, _), idx in zip(items, indices))
 
 
 def _multiset(items):
     """The multiset of the (label, occurrence lists) ``items`` as a nominal
-    value: renaming it renames the lists only, for the labels are ints."""
+    value: renaming it renames the lists only, for a label is an int or a
+    shape string."""
     return frozenset(Counter((label, frozenset(occs)) for label, occs in items).items())
 
 

@@ -2,6 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from psiwb import nominal
 from psiwb.corpus import all_processes
 from psiwb.nominal import (MINT_BASE, Fresh, Name, _CanonState, _canon, alpha_eq,
                            atoms, canonical, fresh_name, mint, mint_many, rename,
@@ -162,6 +163,16 @@ def test_canonical_numbers_scratch_atoms_of_a_set_by_element_shape():
     m1, m2 = Name(MINT_BASE), Name(MINT_BASE + 1)
     p = Assert(frozenset({(m1, a), (m2, m2)}))
     assert alpha_eq(p, rename({m1: m2, m2: m1}, p))
+
+
+def test_canonical_without_a_tie_makes_no_sort_key(monkeypatch):
+    # a value with no set meets no tie: the search runs it once and returns
+    # its form, comparing nothing
+    made = []
+    monkeypatch.setattr(nominal, "sort_key", lambda v: made.append(v) or sort_key(v))
+    p = Res(b, Par(out(a, b), Input(b, (x,), x, out(x, a))))
+    assert canonical(p) == canonical(rename({b: c, x: y}, p))
+    assert not made
 
 
 def test_atoms_include_binders_and_walk_deep_terms():

@@ -1,5 +1,6 @@
 import pytest
 
+from psiwb import process
 from psiwb.nominal import (MINT_BASE, Fresh, Name, alpha_eq, fresh_name,
                            names_of, rename)
 from psiwb.params import EtherInstance, PiEq, PiInstance, Subst, TriangleInstance
@@ -90,6 +91,26 @@ def test_malformed_shape_is_located(shape, msg):
         with pytest.raises(IllFormed) as err:
             query(p)
         assert err.value.diagnostics == ((("right",), msg),)
+
+
+def test_check_keeps_the_violations_on_the_node(monkeypatch):
+    # a process is immutable: a second check of one node reads what the
+    # first kept on it, and a malformed one raises the same diagnostics
+    walked = []
+    monkeypatch.setattr(process, "well_formed_violations",
+                        lambda q: walked.append(q) or well_formed_violations(q))
+    good, bad = Par(Output(a, x, NIL), Input(a, (y,), y, NIL)), Par(NIL, Bang(Assert(psi(x))))
+    for _ in range(2):
+        check_well_formed(good)
+    assert walked == [good]
+    raised = []
+    for _ in range(2):
+        with pytest.raises(IllFormed) as err:
+            check_well_formed(bad)
+        raised.append(err.value.diagnostics)
+    assert walked == [good, bad]
+    unguarded = (("right",), "replicated process must be assertion-guarded")
+    assert raised == [(unguarded,)] * 2
 
 
 def prefix_chain(depth, end=NIL):

@@ -733,6 +733,31 @@ def test_memo_keys_of_tied_parts(monkeypatch):
     assert harmony_check(pre, p, fuel=2).ok and compared
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_harmony_searches_a_tied_component_once(monkeypatch, n):
+    # a ring of facts over six binders, which the fact (a, a) keeps free,
+    # beside n handshakes that leave it alone: every tau target holds its
+    # part as the source does, so the query's table serves the one search
+    # of its tie, cold and warm.  Searched outside the table, it would be
+    # searched again for each of the query's n^2 tau targets
+    d = [fresh_name((), "d") for _ in range(6)]
+    ring = frozenset((d[i], d[(i + 1) % 6]) for i in range(6)) | {(a, a)}
+    p = par(*(out(a) for _ in range(n)), *(inp(a) for _ in range(n)), res(d, Assert(ring)))
+    assert len(reductions(tri, p, 2)) == n  # the n senders are equal
+    searches = []
+
+    def counted(run, context):
+        if getattr(run, "func", None) is reduction._walk:
+            searches.append(run)
+        return nominal.least(run, context)
+
+    monkeypatch.setattr(reduction, "least", counted)
+    for _ in ("cold", "warm"):
+        searches.clear()
+        assert harmony_check(tri, p, fuel=2).ok
+        assert len(searches) == 1
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_harmony_walks_each_part_once(monkeypatch, n):
     # n^2 reductions and n^2 taus of 4n - 2 parts each, all but two of them
@@ -750,13 +775,14 @@ def test_harmony_walks_each_part_once(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_harmony_keys_each_component_once(monkeypatch, n):
-    # the source's 2n components, and those the targets change: the
-    # sender's and the receiver's assertion alone in a reduction target, and
-    # each of them opened in a tau target, n of each
+    # the source's 2n components of two parts each.  The components the
+    # targets change, the sender's and the receiver's assertion alone in a
+    # reduction target, and each of them opened in a tau target, are of one
+    # part: such a component is its part's shape, and is not keyed
     p = par(*(ether_example() for _ in range(n)))
     keyed = _counting(monkeypatch, reduction._component_key, (reduction,))
     assert harmony_check(ether, p, fuel=2).ok
-    assert len(keyed) == 6 * n
+    assert len(keyed) == 2 * n
 
 
 def test_memo_gives_two_copies_equal_component_keys():
